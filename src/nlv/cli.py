@@ -12,19 +12,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
 
 from . import __version__
 from .classical import classical_value
-from .errors import NlvError
+from .errors import NlvError, ParseError
 from .game import chsh_game, game_value, load_game, load_strategy
 from .moments import density_check, moment_map, sample_moment_cloud
 from .protocols import TwoBitMessage, epr_correlation_demo, superdense_decode, superdense_encode
-from .quantum import (_deinterleave, _interleave, chsh_optimal_spec,
-                      entangled_lower_bound, quantum_correlation, save_spec)
+from .quantum import (_deinterleave, _interleave, chsh_optimal_spec, entangled_lower_bound,
+                      load_spec, quantum_correlation, save_spec)
 from .synchronous import sync_value_lower_bound
 from .tm import Halted, load_machine, run as tm_run
 
@@ -36,32 +35,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("NLV_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nlv",
         description="Nonlocal game values, measurement simulation, tracial "
                     "correlations, matrix moments, and a Turing machine interpreter.")
     parser.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for restart-parallel searches "
-                             "(default: NLV_THREADS or machine parallelism)")
     # The same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering values parsed at the top level.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_parser(name, **kwargs):
@@ -140,36 +123,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _params(args, skip=("json", "threads", "subcommand", "moments_command", "tm_command")):
+def _params(args, skip=("json", "subcommand", "moments_command", "tm_command")):
     return {key: value for key, value in sorted(vars(args).items()) if key not in skip}
 
 
-def _run_value(args, _threads):
+def _run_value(args):
     game = load_game(Path(args.game).read_text())
     strategy = load_strategy(Path(args.strategy).read_text())
     return {"value": game_value(game, strategy)}
 
 
-def _run_classical(args, _threads):
+def _run_classical(args):
     game = load_game(Path(args.game).read_text())
     value, argmax = classical_value(game, cap=args.cap)
     return {"value": value, "A": list(argmax.alice), "B": list(argmax.bob)}
 
 
-def _run_quantum_lb(args, threads):
+def _run_quantum_lb(args):
     game = load_game(Path(args.game).read_text())
-    value, spec = entangled_lower_bound(
-        game, dim=args.dim, restarts=args.restarts, seed=args.seed,
-        iters=args.iters, threads=threads)
-    Path(args.spec_out).write_text(save_spec(spec))
+    _, spec = entangled_lower_bound(
+        game, dim=args.dim, restarts=args.restarts, seed=args.seed, iters=args.iters)
+    spec_file = Path(args.spec_out)
+    spec_file.write_text(save_spec(spec))
+    # Report the value the written file certifies, not the in-memory spec's.
+    value = game_value(game, quantum_correlation(load_spec(spec_file.read_text())))
     return {"value": value, "dim": args.dim, "spec_file": args.spec_out}
 
 
-def _run_sync_lb(args, threads):
+def _run_sync_lb(args):
     game = load_game(Path(args.game).read_text())
     value, family = sync_value_lower_bound(
-        game, dim=args.dim, restarts=args.restarts, seed=args.seed,
-        iters=args.iters, threads=threads)
+        game, dim=args.dim, restarts=args.restarts, seed=args.seed, iters=args.iters)
     family_file = None
     if args.family_out:
         rows = [[_interleave(mat) for mat in fam.outcomes] for fam in family.families]
@@ -180,7 +164,7 @@ def _run_sync_lb(args, threads):
             "note": "finite-dimensional lower bound"}
 
 
-def _run_superdense(args, _threads):
+def _run_superdense(args):
     if len(args.msg) != 2 or any(ch not in "12" for ch in args.msg):
         raise NlvError(f"--msg must be two characters from {{1,2}}, got {args.msg!r}")
     message = TwoBitMessage(int(args.msg[0]), int(args.msg[1]))
@@ -195,7 +179,7 @@ def _run_superdense(args, _threads):
     }
 
 
-def _run_epr(args, _threads):
+def _run_epr(args):
     stats = epr_correlation_demo(args.trials, args.seed, basis=args.basis)
     return {
         "trials": stats.trials,
@@ -205,11 +189,17 @@ def _run_epr(args, _threads):
     }
 
 
-def _run_moments(args, _threads):
+def _run_moments(args):
     if args.moments_command == "map":
-        obj = json.loads(Path(args.matrices).read_text())
-        dim = int(obj["dim"])
-        mats = [_deinterleave(vals, (dim, dim)) for vals in obj["matrices"]]
+        try:
+            obj = json.loads(Path(args.matrices).read_text())
+            dim = int(obj["dim"])
+            mats = [_deinterleave(vals, (dim, dim)) for vals in obj["matrices"]]
+        except json.JSONDecodeError as err:
+            raise ParseError(
+                f"matrices file: invalid JSON at line {err.lineno}: {err.msg}") from err
+        except (KeyError, TypeError, ValueError) as err:
+            raise ParseError(f"matrices file: malformed field ({err})") from err
         if len(mats) != args.n:
             raise NlvError(f"matrix file holds {len(mats)} matrices, --n is {args.n}")
         vec = moment_map(mats, args.d)
@@ -232,7 +222,7 @@ def _run_moments(args, _threads):
     }
 
 
-def _run_tm(args, _threads):
+def _run_tm(args):
     machine = load_machine(Path(args.machine).read_text())
     result = tm_run(machine, args.input, args.budget, trace=args.trace)
     if isinstance(result, Halted):
@@ -244,7 +234,7 @@ def _run_tm(args, _threads):
     return out
 
 
-def _run_demo_chsh(args, _threads):
+def _run_demo_chsh(args):
     game = chsh_game()
     cval, argmax = classical_value(game)
     qval = game_value(game, quantum_correlation(chsh_optimal_spec()))
@@ -304,11 +294,8 @@ def dispatch(argv) -> int:
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
-        result = _HANDLERS[args.subcommand](args, _resolve_threads(args))
-    except NlvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+        result = _HANDLERS[args.subcommand](args)
+    except (NlvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     manifest = {

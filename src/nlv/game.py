@@ -88,6 +88,8 @@ class Strategy:
 
 def validate_game(game: Game) -> Report:
     """Check the numeric invariants of a game, reporting every violation."""
+    if not (np.all(np.isfinite(game.pi)) and np.all(np.isfinite(game.wins))):
+        return Report(ok=False, violations=("game has non-finite entries",), worst=np.inf)
     violations = []
     worst = 0.0
     if np.any(game.pi < 0):
@@ -111,6 +113,8 @@ def validate_game(game: Game) -> Report:
 
 def validate_strategy(strategy: Strategy, tol: float = COMPUTED_TOL) -> Report:
     """Check that a strategy tensor is a conditional probability."""
+    if not np.all(np.isfinite(strategy.p)):
+        return Report(ok=False, violations=("strategy has non-finite entries",), worst=np.inf)
     violations = []
     worst = 0.0
     p = strategy.p

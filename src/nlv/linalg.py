@@ -1,10 +1,7 @@
-"""Dense complex linear algebra kernel.
+"""Dense complex linear algebra helpers.
 
-Matrices and vectors are plain complex128 numpy arrays.  The spectral
-routines (cyclic Jacobi for Hermitian matrices, power iteration) are
-implemented here rather than delegated to LAPACK so that results are
-bit-reproducible across platforms up to floating rounding; the dimensions
-in play never exceed a few dozen.
+Matrices and vectors are plain complex128 numpy arrays; spectral work goes
+to LAPACK through ``numpy.linalg``.
 """
 
 from __future__ import annotations
@@ -12,10 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-
-JACOBI_TOL = 1e-13
-POWER_ITERS = 200
-POWER_RTOL = 1e-12
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -28,7 +21,7 @@ def frobenius(a: np.ndarray) -> float:
 
 def as_complex(a) -> np.ndarray:
     out = np.asarray(a, dtype=np.complex128)
-    if not np.all(np.isfinite(out.view(np.float64))):
+    if not np.all(np.isfinite(out)):
         raise ValidationError("matrix has non-finite entries")
     return out
 
@@ -42,115 +35,17 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def jacobi_eigh(h: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 60):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Returns ``(w, v)`` with eigenvalues ``w`` ascending and orthonormal
-    eigenvector columns ``v`` such that ``h == v @ diag(w) @ dagger(v)``.
-    The input is symmetrized before iterating; callers are expected to pass
-    matrices that are Hermitian up to rounding.
-    """
-    a = as_complex(h)
-    dim = a.shape[0]
-    if a.ndim != 2 or a.shape != (dim, dim):
-        raise ValidationError("eigendecomposition needs a square matrix")
-    a = 0.5 * (a + dagger(a))
-    v = identity(dim)
-    if dim == 1:
-        return np.array([a[0, 0].real]), v
-    scale = max(1.0, frobenius(a))
-    for _ in range(max_sweeps):
-        off = np.max(np.abs(a - np.diag(np.diagonal(a))))
-        if off <= tol * scale:
-            break
-        for p in range(dim - 1):
-            for q in range(p + 1, dim):
-                mag = abs(a[p, q])
-                if mag <= 0.05 * tol * scale:
-                    continue
-                # Factor out the phase so the (p, q) block is real symmetric,
-                # then apply the classical Jacobi rotation to that block.
-                phase = a[p, q] / mag
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # Rotation columns at rows (p, q):
-                #   col p = (c, -conj(phase)*s),  col q = (s, conj(phase)*c)
-                gp = np.array([c, -np.conj(phase) * s], dtype=np.complex128)
-                gq = np.array([s, np.conj(phase) * c], dtype=np.complex128)
-                rows_p = a[p, :].copy()
-                rows_q = a[q, :].copy()
-                a[p, :] = np.conj(gp[0]) * rows_p + np.conj(gp[1]) * rows_q
-                a[q, :] = np.conj(gq[0]) * rows_p + np.conj(gq[1]) * rows_q
-                cols_p = a[:, p].copy()
-                cols_q = a[:, q].copy()
-                a[:, p] = cols_p * gp[0] + cols_q * gp[1]
-                a[:, q] = cols_p * gq[0] + cols_q * gq[1]
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vcols_p = v[:, p].copy()
-                vcols_q = v[:, q].copy()
-                v[:, p] = vcols_p * gp[0] + vcols_q * gp[1]
-                v[:, q] = vcols_p * gq[0] + vcols_q * gq[1]
-    w = np.diagonal(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
-
 def psd_sqrt(h: np.ndarray, indefinite_tol: float = 1e-8) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
     Eigenvalues in [-indefinite_tol, 0) are clamped to zero; anything more
     negative is a genuinely indefinite input and is rejected.
     """
-    w, v = jacobi_eigh(h)
+    w, v = np.linalg.eigh(as_complex(h))
     if w[0] < -indefinite_tol:
         raise ValidationError(f"matrix is indefinite: eigenvalue {w[0]:.3e} < 0")
     root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
     return 0.5 * (root + dagger(root))
-
-
-def power_iteration(h: np.ndarray, start: np.ndarray | None = None,
-                    iters: int = POWER_ITERS, rtol: float = POWER_RTOL) -> np.ndarray:
-    """Principal eigenvector of a Hermitian PSD matrix.
-
-    Stops after ``iters`` iterations or once the relative residual of the
-    Rayleigh quotient drops below ``rtol``.  Starting from a vector with a
-    component along the top eigenspace, the Rayleigh quotient is
-    non-decreasing, so seeding with a current iterate never loses ground.
-    """
-    dim = h.shape[0]
-    if start is None:
-        start = np.ones(dim, dtype=np.complex128) + np.linspace(0.0, 0.5, dim)
-    vec = as_complex(start).astype(np.complex128, copy=True)
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        vec = np.ones(dim, dtype=np.complex128)
-        norm = np.linalg.norm(vec)
-    vec /= norm
-    for _ in range(iters):
-        nxt = h @ vec
-        lam = float(np.real(np.vdot(vec, nxt)))
-        residual = np.linalg.norm(nxt - lam * vec)
-        norm = np.linalg.norm(nxt)
-        if norm <= 1e-300:
-            return vec  # (near-)zero operator: any unit vector is principal
-        if residual <= rtol * max(abs(lam), 1e-30):
-            return nxt / norm
-        vec = nxt / norm
-    return vec
-
-
-def operator_norm(a: np.ndarray, iters: int = 300) -> float:
-    """Largest singular value, via power iteration on a†a."""
-    a = as_complex(a)
-    gram = dagger(a) @ a
-    vec = power_iteration(gram, iters=iters)
-    return float(np.sqrt(max(np.real(np.vdot(vec, gram @ vec)), 0.0)))
 
 
 def ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -159,31 +54,8 @@ def ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random unitary from Gram-Schmidt on a Ginibre matrix."""
-    g = ginibre(dim, rng)
-    q = np.zeros_like(g)
-    for j in range(dim):
-        col = g[:, j].copy()
-        for i in range(j):
-            col -= np.vdot(q[:, i], col) * q[:, i]
-        norm = np.linalg.norm(col)
-        if norm < 1e-12:
-            col = np.zeros(dim, dtype=np.complex128)
-            col[j] = 1.0
-            for i in range(j):
-                col -= np.vdot(q[:, i], col) * q[:, i]
-            norm = np.linalg.norm(col)
-        q[:, j] = col / norm
-    return q
-
-
-def givens_rotation(dim: int, i: int, j: int, theta: float, phi: float) -> np.ndarray:
-    """Unitary rotation in the (i, j) plane with a complex phase."""
-    g = identity(dim)
-    c = np.cos(theta)
-    s = np.sin(theta)
-    g[i, i] = c
-    g[j, j] = c
-    g[i, j] = -s * np.exp(1j * phi)
-    g[j, i] = s * np.exp(-1j * phi)
-    return g
+    """Haar random unitary: the QR factor Q of a Ginibre matrix with R's
+    diagonal phases folded in, which is the unitary Gram-Schmidt gives."""
+    q, r = np.linalg.qr(ginibre(dim, rng))
+    phases = np.diagonal(r)
+    return q * (phases / np.abs(phases))

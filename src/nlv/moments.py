@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceededError, ValidationError
-from .linalg import as_complex, dagger, ginibre, operator_norm
+from .linalg import as_complex, dagger, ginibre
 from .rng import generator
 
 WORD_CAP = 1_000_000
@@ -116,7 +116,7 @@ def moment_map(matrices, d: int) -> MomentVector:
     for i, mat in enumerate(mats):
         if mat.ndim != 2 or mat.shape != (p, p):
             raise ValidationError(f"matrix {i + 1} is not {p} x {p}")
-        norm = operator_norm(mat)
+        norm = np.linalg.norm(mat, 2)
         if norm > 1.0 + CONTRACTION_TOL:
             raise ValidationError(
                 f"matrix {i + 1} has operator norm {norm:.9g} > 1: not a contraction")
@@ -145,7 +145,7 @@ def random_contractions(n: int, p: int, rng: np.random.Generator) -> list[np.nda
     out = []
     for _ in range(n):
         g = ginibre(p, rng)
-        norm = operator_norm(g)
+        norm = np.linalg.norm(g, 2)
         out.append(g / norm if norm > 1.0 else g)
     return out
 

@@ -23,13 +23,10 @@ import numpy as np
 from .classical import DeterministicStrategy, check_answer_range, classical_value
 from .errors import DimensionMismatchError, ParseError, Report, ValidationError
 from .game import Game, Strategy, game_value
-from .linalg import (as_complex, dagger, frobenius, identity, jacobi_eigh, kron,
-                     power_iteration, psd_sqrt, random_unitary)
+from .linalg import as_complex, dagger, frobenius, identity, kron, psd_sqrt, random_unitary
 from .rng import generator
 
 MEASUREMENT_TOL = 1e-9
-ALGEBRA_TOL = 1e-12
-SPECTRAL_TOL = 1e-8
 
 POVM = "povm"
 PVM = "pvm"
@@ -110,11 +107,10 @@ def validate_measurement(family: MeasurementFamily, tol: float = MEASUREMENT_TOL
         if herm > tol:
             worst = max(worst, herm)
             violations.append(f"outcome {i + 1} not self-adjoint: residual {herm:.3g}")
-        eigenvalues, _ = jacobi_eigh(mat)
-        if eigenvalues[0] < -tol:
-            worst = max(worst, -float(eigenvalues[0]))
-            violations.append(
-                f"outcome {i + 1} not positive: eigenvalue {eigenvalues[0]:.3g}")
+        lowest = float(np.linalg.eigvalsh(mat)[0])
+        if lowest < -tol:
+            worst = max(worst, -lowest)
+            violations.append(f"outcome {i + 1} not positive: eigenvalue {lowest:.3g}")
         if family.flavor == PVM:
             idem = float(np.max(np.abs(mat @ mat - mat)))
             if idem > tol:
@@ -126,6 +122,11 @@ def validate_measurement(family: MeasurementFamily, tol: float = MEASUREMENT_TOL
         worst = max(worst, completeness)
         violations.append(f"completeness residual {completeness:.3g}")
     return Report(ok=not violations, violations=tuple(violations), worst=worst)
+
+
+def stack_outcomes(families) -> np.ndarray:
+    """Outcome operators of same-shape families as one (k, n, d, d) array."""
+    return np.array([fam.outcomes for fam in families])
 
 
 def born_probabilities(family: MeasurementFamily, state) -> np.ndarray:
@@ -249,34 +250,17 @@ def quantum_correlation(spec: QuantumStrategySpec) -> Strategy:
     operator product Alice_a Bob_b.
     """
     validate_spec(spec).raise_if_failed("strategy spec")
-    k, n = spec.k, spec.n
-    p = np.zeros((k, k, n, n))
-    worst_imag = 0.0
+    alice, bob = stack_outcomes(spec.alice), stack_outcomes(spec.bob)
     if spec.flavor == TENSOR:
-        d_a, d_b = spec.dims
-        psi = spec.state.reshape(d_a, d_b)
-        psi_dag = dagger(psi)
-        for y in range(k):
-            for b in range(n):
-                window = psi @ spec.bob[y].outcomes[b].T @ psi_dag
-                for x in range(k):
-                    for a in range(n):
-                        val = complex(np.trace(spec.alice[x].outcomes[a] @ window))
-                        worst_imag = max(worst_imag, abs(val.imag))
-                        p[x, y, a, b] = val.real
+        psi = spec.state.reshape(spec.dims)
+        p = np.einsum("im,xaik,ybmj,kj->xyab", psi.conj(), alice, bob, psi)
     else:
         vec = spec.state
-        for x in range(k):
-            for a in range(n):
-                left = dagger(spec.alice[x].outcomes[a]) @ vec
-                for y in range(k):
-                    for b in range(n):
-                        val = complex(np.vdot(left, spec.bob[y].outcomes[b] @ vec))
-                        worst_imag = max(worst_imag, abs(val.imag))
-                        p[x, y, a, b] = val.real
+        p = np.einsum("i,xaik,ybkj,j->xyab", vec.conj(), alice, bob, vec)
+    worst_imag = float(np.max(np.abs(p.imag)))
     if worst_imag > MEASUREMENT_TOL:
         raise ValidationError(f"correlation has imaginary residual {worst_imag:.3g}")
-    return Strategy(k=k, n=n, p=p)
+    return Strategy(k=spec.k, n=spec.n, p=p.real)
 
 
 def embed_deterministic(d: DeterministicStrategy, k: int, n: int) -> QuantumStrategySpec:
@@ -417,16 +401,15 @@ def block_columns(dim: int, n: int) -> list[np.ndarray]:
     return columns
 
 
+def block_projectors(u: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:
+    """(n, d, d) stack whose outcome a projects onto the span of u's
+    columns in block a (zero for an empty block)."""
+    return np.array([u[:, cols] @ dagger(u[:, cols]) for cols in columns])
+
+
 def family_from_unitary(u: np.ndarray, columns: list[np.ndarray]) -> MeasurementFamily:
     """PVM with outcome a projecting onto the span of u's columns in block a."""
-    outcomes = []
-    for cols in columns:
-        if len(cols) == 0:
-            outcomes.append(np.zeros(u.shape, dtype=np.complex128))
-        else:
-            sub = u[:, cols]
-            outcomes.append(sub @ dagger(sub))
-    return MeasurementFamily(outcomes=tuple(outcomes), flavor=PVM)
+    return MeasurementFamily(outcomes=tuple(block_projectors(u, columns)), flavor=PVM)
 
 
 def _family_score(u: np.ndarray, columns: list[np.ndarray],
@@ -470,78 +453,52 @@ def climb_family(u: np.ndarray, columns: list[np.ndarray], weights: list[np.ndar
     return u, score
 
 
-def _game_operator(game: Game, alice: list[MeasurementFamily],
-                   bob: list[MeasurementFamily]) -> np.ndarray:
-    dim = alice[0].dim * bob[0].dim
-    op = np.zeros((dim, dim), dtype=np.complex128)
-    for x in range(game.k):
-        for y in range(game.k):
-            weight = game.pi[x, y]
-            if weight == 0.0:
-                continue
-            for a in range(game.n):
-                for b in range(game.n):
-                    if game.wins[x, y, a, b] == 0.0:
-                        continue
-                    op += weight * kron(alice[x].outcomes[a], bob[y].outcomes[b])
-    return op
+def payoff(game: Game) -> np.ndarray:
+    """V[x, y, a, b] = pi(x, y) D(x, y, a, b): the weight of each answer
+    pair, over which every game-weighted trace is one contraction."""
+    return game.pi[:, :, None, None] * game.wins
+
+
+def _game_operator(v: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """sum over x, y, a, b of V[x, y, a, b] kron(A[x, a], B[y, b]) for
+    stacked (k, n, d, d) families A and B."""
+    dim = alice.shape[-1] * bob.shape[-1]
+    return np.einsum("xyab,xaij,ybkl->ikjl", v, alice, bob).reshape(dim, dim)
 
 
 def _seesaw(game: Game, dim: int, rng: np.random.Generator, iters: int,
             moves: int) -> QuantumStrategySpec:
-    """One restart: alternate the state update (principal eigenvector of
-    the game operator by power iteration) with hill-climbs of each family
-    unitary, with a geometrically decaying step size."""
+    """One restart: alternate the state update (top eigenvector of the game
+    operator) with hill-climbs of each family unitary, with a geometrically
+    decaying step size."""
     k, n = game.k, game.n
+    v = payoff(game)
     columns = block_columns(dim, n)
     alice_u = [random_unitary(dim, rng) for _ in range(k)]
     bob_u = [random_unitary(dim, rng) for _ in range(k)]
-    psi = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
-    psi = psi / np.linalg.norm(psi)
+
+    def stack(unitaries):
+        return np.array([block_projectors(u, columns) for u in unitaries])
+
     step0, step_min = 0.6, 2e-4
     decay = (step_min / step0) ** (1.0 / max(iters - 1, 1))
     stagnant = 0
     last = -np.inf
+    op = _game_operator(v, stack(alice_u), stack(bob_u))
     for round_idx in range(iters):
         step = step0 * decay ** round_idx
-        alice_f = [family_from_unitary(u, columns) for u in alice_u]
-        bob_f = [family_from_unitary(u, columns) for u in bob_u]
-        op = _game_operator(game, alice_f, bob_f)
-        psi = power_iteration(op, start=psi)
+        psi = np.linalg.eigh(op)[1][:, -1]
         mat = psi.reshape(dim, dim)
-        mat_dag = dagger(mat)
-        # Alice update: weights W[x][a] from the fixed Bob families.
-        windows = [[mat @ bob_f[y].outcomes[b].T @ mat_dag for b in range(n)]
-                   for y in range(k)]
+        # Alice update: weights W[x, a] from the fixed Bob families.
+        weights = np.einsum("xyab,ij,ybkj,lk->xail", v, mat, stack(bob_u), mat.conj())
         for x in range(k):
-            weights = []
-            for a in range(n):
-                w = np.zeros((dim, dim), dtype=np.complex128)
-                for y in range(k):
-                    for b in range(n):
-                        coeff = game.pi[x, y] * game.wins[x, y, a, b]
-                        if coeff != 0.0:
-                            w += coeff * windows[y][b]
-                weights.append(w)
-            alice_u[x], _ = climb_family(alice_u[x], columns, weights, rng, step, moves)
+            alice_u[x], _ = climb_family(alice_u[x], columns, weights[x], rng, step, moves)
         # Bob update: weights from the freshly improved Alice families.
-        alice_f = [family_from_unitary(u, columns) for u in alice_u]
-        frames = [[(mat_dag @ alice_f[x].outcomes[a] @ mat).T for a in range(n)]
-                  for x in range(k)]
+        weights = np.einsum("xyab,ij,xaik,kl->yblj", v, mat.conj(), stack(alice_u), mat)
         for y in range(k):
-            weights = []
-            for b in range(n):
-                w = np.zeros((dim, dim), dtype=np.complex128)
-                for x in range(k):
-                    for a in range(n):
-                        coeff = game.pi[x, y] * game.wins[x, y, a, b]
-                        if coeff != 0.0:
-                            w += coeff * frames[x][a]
-                weights.append(w)
-            bob_u[y], _ = climb_family(bob_u[y], columns, weights, rng, step, moves)
-        current = float(np.real(np.vdot(psi, _game_operator(
-            game, [family_from_unitary(u, columns) for u in alice_u],
-            [family_from_unitary(u, columns) for u in bob_u]) @ psi)))
+            bob_u[y], _ = climb_family(bob_u[y], columns, weights[y], rng, step, moves)
+        op = _game_operator(v, stack(alice_u), stack(bob_u))
+        current = float(np.real(np.vdot(psi, op @ psi)))
         if current <= last + 1e-12:
             stagnant += 1
             if stagnant >= 12 and step < 1e-3:
@@ -578,10 +535,37 @@ def _embed_classical_at_dim(d: DeterministicStrategy, k: int, n: int,
         bob=tuple(indicator(d.bob[y]) for y in range(k)))
 
 
+def seesaw_search(game: Game, dim: int, restarts: int, seed: int, iters: int,
+                  moves: int | None, restart, certify, seeds):
+    """Driver shared by the see-saw lower-bound searches.
+
+    The candidates are ``seeds()`` followed by restart r =
+    ``restart(game, dim, generator(seed, stream=r), iters, moves)`` for
+    each r.  Every candidate is certified as ``game_value(game,
+    certify(candidate))``; the largest value wins, ties going to the
+    earliest candidate.  Returns ``(value, candidate)``.
+    """
+    if dim < 1:
+        raise ValidationError("dimension must be >= 1")
+    if restarts < 0 or iters < 1:
+        raise ValidationError("restarts must be >= 0 and iters >= 1")
+    if moves is None:
+        moves = max(24, 6 * dim * game.n)
+    candidates = seeds() + [restart(game, dim, generator(seed, stream=r), iters, moves)
+                            for r in range(restarts)]
+    if not candidates:
+        raise ValidationError("no candidates: need restarts >= 1 or a seed candidate")
+    best_value, best = -np.inf, candidates[0]
+    for candidate in candidates:
+        value = game_value(game, certify(candidate))
+        if value > best_value:
+            best_value, best = value, candidate
+    return best_value, best
+
+
 def entangled_lower_bound(game: Game, dim: int, restarts: int, seed: int,
                           iters: int = 60, moves: int | None = None,
-                          seed_classical: bool = True,
-                          threads: int = 1) -> tuple[float, QuantumStrategySpec]:
+                          seed_classical: bool = True) -> tuple[float, QuantumStrategySpec]:
     """Best tensor-flavor strategy of local dimensions (dim, dim) found by
     seeded see-saw restarts; returns its exact re-evaluated game value.
 
@@ -593,37 +577,14 @@ def entangled_lower_bound(game: Game, dim: int, restarts: int, seed: int,
     in ``seed``; restarts are independent and merged by max with ties going
     to the earliest candidate.
     """
-    if dim < 1:
-        raise ValidationError("local dimension must be >= 1")
-    if restarts < 0 or iters < 1:
-        raise ValidationError("restarts must be >= 0 and iters >= 1")
-    if moves is None:
-        moves = max(24, 6 * dim * game.n)
-    candidates: list[QuantumStrategySpec] = []
-    if seed_classical and game.n ** (2 * game.k) <= 1_000_000:
+    def seeds() -> list[QuantumStrategySpec]:
+        if not seed_classical or game.n ** (2 * game.k) > 1_000_000:
+            return []
         _, argmax = classical_value(game)
-        candidates.append(_embed_classical_at_dim(argmax, game.k, game.n, dim))
+        return [_embed_classical_at_dim(argmax, game.k, game.n, dim)]
 
-    def run_restart(index: int) -> QuantumStrategySpec:
-        rng = generator(seed, stream=index)
-        return _seesaw(game, dim, rng, iters, moves)
-
-    if threads > 1 and restarts > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            candidates.extend(pool.map(run_restart, range(restarts)))
-    else:
-        candidates.extend(run_restart(r) for r in range(restarts))
-    if not candidates:
-        raise ValidationError("no candidates: need restarts >= 1 or a classical seed")
-    best_value = -np.inf
-    best_spec = candidates[0]
-    for spec in candidates:
-        value = game_value(game, quantum_correlation(spec))
-        if value > best_value:
-            best_value = value
-            best_spec = spec
-    return best_value, best_spec
+    return seesaw_search(game, dim, restarts, seed, iters, moves, _seesaw,
+                         quantum_correlation, seeds)
 
 
 # ---------------------------------------------------------------------------

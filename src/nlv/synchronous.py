@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DefectTooLargeError, Report, ValidationError
-from .game import Game, Strategy, game_value
-from .linalg import dagger, frobenius, identity, jacobi_eigh, random_unitary
-from .quantum import (PVM, MeasurementFamily, block_columns, climb_family,
-                      family_from_unitary, validate_measurement)
+from .game import Game, Strategy
+from .linalg import as_complex, dagger, frobenius, identity, random_unitary
+from .quantum import (PVM, MeasurementFamily, block_columns, block_projectors, climb_family,
+                      family_from_unitary, payoff, seesaw_search, stack_outcomes,
+                      validate_measurement)
 from .rng import generator
 
 REPAIR_DEFECT_CAP = 0.1
@@ -78,20 +79,12 @@ def tracial_correlation(family: TracialPVMFamily) -> Strategy:
     mass, and cyclicity of the trace gives p(a, b | x, y) = p(b, a | y, x).
     """
     validate_family(family).raise_if_failed("tracial PVM family")
-    k, n, d = family.k, family.n, family.d
-    p = np.zeros((k, k, n, n))
-    worst_imag = 0.0
-    for x in range(k):
-        for y in range(k):
-            for a in range(n):
-                fa = family.families[x].outcomes[a]
-                for b in range(n):
-                    val = complex(np.trace(fa @ family.families[y].outcomes[b])) / d
-                    worst_imag = max(worst_imag, abs(val.imag))
-                    p[x, y, a, b] = val.real
+    f = stack_outcomes(family.families)
+    p = np.einsum("xaij,ybji->xyab", f, f) / family.d
+    worst_imag = float(np.max(np.abs(p.imag)))
     if worst_imag > 1e-9:
         raise ValidationError(f"trace correlation has imaginary residual {worst_imag:.3g}")
-    return Strategy(k=k, n=n, p=p)
+    return Strategy(k=family.k, n=family.n, p=p.real)
 
 
 def scalar_family(assignment: tuple[int, ...], n: int, d: int) -> TracialPVMFamily:
@@ -136,20 +129,6 @@ def _best_scalar_assignment(game: Game) -> tuple[float, tuple[int, ...]] | None:
     return best
 
 
-def _sync_objective(game: Game, mats: list[list[np.ndarray]], d: int) -> float:
-    value = 0.0
-    for x in range(game.k):
-        for y in range(game.k):
-            if game.pi[x, y] == 0.0:
-                continue
-            for a in range(game.n):
-                for b in range(game.n):
-                    if game.wins[x, y, a, b] != 0.0:
-                        value += game.pi[x, y] * float(
-                            np.real(np.trace(mats[x][a] @ mats[y][b]))) / d
-    return value
-
-
 def _sync_seesaw(game: Game, d: int, rng: np.random.Generator, iters: int,
                  moves: int) -> TracialPVMFamily:
     """One restart: round-robin hill-climbs of each family unitary against
@@ -158,6 +137,10 @@ def _sync_seesaw(game: Game, d: int, rng: np.random.Generator, iters: int,
     With the block profile fixed, the same-question terms tr(f^x_a f^x_b)
     are constants of the motion, so each climb sees a linear score."""
     k, n = game.k, game.n
+    v = payoff(game)
+    # coupling[x, y, a, b]: weight of tr(f^x_a f^y_b) from both orderings.
+    coupling = (v + v.transpose(1, 0, 3, 2)) / d
+    coupling[np.arange(k), np.arange(k)] = 0.0
     columns = block_columns(d, n)
     unitaries = [random_unitary(d, rng) for _ in range(k)]
     step0, step_min = 0.6, 2e-4
@@ -165,19 +148,8 @@ def _sync_seesaw(game: Game, d: int, rng: np.random.Generator, iters: int,
     for round_idx in range(iters):
         step = step0 * decay ** round_idx
         for x in range(k):
-            others = [family_from_unitary(u, columns).outcomes for u in unitaries]
-            weights = []
-            for a in range(n):
-                w = np.zeros((d, d), dtype=np.complex128)
-                for y in range(k):
-                    if y == x:
-                        continue
-                    for b in range(n):
-                        coeff = (game.pi[x, y] * game.wins[x, y, a, b]
-                                 + game.pi[y, x] * game.wins[y, x, b, a]) / d
-                        if coeff != 0.0:
-                            w += coeff * others[y][b]
-                weights.append(w)
+            others = np.array([block_projectors(u, columns) for u in unitaries])
+            weights = np.einsum("yab,ybij->aij", coupling[x], others)
             unitaries[x], _ = climb_family(unitaries[x], columns, weights, rng, step, moves)
     return TracialPVMFamily(families=tuple(
         family_from_unitary(u, columns) for u in unitaries))
@@ -185,8 +157,7 @@ def _sync_seesaw(game: Game, d: int, rng: np.random.Generator, iters: int,
 
 def sync_value_lower_bound(game: Game, dim: int, restarts: int, seed: int,
                            iters: int = 60, moves: int | None = None,
-                           seed_scalar: bool = True,
-                           threads: int = 1) -> tuple[float, TracialPVMFamily]:
+                           seed_scalar: bool = True) -> tuple[float, TracialPVMFamily]:
     """Best tracial PVM family of dimension ``dim`` found by seeded
     restarts, with its exact value via tracial_correlation + game_value.
 
@@ -195,38 +166,12 @@ def sync_value_lower_bound(game: Game, dim: int, restarts: int, seed: int,
     When ``seed_scalar`` is set, the best deterministic synchronous family
     joins the candidate pool.  Deterministic in ``seed``.
     """
-    if dim < 1:
-        raise ValidationError("matrix dimension must be >= 1")
-    if restarts < 0 or iters < 1:
-        raise ValidationError("restarts must be >= 0 and iters >= 1")
-    if moves is None:
-        moves = max(24, 6 * dim * game.n)
-    candidates: list[TracialPVMFamily] = []
-    if seed_scalar:
-        best_scalar = _best_scalar_assignment(game)
-        if best_scalar is not None:
-            candidates.append(scalar_family(best_scalar[1], game.n, dim))
+    def seeds() -> list[TracialPVMFamily]:
+        best = _best_scalar_assignment(game) if seed_scalar else None
+        return [] if best is None else [scalar_family(best[1], game.n, dim)]
 
-    def run_restart(index: int) -> TracialPVMFamily:
-        rng = generator(seed, stream=index)
-        return _sync_seesaw(game, dim, rng, iters, moves)
-
-    if threads > 1 and restarts > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            candidates.extend(pool.map(run_restart, range(restarts)))
-    else:
-        candidates.extend(run_restart(r) for r in range(restarts))
-    if not candidates:
-        raise ValidationError("no candidates: need restarts >= 1 or a scalar seed")
-    best_value = -np.inf
-    best_family = candidates[0]
-    for family in candidates:
-        value = game_value(game, tracial_correlation(family))
-        if value > best_value:
-            best_value = value
-            best_family = family
-    return best_value, best_family
+    return seesaw_search(game, dim, restarts, seed, iters, moves, _sync_seesaw,
+                         tracial_correlation, seeds)
 
 
 def repair_almost_pvm(mats) -> MeasurementFamily:
@@ -242,7 +187,6 @@ def repair_almost_pvm(mats) -> MeasurementFamily:
     largest.  The result is an exact PVM whose distance to the input is a
     small multiple of the defect.
     """
-    from .linalg import as_complex
     elements = [as_complex(m) for m in mats]
     if not elements:
         raise ValidationError("need at least one near-projection")
@@ -263,7 +207,7 @@ def repair_almost_pvm(mats) -> MeasurementFamily:
     correction = (identity(d) - sum(scores)) / n
     scores = [s + correction for s in scores]
     weighted = sum((a + 1) * scores[a] for a in range(n))
-    _, vectors = jacobi_eigh(weighted)
+    _, vectors = np.linalg.eigh(weighted)
     outcomes = [np.zeros((d, d), dtype=np.complex128) for _ in range(n)]
     for col in range(d):
         vec = vectors[:, col]

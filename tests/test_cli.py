@@ -60,22 +60,21 @@ def test_quantum_lb_writes_spec(tmp_path, capsys):
     spec_file = str(tmp_path / "spec.json")
     payload = run_json(capsys, [
         "quantum-lb", "--game", CHSH, "--dim", "2", "--restarts", "2",
-        "--seed", "1", "--iters", "20", "--spec-out", spec_file, "--threads", "1"])
+        "--seed", "1", "--iters", "20", "--spec-out", spec_file])
     assert payload["value"] >= 0.75
     assert payload["dim"] == 2
     assert payload["spec_file"] == spec_file
     from nlv.quantum import load_spec, quantum_correlation
     from nlv.game import chsh_game, game_value
     reloaded = load_spec((tmp_path / "spec.json").read_text())
-    assert game_value(chsh_game(), quantum_correlation(reloaded)) == pytest.approx(
-        payload["value"], abs=1e-9)
+    assert game_value(chsh_game(), quantum_correlation(reloaded)) == payload["value"]
     check_manifest(payload, "quantum-lb")
 
 
 def test_quantum_lb_reproducible_apart_from_runtime(tmp_path, capsys):
     argv = ["quantum-lb", "--game", CHSH, "--dim", "2", "--restarts", "1",
             "--seed", "7", "--iters", "10",
-            "--spec-out", str(tmp_path / "s.json"), "--threads", "1"]
+            "--spec-out", str(tmp_path / "s.json")]
     first = strip_runtime(run_json(capsys, list(argv)))
     second = strip_runtime(run_json(capsys, list(argv)))
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
@@ -84,7 +83,7 @@ def test_quantum_lb_reproducible_apart_from_runtime(tmp_path, capsys):
 def test_sync_lb(tmp_path, capsys):
     payload = run_json(capsys, [
         "sync-lb", "--game", CHSH, "--dim", "2", "--restarts", "1",
-        "--seed", "3", "--iters", "10", "--threads", "1",
+        "--seed", "3", "--iters", "10",
         "--family-out", str(tmp_path / "fam.json")])
     assert payload["value"] == pytest.approx(0.75, abs=1e-9)
     assert payload["note"] == "finite-dimensional lower bound"
@@ -230,7 +229,7 @@ def test_every_subcommand_output_matches_schema(tmp_path, capsys):
         "demo-chsh": ["demo-chsh"],
     }
     for subcommand, argv in invocations.items():
-        payload = run_json(capsys, argv + ["--threads", "1"])
+        payload = run_json(capsys, argv)
         for key, kind in SCHEMAS[subcommand].items():
             assert key in payload, f"{subcommand} missing {key}"
             if kind is float:
@@ -256,3 +255,33 @@ def test_invalid_game_file_domain_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"k": 0, "n": 1, "pi": [], "wins": []}')
     assert dispatch(["classical", "--game", str(bad)]) == 1
+
+
+def domain_error_line(capsys, argv):
+    """Run argv, require exit 1, and return its single stderr line."""
+    assert dispatch(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert captured.out == ""
+    return lines[0]
+
+
+def test_non_finite_game_domain_error(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"k": 2, "n": 2, "pi": [[NaN, 0.25], [0.25, 0.25]], '
+                   '"wins": [[1, 1, 1, 1]]}')
+    assert "non-finite" in domain_error_line(capsys, ["classical", "--game", str(bad)])
+
+
+def test_directory_as_game_domain_error(tmp_path, capsys):
+    domain_error_line(capsys, ["sync-lb", "--game", str(tmp_path), "--dim", "1",
+                               "--restarts", "1", "--seed", "0"])
+
+
+def test_moments_map_non_json_domain_error(tmp_path, capsys):
+    bad = tmp_path / "mats.json"
+    bad.write_text("not json")
+    line = domain_error_line(capsys, ["moments", "map", "--n", "1", "--d", "1",
+                                      "--matrices", str(bad)])
+    assert "invalid JSON" in line

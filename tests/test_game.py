@@ -46,6 +46,22 @@ def test_validate_flags_negative_probability():
     assert any("negative" in v for v in report.violations)
 
 
+def test_validate_flags_non_finite_entries():
+    g = chsh_game()
+    for bad in (np.nan, np.inf):
+        pi = np.array(g.pi)
+        pi[0, 0] = bad
+        wins = np.array(g.wins)
+        wins[1, 1, 0, 0] = bad
+        p = np.array(uniform_strategy().p)
+        p[0, 0, 0, 0] = bad
+        for report in (validate_game(Game(k=2, n=2, pi=pi, wins=g.wins)),
+                       validate_game(Game(k=2, n=2, pi=g.pi, wins=wins)),
+                       validate_strategy(Strategy(k=2, n=2, p=p))):
+            assert not report.ok
+            assert "non-finite" in report.violations[0]
+
+
 def test_game_value_chsh_constant_answers():
     # Both players always answering 1 wins exactly the three agree pairs.
     p = np.zeros((2, 2, 2, 2))

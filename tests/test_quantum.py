@@ -311,6 +311,14 @@ def test_family_from_unitary_handles_empty_blocks():
     assert np.allclose(fam.outcomes[2], 0.0)
 
 
+def test_strided_outcomes_and_state_are_accepted():
+    fam = family_from_unitary(random_unitary(2, generator(3)), block_columns(2, 2))
+    transposed = MeasurementFamily(outcomes=tuple(m.T for m in fam.outcomes), flavor=PVM)
+    state = random_unitary(4, generator(4))[:, 0]
+    spec = QuantumStrategySpec(flavor=TENSOR, state=state, alice=(transposed,), bob=(fam,))
+    assert validate_strategy(quantum_correlation(spec)).ok
+
+
 # -- entangled_lower_bound ---------------------------------------------------
 
 def test_lower_bound_always_win_game_dim1():

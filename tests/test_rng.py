@@ -32,22 +32,3 @@ def test_generator_reproducible():
     c = generator(9, stream=3).standard_normal(8)
     assert not np.array_equal(a, c)
 
-
-def test_threaded_restarts_match_serial():
-    from nlv.game import chsh_game
-    from nlv.quantum import entangled_lower_bound
-    serial = entangled_lower_bound(chsh_game(), dim=2, restarts=3, seed=8, iters=8, threads=1)
-    threaded = entangled_lower_bound(chsh_game(), dim=2, restarts=3, seed=8, iters=8, threads=3)
-    assert serial[0] == threaded[0]
-    assert np.array_equal(serial[1].state, threaded[1].state)
-
-
-def test_cli_thread_resolution(monkeypatch):
-    from nlv.cli import _resolve_threads, build_parser
-    args = build_parser().parse_args(["--threads", "3", "demo-chsh"])
-    assert _resolve_threads(args) == 3
-    args = build_parser().parse_args(["demo-chsh"])
-    monkeypatch.setenv("NLV_THREADS", "2")
-    assert _resolve_threads(args) == 2
-    monkeypatch.setenv("NLV_THREADS", "junk")
-    assert _resolve_threads(args) >= 1
