@@ -58,15 +58,16 @@ def classical_value(game: Game, cap: int = ENUMERATION_CAP) -> tuple[float, Dete
     function varying fastest: for each Alice function the best Bob reply
     decomposes question by question, so Bob's side is maximized in closed
     form.  Ties are broken toward the lexicographically smallest
-    (alice, bob) pair.  Raises when n^(2k) exceeds ``cap``; at that size use
-    random restarts over deterministic strategies and report the best value
-    found as a labeled lower bound.
+    (alice, bob) pair.  The cost is one step per Alice function, so this
+    raises when n^k exceeds ``cap``; at that size use random restarts over
+    deterministic strategies and report the best value found as a labeled
+    lower bound.
     """
     k, n = game.k, game.n
-    total = n ** (2 * k)
+    total = n ** k
     if total > cap:
         raise CapExceededError(
-            f"{n}^(2*{k}) = {total} deterministic strategies exceeds cap {cap}; "
+            f"{n}^{k} = {total} Alice answer functions exceeds cap {cap}; "
             "sample random deterministic strategies instead and report a lower bound")
     questions = np.arange(k)
     best_value = -np.inf

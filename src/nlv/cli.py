@@ -11,6 +11,7 @@ included), 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -35,7 +36,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it
+    unchanged, and every parse starts from a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="nlv",
         description="Nonlocal game values, measurement simulation, tracial "

@@ -5,7 +5,7 @@ products, tensor-product and commuting-operator strategy specifications and
 their correlation tensors, the square-root dilation of a POVM to a PVM on a
 larger space, the fixed optimal two-qubit strategy for the agree/disagree
 game, and a see-saw lower-bound search for the entangled value at a fixed
-local dimension.
+local dimension, whose every step is an exact best response.
 
 Lower bounds are self-certifying: the returned specification re-evaluates
 to the reported value through :func:`quantum_correlation` and
@@ -412,45 +412,31 @@ def family_from_unitary(u: np.ndarray, columns: list[np.ndarray]) -> Measurement
     return MeasurementFamily(outcomes=tuple(block_projectors(u, columns)), flavor=PVM)
 
 
-def _family_score(u: np.ndarray, columns: list[np.ndarray],
-                  weights: list[np.ndarray]) -> float:
-    """sum_a Re tr(P_a W_a) for P_a the block-a projector built from u."""
-    score = 0.0
-    for cols, w in zip(columns, weights):
-        if len(cols) == 0:
-            continue
-        sub = u[:, cols]
-        score += float(np.real(np.einsum("ic,ij,jc->", sub.conj(), w, sub)))
-    return score
+def best_response(weights: np.ndarray, current: np.ndarray) -> np.ndarray:
+    """Exact see-saw step: the PVM maximizing sum_a Re tr(P_a W_a), taken
+    one outcome pair at a time from the (n, d, d) projections ``current``.
 
-
-def climb_family(u: np.ndarray, columns: list[np.ndarray], weights: list[np.ndarray],
-                 rng: np.random.Generator, step: float, moves: int) -> tuple[np.ndarray, float]:
-    """Hill-climb the family unitary by random Givens-plane perturbations,
-    keeping only proposals that improve the linear score."""
-    dim = u.shape[0]
-    score = _family_score(u, columns, weights)
-    if dim < 2:
-        return u, score
-    for _ in range(moves):
-        i = int(rng.integers(0, dim))
-        j = int(rng.integers(0, dim - 1))
-        if j >= i:
-            j += 1
-        theta = step * float(rng.standard_normal())
-        phi = float(rng.uniform(0.0, 2.0 * np.pi))
-        c = np.cos(theta)
-        s = np.sin(theta)
-        candidate = u.copy()
-        row_i = u[i, :]
-        row_j = u[j, :]
-        candidate[i, :] = c * row_i - s * np.exp(1j * phi) * row_j
-        candidate[j, :] = s * np.exp(-1j * phi) * row_i + c * row_j
-        new_score = _family_score(candidate, columns, weights)
-        if new_score > score + 1e-15:
-            u = candidate
-            score = new_score
-    return u, score
+    For each pair (a, b), Q = P_a + P_b stays fixed; within range(Q), P_a
+    becomes the positive eigenspace of W_a - W_b and P_b the rest.  With
+    n = 2, Q = I and the step is the global optimum; with n > 2 each split
+    is exact, so the score never decreases.  Both projections of a split
+    are built from their own eigenvectors, which keeps them idempotent to
+    rounding over many rounds.
+    """
+    out = np.array(current, dtype=np.complex128)
+    n = out.shape[0]
+    for a in range(n):
+        for b in range(a + 1, n):
+            occupied, vectors = np.linalg.eigh(out[a] + out[b])
+            basis = vectors[:, occupied > 0.5]
+            if basis.shape[1] == 0:
+                continue
+            gains, rotation = np.linalg.eigh(dagger(basis) @ (weights[a] - weights[b]) @ basis)
+            split = basis @ rotation
+            up, down = split[:, gains > 0], split[:, gains <= 0]
+            out[a] = up @ dagger(up)
+            out[b] = down @ dagger(down)
+    return out
 
 
 def payoff(game: Game) -> np.ndarray:
@@ -466,51 +452,38 @@ def _game_operator(v: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndar
     return np.einsum("xyab,xaij,ybkl->ikjl", v, alice, bob).reshape(dim, dim)
 
 
-def _seesaw(game: Game, dim: int, rng: np.random.Generator, iters: int,
-            moves: int) -> QuantumStrategySpec:
-    """One restart: alternate the state update (top eigenvector of the game
-    operator) with hill-climbs of each family unitary, with a geometrically
-    decaying step size."""
+def _seesaw(game: Game, dim: int, rng: np.random.Generator,
+            iters: int) -> QuantumStrategySpec:
+    """One restart from random block PVMs.  Each round takes the top
+    eigenvector of the game operator as the state, then Alice's and Bob's
+    best responses; it stops once a round gains at most 1e-12, or after
+    ``iters`` rounds."""
     k, n = game.k, game.n
     v = payoff(game)
     columns = block_columns(dim, n)
-    alice_u = [random_unitary(dim, rng) for _ in range(k)]
-    bob_u = [random_unitary(dim, rng) for _ in range(k)]
-
-    def stack(unitaries):
-        return np.array([block_projectors(u, columns) for u in unitaries])
-
-    step0, step_min = 0.6, 2e-4
-    decay = (step_min / step0) ** (1.0 / max(iters - 1, 1))
-    stagnant = 0
+    alice = np.array([block_projectors(random_unitary(dim, rng), columns) for _ in range(k)])
+    bob = np.array([block_projectors(random_unitary(dim, rng), columns) for _ in range(k)])
     last = -np.inf
-    op = _game_operator(v, stack(alice_u), stack(bob_u))
-    for round_idx in range(iters):
-        step = step0 * decay ** round_idx
+    op = _game_operator(v, alice, bob)
+    for _ in range(iters):
         psi = np.linalg.eigh(op)[1][:, -1]
         mat = psi.reshape(dim, dim)
-        # Alice update: weights W[x, a] from the fixed Bob families.
-        weights = np.einsum("xyab,ij,ybkj,lk->xail", v, mat, stack(bob_u), mat.conj())
-        for x in range(k):
-            alice_u[x], _ = climb_family(alice_u[x], columns, weights[x], rng, step, moves)
-        # Bob update: weights from the freshly improved Alice families.
-        weights = np.einsum("xyab,ij,xaik,kl->yblj", v, mat.conj(), stack(alice_u), mat)
-        for y in range(k):
-            bob_u[y], _ = climb_family(bob_u[y], columns, weights[y], rng, step, moves)
-        op = _game_operator(v, stack(alice_u), stack(bob_u))
+        # Alice's weights W[x, a] from the fixed Bob families.
+        weights = np.einsum("xyab,ij,ybkj,lk->xail", v, mat, bob, mat.conj())
+        alice = np.array([best_response(weights[x], alice[x]) for x in range(k)])
+        # Bob's weights from Alice's new families.
+        weights = np.einsum("xyab,ij,xaik,kl->yblj", v, mat.conj(), alice, mat)
+        bob = np.array([best_response(weights[y], bob[y]) for y in range(k)])
+        op = _game_operator(v, alice, bob)
         current = float(np.real(np.vdot(psi, op @ psi)))
         if current <= last + 1e-12:
-            stagnant += 1
-            if stagnant >= 12 and step < 1e-3:
-                break
-        else:
-            stagnant = 0
-        last = max(last, current)
+            break
+        last = current
     return QuantumStrategySpec(
         flavor=TENSOR,
         state=psi,
-        alice=tuple(family_from_unitary(u, columns) for u in alice_u),
-        bob=tuple(family_from_unitary(u, columns) for u in bob_u))
+        alice=tuple(MeasurementFamily(outcomes=tuple(fam), flavor=PVM) for fam in alice),
+        bob=tuple(MeasurementFamily(outcomes=tuple(fam), flavor=PVM) for fam in bob))
 
 
 def _embed_classical_at_dim(d: DeterministicStrategy, k: int, n: int,
@@ -536,22 +509,21 @@ def _embed_classical_at_dim(d: DeterministicStrategy, k: int, n: int,
 
 
 def seesaw_search(game: Game, dim: int, restarts: int, seed: int, iters: int,
-                  moves: int | None, restart, certify, seeds):
+                  restart, certify, seeds):
     """Driver shared by the see-saw lower-bound searches.
 
     The candidates are ``seeds()`` followed by restart r =
-    ``restart(game, dim, generator(seed, stream=r), iters, moves)`` for
-    each r.  Every candidate is certified as ``game_value(game,
-    certify(candidate))``; the largest value wins, ties going to the
-    earliest candidate.  Returns ``(value, candidate)``.
+    ``restart(game, dim, generator(seed, stream=r), iters)`` for each r,
+    where ``iters`` caps the restart's see-saw rounds.  Every candidate is
+    certified as ``game_value(game, certify(candidate))``; the largest
+    value wins, ties going to the earliest candidate.  Returns
+    ``(value, candidate)``.
     """
     if dim < 1:
         raise ValidationError("dimension must be >= 1")
     if restarts < 0 or iters < 1:
         raise ValidationError("restarts must be >= 0 and iters >= 1")
-    if moves is None:
-        moves = max(24, 6 * dim * game.n)
-    candidates = seeds() + [restart(game, dim, generator(seed, stream=r), iters, moves)
+    candidates = seeds() + [restart(game, dim, generator(seed, stream=r), iters)
                             for r in range(restarts)]
     if not candidates:
         raise ValidationError("no candidates: need restarts >= 1 or a seed candidate")
@@ -564,7 +536,7 @@ def seesaw_search(game: Game, dim: int, restarts: int, seed: int, iters: int,
 
 
 def entangled_lower_bound(game: Game, dim: int, restarts: int, seed: int,
-                          iters: int = 60, moves: int | None = None,
+                          iters: int = 60,
                           seed_classical: bool = True) -> tuple[float, QuantumStrategySpec]:
     """Best tensor-flavor strategy of local dimensions (dim, dim) found by
     seeded see-saw restarts; returns its exact re-evaluated game value.
@@ -578,12 +550,12 @@ def entangled_lower_bound(game: Game, dim: int, restarts: int, seed: int,
     to the earliest candidate.
     """
     def seeds() -> list[QuantumStrategySpec]:
-        if not seed_classical or game.n ** (2 * game.k) > 1_000_000:
+        if not seed_classical or game.n ** game.k > 1_000_000:
             return []
         _, argmax = classical_value(game)
         return [_embed_classical_at_dim(argmax, game.k, game.n, dim)]
 
-    return seesaw_search(game, dim, restarts, seed, iters, moves, _seesaw,
+    return seesaw_search(game, dim, restarts, seed, iters, _seesaw,
                          quantum_correlation, seeds)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DefectTooLargeError, Report, ValidationError
 from .game import Game, Strategy
 from .linalg import as_complex, dagger, frobenius, identity, random_unitary
-from .quantum import (PVM, MeasurementFamily, block_columns, block_projectors, climb_family,
+from .quantum import (PVM, MeasurementFamily, best_response, block_columns, block_projectors,
                       family_from_unitary, payoff, seesaw_search, stack_outcomes,
                       validate_measurement)
 from .rng import generator
@@ -129,34 +129,38 @@ def _best_scalar_assignment(game: Game) -> tuple[float, tuple[int, ...]] | None:
     return best
 
 
-def _sync_seesaw(game: Game, d: int, rng: np.random.Generator, iters: int,
-                 moves: int) -> TracialPVMFamily:
-    """One restart: round-robin hill-climbs of each family unitary against
-    the trace objective with the other families held fixed.
+def _sync_seesaw(game: Game, d: int, rng: np.random.Generator,
+                 iters: int) -> TracialPVMFamily:
+    """One restart from random block PVMs: round-robin best responses of
+    each family against the trace objective with the others held fixed.
+    It stops once a round gains at most 1e-12, or after ``iters`` rounds.
 
-    With the block profile fixed, the same-question terms tr(f^x_a f^x_b)
-    are constants of the motion, so each climb sees a linear score."""
+    Since tr(P^2) = tr(P), the same-question terms are linear too: family
+    x scores tr(f^x_a) V[x, x, a, a] / d, so ranks may change."""
     k, n = game.k, game.n
     v = payoff(game)
     # coupling[x, y, a, b]: weight of tr(f^x_a f^y_b) from both orderings.
     coupling = (v + v.transpose(1, 0, 3, 2)) / d
     coupling[np.arange(k), np.arange(k)] = 0.0
+    # same[x, a] = (V[x, x, a, a] / d) I, the same-question weight.
+    same = np.einsum("xxaa,ij->xaij", v, identity(d)) / d
     columns = block_columns(d, n)
-    unitaries = [random_unitary(d, rng) for _ in range(k)]
-    step0, step_min = 0.6, 2e-4
-    decay = (step_min / step0) ** (1.0 / max(iters - 1, 1))
-    for round_idx in range(iters):
-        step = step0 * decay ** round_idx
+    f = np.array([block_projectors(random_unitary(d, rng), columns) for _ in range(k)])
+    last = -np.inf
+    for _ in range(iters):
         for x in range(k):
-            others = np.array([block_projectors(u, columns) for u in unitaries])
-            weights = np.einsum("yab,ybij->aij", coupling[x], others)
-            unitaries[x], _ = climb_family(unitaries[x], columns, weights, rng, step, moves)
+            weights = np.einsum("yab,ybij->aij", coupling[x], f) + same[x]
+            f[x] = best_response(weights, f[x])
+        current = float(np.real(np.einsum("xyab,xaij,ybji->", v, f, f))) / d
+        if current <= last + 1e-12:
+            break
+        last = current
     return TracialPVMFamily(families=tuple(
-        family_from_unitary(u, columns) for u in unitaries))
+        MeasurementFamily(outcomes=tuple(fam), flavor=PVM) for fam in f))
 
 
 def sync_value_lower_bound(game: Game, dim: int, restarts: int, seed: int,
-                           iters: int = 60, moves: int | None = None,
+                           iters: int = 60,
                            seed_scalar: bool = True) -> tuple[float, TracialPVMFamily]:
     """Best tracial PVM family of dimension ``dim`` found by seeded
     restarts, with its exact value via tracial_correlation + game_value.
@@ -170,7 +174,7 @@ def sync_value_lower_bound(game: Game, dim: int, restarts: int, seed: int,
         best = _best_scalar_assignment(game) if seed_scalar else None
         return [] if best is None else [scalar_family(best[1], game.n, dim)]
 
-    return seesaw_search(game, dim, restarts, seed, iters, moves, _sync_seesaw,
+    return seesaw_search(game, dim, restarts, seed, iters, _sync_seesaw,
                          tracial_correlation, seeds)
 
 

@@ -100,9 +100,13 @@ def test_classical_value_invariant_under_answer_relabeling():
 
 
 def test_classical_value_cap():
-    g = random_game(4, 4, seed=0)
+    # The cap counts Alice's n^k answer functions; Bob's reply is closed-form.
     with pytest.raises(CapExceededError, match="lower bound"):
-        classical_value(g, cap=1000)
+        classical_value(random_game(6, 4, seed=0), cap=1000)
+    g = random_game(4, 4, seed=0)
+    classical_value(g, cap=256)
+    with pytest.raises(CapExceededError, match="4\\^4 = 256"):
+        classical_value(g, cap=255)
 
 
 def test_sample_local_degenerate_mixture():

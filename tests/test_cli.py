@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nlv import data_path
-from nlv.cli import dispatch
+from nlv.cli import build_parser, dispatch
 
 CHSH = str(data_path("chsh.json"))
 UNIFORM = str(data_path("uniform.json"))
@@ -245,6 +245,16 @@ def test_unknown_subcommand_usage_error(capsys):
 
 def test_missing_required_flag_usage_error(capsys):
     assert dispatch(["value", "--game", CHSH]) == 2
+
+
+def test_dispatch_reuses_one_parser_without_leaking_values(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    assert dispatch(["value", "--game", CHSH]) == 2
+    assert run_json(capsys, ["value", "--game", CHSH, "--strategy", UNIFORM])["value"] == 0.5
+    argv = ["quantum-lb", "--game", CHSH, "--dim", "1", "--restarts", "1", "--seed", "0",
+            "--spec-out", str(tmp_path / "q.json")]
+    assert run_json(capsys, argv + ["--iters", "5"])["manifest"]["parameters"]["iters"] == 5
+    assert run_json(capsys, argv)["manifest"]["parameters"]["iters"] == 60
 
 
 def test_missing_file_domain_error(capsys):

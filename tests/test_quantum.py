@@ -8,7 +8,8 @@ from nlv.errors import DimensionMismatchError, ValidationError
 from nlv.game import Game, chsh_game, game_value, random_game, validate_strategy
 from nlv.linalg import dagger, frobenius, random_unitary
 from nlv.quantum import (COMMUTING, POVM, PVM, TENSOR, MeasurementFamily,
-                         QuantumStrategySpec, block_columns, block_sizes,
+                         QuantumStrategySpec, best_response, block_columns,
+                         block_projectors, block_sizes,
                          born_probabilities, chsh_optimal_spec, embed_deterministic,
                          embed_local, entangled_lower_bound, epr_state,
                          family_from_unitary, kron, load_spec, naimark_dilate,
@@ -317,6 +318,54 @@ def test_strided_outcomes_and_state_are_accepted():
     state = random_unitary(4, generator(4))[:, 0]
     spec = QuantumStrategySpec(flavor=TENSOR, state=state, alice=(transposed,), bob=(fam,))
     assert validate_strategy(quantum_correlation(spec)).ok
+
+
+# -- best_response -----------------------------------------------------------
+
+def random_weights(n, d, rng):
+    g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    return (g + g.conj().transpose(0, 2, 1)) / 2
+
+
+def score(weights, projections):
+    return float(np.real(np.einsum("aij,aji->", weights, projections)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_best_response_two_outcomes_is_global_optimum(d):
+    rng = generator(d)
+    for _ in range(5):
+        w = random_weights(2, d, rng)
+        current = block_projectors(random_unitary(d, rng), block_columns(d, 2))
+        gains = np.linalg.eigvalsh(w[0] - w[1])
+        optimum = np.trace(w[1]).real + gains[gains > 0].sum()
+        assert score(w, best_response(w, current)) == pytest.approx(optimum, abs=1e-10)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_best_response_three_outcomes_never_decreases(d):
+    rng = generator(10 + d)
+    for _ in range(20):
+        w = random_weights(3, d, rng)
+        current = block_projectors(random_unitary(d, rng), block_columns(d, 3))
+        assert score(w, best_response(w, current)) >= score(w, current) - 1e-12
+
+
+def test_best_response_stays_a_pvm_over_60_rounds():
+    rng = generator(21)
+    projections = block_projectors(random_unitary(5, rng), block_columns(5, 3))
+    for _ in range(60):
+        projections = best_response(random_weights(3, 5, rng), projections)
+    fam = MeasurementFamily(outcomes=tuple(projections), flavor=PVM)
+    assert validate_measurement(fam, tol=1e-12).ok
+
+
+def test_lower_bound_search_output_is_pvm_to_rounding():
+    g = random_game(3, 3, seed=4)
+    _, spec = entangled_lower_bound(g, dim=3, restarts=2, seed=1, iters=60,
+                                    seed_classical=False)
+    for fam in spec.alice + spec.bob:
+        assert validate_measurement(fam, tol=1e-12).ok
 
 
 # -- entangled_lower_bound ---------------------------------------------------

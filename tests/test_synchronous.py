@@ -10,7 +10,7 @@ from nlv.classical import DeterministicStrategy, det_to_strategy, is_synchronous
 from nlv.errors import DefectTooLargeError, ValidationError
 from nlv.game import Game, chsh_game, game_value, random_game, validate_strategy
 from nlv.linalg import dagger, frobenius, random_unitary
-from nlv.quantum import PVM, MeasurementFamily, validate_measurement
+from nlv.quantum import PVM, MeasurementFamily, block_sizes, validate_measurement
 from nlv.rng import generator
 from nlv.synchronous import (TracialPVMFamily, random_tracial_family,
                              repair_almost_pvm, scalar_family,
@@ -114,6 +114,18 @@ def test_sync_lower_bound_deterministic_in_seed():
     a = sync_value_lower_bound(chsh_game(), dim=2, restarts=2, seed=4, iters=10)
     b = sync_value_lower_bound(chsh_game(), dim=2, restarts=2, seed=4, iters=10)
     assert a[0] == b[0]
+
+
+def test_sync_lower_bound_changes_ranks_and_stays_exact():
+    # Same-question terms are linear in each projection, so the search may
+    # leave the near-equal block profile.
+    g = random_game(2, 2, seed=0)
+    value, fam = sync_value_lower_bound(g, dim=3, restarts=2, seed=0, iters=60,
+                                        seed_scalar=False)
+    ranks = [[round(float(np.trace(m).real)) for m in f.outcomes] for f in fam.families]
+    assert any(r != block_sizes(3, 2) for r in ranks)
+    assert validate_family(fam, tol=1e-12).ok
+    assert game_value(g, tracial_correlation(fam)) == pytest.approx(value, abs=1e-12)
 
 
 def test_sync_lower_bound_rejects_bad_parameters():
