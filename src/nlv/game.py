@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ParseError, Report, ValidationError
+from .errors import CapExceededError, DimensionMismatchError, ParseError, Report, ValidationError
 from .rng import generator
 
 DIST_TOL = 1e-12       # distributions supplied in files
 COMPUTED_TOL = 1e-9    # tensors produced by floating-point pipelines
+MAX_GAME_ENTRIES = 10_000_000   # k^2 n^2 predicate entries a game file may declare (~80 MB)
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
@@ -173,6 +174,13 @@ def _require(obj: dict, field: str, kind, where: str):
     return value
 
 
+def _numeric(values, field: str, where: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise ParseError(f"{where}: '{field}' must be a numeric array") from err
+
+
 def load_game(text: str) -> Game:
     """Parse a game from its JSON form and validate it before returning.
 
@@ -194,7 +202,10 @@ def load_game(text: str) -> Game:
         raise ValidationError("k must be >= 1")
     if n < 1:
         raise ValidationError("n must be >= 1")
-    pi_arr = np.asarray(pi, dtype=np.float64)
+    if k * k * n * n > MAX_GAME_ENTRIES:
+        raise CapExceededError(f"game file: k^2 n^2 = {k * k * n * n} predicate entries "
+                               f"exceeds cap {MAX_GAME_ENTRIES}")
+    pi_arr = _numeric(pi, "pi", "game file")
     if pi_arr.shape != (k, k):
         raise ParseError(f"game file: 'pi' must be a {k}x{k} matrix")
     wins = np.zeros((k, k, n, n))
@@ -239,7 +250,7 @@ def load_strategy(text: str) -> Strategy:
         raise ParseError("strategy file: top level must be an object")
     k = _require(obj, "k", int, "strategy file")
     n = _require(obj, "n", int, "strategy file")
-    p = np.asarray(_require(obj, "p", list, "strategy file"), dtype=np.float64)
+    p = _numeric(_require(obj, "p", list, "strategy file"), "p", "strategy file")
     if p.shape != (k, k, n, n):
         raise ParseError(f"strategy file: 'p' must have shape ({k}, {k}, {n}, {n})")
     strategy = Strategy(k=k, n=n, p=p)

@@ -12,11 +12,13 @@ from .errors import ValidationError
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.swapaxes(a.conj(), -1, -2)
 
 
-def frobenius(a: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.abs(a) ** 2)))
+def frobenius(a: np.ndarray):
+    """Frobenius norm of a matrix, or of each matrix in a stack."""
+    return np.sqrt(np.sum(np.abs(a) ** 2, axis=(-2, -1)))
 
 
 def as_complex(a) -> np.ndarray:

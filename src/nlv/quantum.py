@@ -23,7 +23,7 @@ import numpy as np
 from .classical import DeterministicStrategy, check_answer_range, classical_value
 from .errors import DimensionMismatchError, ParseError, Report, ValidationError
 from .game import Game, Strategy, game_value
-from .linalg import as_complex, dagger, frobenius, identity, kron, psd_sqrt, random_unitary
+from .linalg import as_complex, dagger, identity, kron, psd_sqrt, random_unitary
 from .rng import generator
 
 MEASUREMENT_TOL = 1e-9
@@ -56,39 +56,43 @@ def check_state(state, tol: float = MEASUREMENT_TOL) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class MeasurementFamily:
     """An n-outcome measurement: positive operators summing to the identity
-    (``flavor == "povm"``), or projections doing so (``flavor == "pvm"``)."""
+    (``flavor == "povm"``), or projections doing so (``flavor == "pvm"``).
 
-    outcomes: tuple[np.ndarray, ...]
+    ``outcomes`` may be given as any sequence of equal-shape square
+    matrices; it is stored as one read-only (n, d, d) complex array."""
+
+    outcomes: np.ndarray
     flavor: str
 
     def __post_init__(self):
         if self.flavor not in (POVM, PVM):
             raise ValidationError(f"flavor must be '{POVM}' or '{PVM}', got {self.flavor!r}")
-        if not self.outcomes:
+        shapes = [np.shape(raw) for raw in self.outcomes]
+        if not shapes:
             raise ValidationError("measurement needs at least one outcome")
-        mats = []
-        dim = None
-        for i, raw in enumerate(self.outcomes):
-            mat = as_complex(raw)
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        for i, shape in enumerate(shapes):
+            if len(shape) != 2 or shape[0] != shape[1]:
                 raise ValidationError(f"outcome {i + 1} is not a square matrix")
-            if dim is None:
-                dim = mat.shape[0]
-            elif mat.shape[0] != dim:
+            if shape != shapes[0]:
                 raise ValidationError(
-                    f"outcome {i + 1} has dim {mat.shape[0]}, expected {dim}")
-            mat = mat.copy()
-            mat.setflags(write=False)
-            mats.append(mat)
-        object.__setattr__(self, "outcomes", tuple(mats))
+                    f"outcome {i + 1} has dim {shape[0]}, expected {shapes[0][0]}")
+        mats = as_complex(self.outcomes).copy()
+        mats.setflags(write=False)
+        object.__setattr__(self, "outcomes", mats)
 
     @property
     def dim(self) -> int:
-        return self.outcomes[0].shape[0]
+        return self.outcomes.shape[1]
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.outcomes)
+        return self.outcomes.shape[0]
+
+
+# Per-outcome checks of validate_measurement: message, and the sign that
+# turns the reported number into the size of the violation.
+_DEFECTS = (("not self-adjoint: residual", 1.0), ("not positive: eigenvalue", -1.0),
+            ("not idempotent: residual", 1.0))
 
 
 def validate_measurement(family: MeasurementFamily, tol: float = MEASUREMENT_TOL) -> Report:
@@ -99,29 +103,34 @@ def validate_measurement(family: MeasurementFamily, tol: float = MEASUREMENT_TOL
     element squares to itself within tol (which forces pairwise
     orthogonality).
     """
-    violations = []
-    worst = 0.0
-    total = np.zeros((family.dim, family.dim), dtype=np.complex128)
-    for i, mat in enumerate(family.outcomes):
-        herm = float(np.max(np.abs(mat - dagger(mat))))
-        if herm > tol:
-            worst = max(worst, herm)
-            violations.append(f"outcome {i + 1} not self-adjoint: residual {herm:.3g}")
-        lowest = float(np.linalg.eigvalsh(mat)[0])
-        if lowest < -tol:
-            worst = max(worst, -lowest)
-            violations.append(f"outcome {i + 1} not positive: eigenvalue {lowest:.3g}")
-        if family.flavor == PVM:
-            idem = float(np.max(np.abs(mat @ mat - mat)))
-            if idem > tol:
-                worst = max(worst, idem)
-                violations.append(f"outcome {i + 1} not idempotent: residual {idem:.3g}")
-        total = total + mat
-    completeness = float(np.max(np.abs(total - identity(family.dim))))
+    mats = family.outcomes
+    sizes = [np.max(np.abs(mats - dagger(mats)), axis=(1, 2)),
+             -np.linalg.eigvalsh(mats)[:, 0]]
+    if family.flavor == PVM:
+        sizes.append(np.max(np.abs(mats @ mats - mats), axis=(1, 2)))
+    sizes = np.stack(sizes, axis=1)                        # [outcome, check]
+    violations, worst = [], 0.0
+    for i, c in np.argwhere(sizes > tol):
+        what, sign = _DEFECTS[c]
+        size = float(sizes[i, c])
+        worst = max(worst, size)
+        violations.append(f"outcome {i + 1} {what} {sign * size:.3g}")
+    completeness = float(np.max(np.abs(mats.sum(axis=0) - identity(family.dim))))
     if completeness > tol:
         worst = max(worst, completeness)
         violations.append(f"completeness residual {completeness:.3g}")
     return Report(ok=not violations, violations=tuple(violations), worst=worst)
+
+
+def family_violations(labelled, tol: float = MEASUREMENT_TOL) -> tuple[list[str], float]:
+    """:func:`validate_measurement` over ``(label, family)`` pairs: every
+    violation line prefixed by its family's label, and the worst size."""
+    violations, worst = [], 0.0
+    for label, fam in labelled:
+        report = validate_measurement(fam, tol=tol)
+        worst = max(worst, report.worst)
+        violations.extend(f"{label}: {v}" for v in report.violations)
+    return violations, worst
 
 
 def stack_outcomes(families) -> np.ndarray:
@@ -136,7 +145,7 @@ def born_probabilities(family: MeasurementFamily, state) -> np.ndarray:
     if vec.shape[0] != family.dim:
         raise DimensionMismatchError(
             f"state dim {vec.shape[0]} != measurement dim {family.dim}")
-    values = np.array([np.vdot(vec, mat @ vec) for mat in family.outcomes])
+    values = np.einsum("i,aij,j->a", vec.conj(), family.outcomes, vec)
     residual = float(np.max(np.abs(values.imag)))
     if residual > MEASUREMENT_TOL:
         raise ValidationError(f"outcome probabilities not real: residual {residual:.3g}")
@@ -221,24 +230,22 @@ def validate_spec(spec: QuantumStrategySpec, tol: float = MEASUREMENT_TOL) -> Re
     if abs(norm - 1.0) > tol:
         worst = max(worst, abs(norm - 1.0))
         violations.append(f"state norm {norm:.9g} != 1")
-    for label, side in (("alice", spec.alice), ("bob", spec.bob)):
-        for x, fam in enumerate(side):
-            report = validate_measurement(fam, tol=tol)
-            if not report.ok:
-                worst = max(worst, report.worst)
-                violations.extend(
-                    f"{label} family {x + 1}: {v}" for v in report.violations)
+    lines, family_worst = family_violations(
+        (f"{label} family {x + 1}", fam)
+        for label, side in (("alice", spec.alice), ("bob", spec.bob))
+        for x, fam in enumerate(side))
+    violations.extend(lines)
+    worst = max(worst, family_worst)
     if spec.flavor == COMMUTING:
-        for x, fam_a in enumerate(spec.alice):
-            for a, mat_a in enumerate(fam_a.outcomes):
-                for y, fam_b in enumerate(spec.bob):
-                    for b, mat_b in enumerate(fam_b.outcomes):
-                        residual = frobenius(mat_a @ mat_b - mat_b @ mat_a)
-                        if residual > tol:
-                            worst = max(worst, residual)
-                            violations.append(
-                                f"commutation violation at (x={x + 1}, a={a + 1}, "
-                                f"y={y + 1}, b={b + 1}): residual {residual:.3g}")
+        # residual[x, a, y, b]: Frobenius norm of [A^x_a, B^y_b].
+        alice = stack_outcomes(spec.alice)[:, :, None, None]
+        bob = stack_outcomes(spec.bob)[None, None]
+        residual = np.linalg.norm(alice @ bob - bob @ alice, axis=(-2, -1))
+        for x, a, y, b in np.argwhere(residual > tol):
+            worst = max(worst, float(residual[x, a, y, b]))
+            violations.append(
+                f"commutation violation at (x={x + 1}, a={a + 1}, "
+                f"y={y + 1}, b={b + 1}): residual {residual[x, a, y, b]:.3g}")
     return Report(ok=not violations, violations=tuple(violations), worst=worst)
 
 
@@ -263,23 +270,34 @@ def quantum_correlation(spec: QuantumStrategySpec) -> Strategy:
     return Strategy(k=spec.k, n=spec.n, p=p.real)
 
 
-def embed_deterministic(d: DeterministicStrategy, k: int, n: int) -> QuantumStrategySpec:
-    """Deterministic strategy as a dim-1 tensor spec: the scalar family
-    that puts the identity on the chosen answer and 0 elsewhere."""
+def diagonal_pvm(answers, n: int) -> MeasurementFamily:
+    """Diagonal n-outcome PVM on len(answers) dimensions that sends basis
+    vector i to the 1-based outcome ``answers[i]``: outcome a projects
+    onto the coordinates answering a."""
+    answers = np.asarray(answers, dtype=np.int64)
+    outside = answers[(answers < 1) | (answers > n)]
+    if outside.size:
+        raise ValidationError(f"answer {outside[0]} out of range [1..{n}]")
+    outcomes = np.zeros((n, answers.size, answers.size), dtype=np.complex128)
+    coords = np.arange(answers.size)
+    outcomes[answers - 1, coords, coords] = 1.0
+    return MeasurementFamily(outcomes=outcomes, flavor=PVM)
+
+
+def embed_deterministic(d: DeterministicStrategy, k: int, n: int,
+                        dim: int = 1) -> QuantumStrategySpec:
+    """Deterministic strategy as a tensor spec of local dimension ``dim``:
+    each question's family puts the identity on the chosen answer and 0
+    elsewhere, and the state is the first product basis vector.  At
+    dim > 1 this places the strategy in a (dim, dim) search space."""
     check_answer_range(d, k, n)
-    one = np.ones((1, 1), dtype=np.complex128)
-    zero = np.zeros((1, 1), dtype=np.complex128)
-
-    def scalar_family(answer: int) -> MeasurementFamily:
-        return MeasurementFamily(
-            outcomes=tuple(one if a == answer - 1 else zero for a in range(n)),
-            flavor=POVM)
-
+    state = np.zeros(dim * dim, dtype=np.complex128)
+    state[0] = 1.0
     return QuantumStrategySpec(
         flavor=TENSOR,
-        state=np.ones(1, dtype=np.complex128),
-        alice=tuple(scalar_family(d.alice[x]) for x in range(k)),
-        bob=tuple(scalar_family(d.bob[y]) for y in range(k)))
+        state=state,
+        alice=tuple(diagonal_pvm([answer] * dim, n) for answer in d.alice),
+        bob=tuple(diagonal_pvm([answer] * dim, n) for answer in d.bob))
 
 
 def embed_local(mixture: list[tuple[float, DeterministicStrategy]], k: int,
@@ -298,30 +316,16 @@ def embed_local(mixture: list[tuple[float, DeterministicStrategy]], k: int,
     weights = np.array([w for w, _ in mixture], dtype=np.float64)
     if np.any(weights < 0) or abs(float(weights.sum()) - 1.0) > 1e-12:
         raise ValidationError("mixture weights must be nonnegative and sum to 1")
+    for _, det in mixture:
+        check_answer_range(det, k, n)
     m = len(mixture)
     state = np.zeros(m * m, dtype=np.complex128)
     for label, weight in enumerate(weights):
         state[label * m + label] = np.sqrt(weight)
-
-    def diagonal_family(answers: list[int]) -> MeasurementFamily:
-        outcomes = []
-        for a in range(1, n + 1):
-            diag = np.zeros(m)
-            for label, answer in enumerate(answers):
-                if answer == a:
-                    diag[label] = 1.0
-            outcomes.append(np.diag(diag).astype(np.complex128))
-        return MeasurementFamily(outcomes=tuple(outcomes), flavor=PVM)
-
-    alice = []
-    bob = []
-    for x in range(k):
-        alice.append(diagonal_family([det.alice[x] for _, det in mixture]))
-        bob.append(diagonal_family([det.bob[x] for _, det in mixture]))
-    for _, det in mixture:
-        check_answer_range(det, k, n)
-    return QuantumStrategySpec(flavor=TENSOR, state=state,
-                               alice=tuple(alice), bob=tuple(bob))
+    return QuantumStrategySpec(
+        flavor=TENSOR, state=state,
+        alice=tuple(diagonal_pvm([det.alice[x] for _, det in mixture], n) for x in range(k)),
+        bob=tuple(diagonal_pvm([det.bob[x] for _, det in mixture], n) for x in range(k)))
 
 
 def naimark_dilate(family: MeasurementFamily) -> tuple[MeasurementFamily, np.ndarray]:
@@ -333,23 +337,14 @@ def naimark_dilate(family: MeasurementFamily) -> tuple[MeasurementFamily, np.nda
     probability <P_a s, s> for every state s.
     """
     validate_measurement(family, tol=MEASUREMENT_TOL).raise_if_failed("POVM")
-    dim = family.dim
-    n = family.n_outcomes
-    isometry = np.zeros((dim * n, dim), dtype=np.complex128)
-    for a, mat in enumerate(family.outcomes):
-        root = psd_sqrt(mat)
-        basis = np.zeros((n, 1), dtype=np.complex128)
-        basis[a, 0] = 1.0
-        isometry += kron(root, basis)
+    dim, n = family.dim, family.n_outcomes
+    # V = sum_a kron(sqrt(P_a), e_a): row i*n + a of V is row i of sqrt(P_a).
+    isometry = np.stack([psd_sqrt(mat) for mat in family.outcomes], axis=1).reshape(dim * n, dim)
     residual = float(np.max(np.abs(dagger(isometry) @ isometry - identity(dim))))
     if residual > MEASUREMENT_TOL:
         raise ValidationError(f"dilation isometry residual {residual:.3g}")
-    projections = []
-    for a in range(n):
-        slot = np.zeros((n, n), dtype=np.complex128)
-        slot[a, a] = 1.0
-        projections.append(kron(identity(dim), slot))
-    return MeasurementFamily(outcomes=tuple(projections), flavor=PVM), isometry
+    # Outcome a projects onto the slots kron(e_i, e_a): coordinate i*n + a.
+    return diagonal_pvm(np.arange(dim * n) % n + 1, n), isometry
 
 
 def epr_state() -> np.ndarray:
@@ -382,34 +377,11 @@ def chsh_optimal_spec() -> QuantumStrategySpec:
 # See-saw lower bound search
 # ---------------------------------------------------------------------------
 
-def block_sizes(dim: int, n: int) -> list[int]:
-    """Near-equal partition of ``dim`` into ``n`` outcome blocks: the first
-    dim % n blocks get ceil(dim / n), the rest floor(dim / n).  Blocks may
-    be empty when n > dim (zero projections are allowed)."""
-    base, rem = divmod(dim, n)
-    return [base + 1 if a < rem else base for a in range(n)]
-
-
-def block_columns(dim: int, n: int) -> list[np.ndarray]:
-    """Column index ranges realizing :func:`block_sizes`."""
-    sizes = block_sizes(dim, n)
-    columns = []
-    start = 0
-    for size in sizes:
-        columns.append(np.arange(start, start + size))
-        start += size
-    return columns
-
-
-def block_projectors(u: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:
+def block_projectors(u: np.ndarray, n: int) -> np.ndarray:
     """(n, d, d) stack whose outcome a projects onto the span of u's
-    columns in block a (zero for an empty block)."""
-    return np.array([u[:, cols] @ dagger(u[:, cols]) for cols in columns])
-
-
-def family_from_unitary(u: np.ndarray, columns: list[np.ndarray]) -> MeasurementFamily:
-    """PVM with outcome a projecting onto the span of u's columns in block a."""
-    return MeasurementFamily(outcomes=tuple(block_projectors(u, columns)), flavor=PVM)
+    columns in block a of a near-equal split: the first d % n blocks get
+    one column more, and blocks are empty (zero projections) when n > d."""
+    return np.array([cols @ dagger(cols) for cols in np.array_split(u, n, axis=1)])
 
 
 def best_response(weights: np.ndarray, current: np.ndarray) -> np.ndarray:
@@ -460,9 +432,8 @@ def _seesaw(game: Game, dim: int, rng: np.random.Generator,
     ``iters`` rounds."""
     k, n = game.k, game.n
     v = payoff(game)
-    columns = block_columns(dim, n)
-    alice = np.array([block_projectors(random_unitary(dim, rng), columns) for _ in range(k)])
-    bob = np.array([block_projectors(random_unitary(dim, rng), columns) for _ in range(k)])
+    alice = np.array([block_projectors(random_unitary(dim, rng), n) for _ in range(k)])
+    bob = np.array([block_projectors(random_unitary(dim, rng), n) for _ in range(k)])
     last = -np.inf
     op = _game_operator(v, alice, bob)
     for _ in range(iters):
@@ -482,30 +453,8 @@ def _seesaw(game: Game, dim: int, rng: np.random.Generator,
     return QuantumStrategySpec(
         flavor=TENSOR,
         state=psi,
-        alice=tuple(MeasurementFamily(outcomes=tuple(fam), flavor=PVM) for fam in alice),
-        bob=tuple(MeasurementFamily(outcomes=tuple(fam), flavor=PVM) for fam in bob))
-
-
-def _embed_classical_at_dim(d: DeterministicStrategy, k: int, n: int,
-                            dim: int) -> QuantumStrategySpec:
-    """Deterministic strategy as degenerate full-rank indicator PVMs at a
-    chosen local dimension, so the seed point lives in the (dim, dim)
-    search space."""
-    eye = identity(dim)
-    zero = np.zeros((dim, dim), dtype=np.complex128)
-
-    def indicator(answer: int) -> MeasurementFamily:
-        return MeasurementFamily(
-            outcomes=tuple(eye if a == answer - 1 else zero for a in range(n)),
-            flavor=PVM)
-
-    state = np.zeros(dim * dim, dtype=np.complex128)
-    state[0] = 1.0
-    return QuantumStrategySpec(
-        flavor=TENSOR,
-        state=state,
-        alice=tuple(indicator(d.alice[x]) for x in range(k)),
-        bob=tuple(indicator(d.bob[y]) for y in range(k)))
+        alice=tuple(MeasurementFamily(outcomes=fam, flavor=PVM) for fam in alice),
+        bob=tuple(MeasurementFamily(outcomes=fam, flavor=PVM) for fam in bob))
 
 
 def seesaw_search(game: Game, dim: int, restarts: int, seed: int, iters: int,
@@ -553,7 +502,7 @@ def entangled_lower_bound(game: Game, dim: int, restarts: int, seed: int,
         if not seed_classical or game.n ** game.k > 1_000_000:
             return []
         _, argmax = classical_value(game)
-        return [_embed_classical_at_dim(argmax, game.k, game.n, dim)]
+        return [embed_deterministic(argmax, game.k, game.n, dim)]
 
     return seesaw_search(game, dim, restarts, seed, iters, _seesaw,
                          quantum_correlation, seeds)
@@ -622,7 +571,7 @@ def load_spec(text: str) -> QuantumStrategySpec:
 
         alice = side(obj["alice"], d_a)
         bob = side(obj["bob"], d_b)
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise ParseError(f"spec file: malformed field ({err})") from err
     for fam in alice + bob:
         if fam.n_outcomes != n:

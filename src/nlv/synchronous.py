@@ -17,10 +17,9 @@ import numpy as np
 
 from .errors import DefectTooLargeError, Report, ValidationError
 from .game import Game, Strategy
-from .linalg import as_complex, dagger, frobenius, identity, random_unitary
-from .quantum import (PVM, MeasurementFamily, best_response, block_columns, block_projectors,
-                      family_from_unitary, payoff, seesaw_search, stack_outcomes,
-                      validate_measurement)
+from .linalg import dagger, frobenius, identity, random_unitary
+from .quantum import (POVM, PVM, MeasurementFamily, best_response, block_projectors, diagonal_pvm,
+                      family_violations, payoff, seesaw_search, stack_outcomes)
 from .rng import generator
 
 REPAIR_DEFECT_CAP = 0.1
@@ -61,13 +60,8 @@ class TracialPVMFamily:
 
 
 def validate_family(family: TracialPVMFamily, tol: float = 1e-9) -> Report:
-    violations = []
-    worst = 0.0
-    for x, fam in enumerate(family.families):
-        report = validate_measurement(fam, tol=tol)
-        if not report.ok:
-            worst = max(worst, report.worst)
-            violations.extend(f"family {x + 1}: {v}" for v in report.violations)
+    violations, worst = family_violations(
+        ((f"family {x + 1}", fam) for x, fam in enumerate(family.families)), tol)
     return Report(ok=not violations, violations=tuple(violations), worst=worst)
 
 
@@ -90,25 +84,17 @@ def tracial_correlation(family: TracialPVMFamily) -> Strategy:
 def scalar_family(assignment: tuple[int, ...], n: int, d: int) -> TracialPVMFamily:
     """Deterministic synchronous family: question x answers assignment[x]
     with certainty (the identity sits on that outcome, zero elsewhere)."""
-    eye = identity(d)
-    zero = np.zeros((d, d), dtype=np.complex128)
-    families = []
-    for answer in assignment:
-        if not 1 <= answer <= n:
-            raise ValidationError(f"assignment value {answer} out of range [1..{n}]")
-        families.append(MeasurementFamily(
-            outcomes=tuple(eye if a == answer - 1 else zero for a in range(n)),
-            flavor=PVM))
-    return TracialPVMFamily(families=tuple(families))
+    return TracialPVMFamily(families=tuple(diagonal_pvm([answer] * d, n)
+                                           for answer in assignment))
 
 
 def random_tracial_family(k: int, n: int, d: int, seed: int) -> TracialPVMFamily:
     """Test-corpus generator: each question family conjugates the near-equal
     coordinate block PVM by an independent random unitary."""
     rng = generator(seed)
-    columns = block_columns(d, n)
     return TracialPVMFamily(families=tuple(
-        family_from_unitary(random_unitary(d, rng), columns) for _ in range(k)))
+        MeasurementFamily(outcomes=block_projectors(random_unitary(d, rng), n), flavor=PVM)
+        for _ in range(k)))
 
 
 def _best_scalar_assignment(game: Game) -> tuple[float, tuple[int, ...]] | None:
@@ -144,8 +130,7 @@ def _sync_seesaw(game: Game, d: int, rng: np.random.Generator,
     coupling[np.arange(k), np.arange(k)] = 0.0
     # same[x, a] = (V[x, x, a, a] / d) I, the same-question weight.
     same = np.einsum("xxaa,ij->xaij", v, identity(d)) / d
-    columns = block_columns(d, n)
-    f = np.array([block_projectors(random_unitary(d, rng), columns) for _ in range(k)])
+    f = np.array([block_projectors(random_unitary(d, rng), n) for _ in range(k)])
     last = -np.inf
     for _ in range(iters):
         for x in range(k):
@@ -156,7 +141,7 @@ def _sync_seesaw(game: Game, d: int, rng: np.random.Generator,
             break
         last = current
     return TracialPVMFamily(families=tuple(
-        MeasurementFamily(outcomes=tuple(fam), flavor=PVM) for fam in f))
+        MeasurementFamily(outcomes=fam, flavor=PVM) for fam in f))
 
 
 def sync_value_lower_bound(game: Game, dim: int, restarts: int, seed: int,
@@ -191,30 +176,21 @@ def repair_almost_pvm(mats) -> MeasurementFamily:
     largest.  The result is an exact PVM whose distance to the input is a
     small multiple of the defect.
     """
-    elements = [as_complex(m) for m in mats]
-    if not elements:
-        raise ValidationError("need at least one near-projection")
-    d = elements[0].shape[0]
-    for i, mat in enumerate(elements):
-        if mat.shape != (d, d):
-            raise ValidationError(f"element {i + 1} is not {d} x {d}")
-    n = len(elements)
-    defect = max(
-        max(frobenius(m - dagger(m)) for m in elements),
-        max(frobenius(m - m @ m) for m in elements),
-        frobenius(sum(elements) - identity(d)),
-    )
+    # The family constructor only checks shapes and finiteness here.
+    elements = MeasurementFamily(outcomes=mats, flavor=POVM).outcomes
+    n, d = elements.shape[:2]
+    defect = max(float(np.max(frobenius(elements - dagger(elements)))),
+                 float(np.max(frobenius(elements - elements @ elements))),
+                 float(frobenius(elements.sum(axis=0) - identity(d))))
     if defect > REPAIR_DEFECT_CAP:
         raise DefectTooLargeError(
             f"defect {defect:.3g} exceeds repair cap {REPAIR_DEFECT_CAP}")
-    scores = [0.5 * (m + dagger(m)) for m in elements]
-    correction = (identity(d) - sum(scores)) / n
-    scores = [s + correction for s in scores]
-    weighted = sum((a + 1) * scores[a] for a in range(n))
-    _, vectors = np.linalg.eigh(weighted)
-    outcomes = [np.zeros((d, d), dtype=np.complex128) for _ in range(n)]
-    for col in range(d):
-        vec = vectors[:, col]
-        gains = [float(np.real(np.vdot(vec, s @ vec))) for s in scores]
-        outcomes[int(np.argmax(gains))] += np.outer(vec, vec.conj())
-    return MeasurementFamily(outcomes=tuple(outcomes), flavor=PVM)
+    scores = 0.5 * (elements + dagger(elements))
+    scores += (identity(d) - scores.sum(axis=0)) / n
+    _, vectors = np.linalg.eigh(np.einsum("a,aij->ij", np.arange(1.0, n + 1), scores))
+    # gains[c, a] = <v_c, S_a v_c>: eigenvector c goes to its best outcome.
+    gains = np.einsum("ic,aij,jc->ca", vectors.conj(), scores, vectors).real
+    owner = np.argmax(gains, axis=1)
+    return MeasurementFamily(
+        outcomes=[vectors[:, owner == a] @ dagger(vectors[:, owner == a]) for a in range(n)],
+        flavor=PVM)

@@ -252,6 +252,8 @@ def _table_to_rows(table: TransitionTable) -> list[list[str]]:
 
 
 def _rows_to_table(rows, label: str) -> TransitionTable:
+    if not isinstance(rows, list):
+        raise ParseError(f"machine file: '{label}' must be a list")
     table: TransitionTable = {}
     for pos, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != 10 or not all(isinstance(v, str) for v in row):

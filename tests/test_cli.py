@@ -1,9 +1,13 @@
 """Dispatcher behavior: exit codes, JSON schemas, reproducibility."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlv import data_path
 from nlv.cli import build_parser, dispatch
@@ -295,3 +299,69 @@ def test_moments_map_non_json_domain_error(tmp_path, capsys):
     line = domain_error_line(capsys, ["moments", "map", "--n", "1", "--d", "1",
                                       "--matrices", str(bad)])
     assert "invalid JSON" in line
+
+
+def test_oversized_game_is_refused_before_allocation(tmp_path, capsys):
+    # k^2 n^2 = 1.6e7 entries: past the cap, yet small enough to allocate
+    # if the cap were missing.
+    big = tmp_path / "big.json"
+    big.write_text('{"k": 1, "n": 4000, "pi": [[1.0]], "wins": []}')
+    assert "exceeds cap" in domain_error_line(capsys, ["classical", "--game", str(big)])
+
+
+# One position of a bundled file gets one of these: wrong types, empty and
+# nested containers, and small numbers.  Large integers are left out, since
+# a large declared size is its own resource cap (test above).
+MUTANTS = ["x", [], [[]], {}, None, True, -1, 0, 1.5, float("nan"), 3, [1, 2]]
+
+MUTATED_RUNS = {
+    "chsh.json": lambda path: ["value", "--game", path, "--strategy", UNIFORM],
+    "uniform.json": lambda path: ["value", "--game", CHSH, "--strategy", path],
+    "copier.json": lambda path: ["tm", "run", "--machine", path, "--input", "1011",
+                                 "--budget", "100"],
+}
+
+
+def json_positions(obj, path=()):
+    """Key/index paths of a JSON tree's nodes, the root included.  Of a list
+    longer than 10, only the first two items are entered: the rest repeat
+    their schema."""
+    yield path
+    if isinstance(obj, dict):
+        children = obj.items()
+    elif isinstance(obj, list):
+        children = enumerate(obj if len(obj) <= 10 else obj[:2])
+    else:
+        children = ()
+    for key, child in children:
+        yield from json_positions(child, path + (key,))
+
+
+def replaced(obj, path, value):
+    if not path:
+        return value
+    out = json.loads(json.dumps(obj))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(MUTATED_RUNS))
+def test_mutated_bundled_file_gives_at_most_one_error_line(name, tmp_path_factory):
+    original = json.loads(data_path(name).read_text())
+    target = tmp_path_factory.mktemp("mutant") / name
+    argv = MUTATED_RUNS[name](str(target))
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.sampled_from(list(json_positions(original))), st.sampled_from(MUTANTS))
+    def check(path, value):
+        target.write_text(json.dumps(replaced(original, path, value)))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = dispatch(argv)
+        assert code in (0, 1)
+        assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1
+
+    check()

@@ -12,7 +12,7 @@ import pytest
 from nlv.game import random_game
 from nlv.linalg import dagger, identity, kron, random_unitary
 from nlv.quantum import (COMMUTING, PVM, TENSOR, MeasurementFamily, QuantumStrategySpec,
-                         _game_operator, block_columns, family_from_unitary, payoff,
+                         _game_operator, block_projectors, payoff,
                          quantum_correlation, stack_outcomes)
 from nlv.rng import generator
 from nlv.synchronous import random_tracial_family, tracial_correlation
@@ -68,8 +68,8 @@ def ref_game_operator(game, alice, bob):
 
 
 def random_families(k, n, dim, rng):
-    return tuple(family_from_unitary(random_unitary(dim, rng), block_columns(dim, n))
-                 for _ in range(k))
+    return tuple(MeasurementFamily(outcomes=block_projectors(random_unitary(dim, rng), n),
+                                   flavor=PVM) for _ in range(k))
 
 
 def random_state(dim, rng):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nlv.errors import DimensionMismatchError, ParseError, ValidationError
+from nlv.errors import CapExceededError, DimensionMismatchError, ParseError, ValidationError
 from nlv.game import (Game, Strategy, chsh_game, game_value, load_game,
                       load_strategy, random_game, save_game, save_strategy,
                       validate_game, validate_strategy)
@@ -192,3 +192,16 @@ def test_game_arrays_immutable():
         g.pi[0, 0] = 0.5
     with pytest.raises(ValueError):
         g.wins[0, 0, 0, 0] = 0.0
+
+
+def test_load_rejects_non_numeric_arrays():
+    for pi in ('[["x", 0.25], [0.25, 0.25]]', '[[0.5], [0.25, 0.25]]', '[[{}, 0.25], [0.25, 0.25]]'):
+        with pytest.raises(ParseError, match="'pi' must be a numeric array"):
+            load_game(f'{{"k": 2, "n": 2, "pi": {pi}, "wins": []}}')
+    with pytest.raises(ParseError, match="'p' must be a numeric array"):
+        load_strategy('{"k": 1, "n": 1, "p": [[[["x"]]]]}')
+
+
+def test_load_rejects_oversized_game():
+    with pytest.raises(CapExceededError, match="k\\^2 n\\^2 = 16000000"):
+        load_game('{"k": 1, "n": 4000, "pi": [[1.0]], "wins": []}')

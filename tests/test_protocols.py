@@ -9,7 +9,7 @@ from nlv.protocols import (MESSAGES, TwoBitMessage, bell_basis,
                            bell_measurement, epr_correlation_demo,
                            superdense_decode, superdense_encode)
 from nlv.quantum import (PVM, MeasurementFamily, born_probabilities, collapse_state,
-                         epr_state, family_from_unitary, block_columns)
+                         block_projectors, epr_state)
 from nlv.linalg import random_unitary
 from nlv.rng import generator
 
@@ -111,7 +111,8 @@ def test_collapse_then_remeasure_repeats_outcome():
     for seed in range(25):
         dim = int(rng.integers(2, 6))
         n = int(rng.integers(2, min(dim, 4) + 1))
-        fam = family_from_unitary(random_unitary(dim, generator(seed)), block_columns(dim, n))
+        fam = MeasurementFamily(outcomes=block_projectors(random_unitary(dim, generator(seed)), n),
+                                flavor=PVM)
         vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         vec /= np.linalg.norm(vec)
         probs = born_probabilities(fam, vec)

@@ -1,19 +1,21 @@
 """Measurement theory, strategy correlations, dilation, and the see-saw."""
 
+import json
+
 import numpy as np
 import pytest
 
 from nlv.classical import DeterministicStrategy, classical_value, det_to_strategy
-from nlv.errors import DimensionMismatchError, ValidationError
+from nlv.errors import DimensionMismatchError, ParseError, ValidationError
 from nlv.game import Game, chsh_game, game_value, random_game, validate_strategy
 from nlv.linalg import dagger, frobenius, random_unitary
 from nlv.quantum import (COMMUTING, POVM, PVM, TENSOR, MeasurementFamily,
-                         QuantumStrategySpec, best_response, block_columns,
-                         block_projectors, block_sizes,
-                         born_probabilities, chsh_optimal_spec, embed_deterministic,
+                         QuantumStrategySpec, best_response, block_projectors,
+                         born_probabilities, chsh_optimal_spec, diagonal_pvm,
+                         embed_deterministic,
                          embed_local, entangled_lower_bound, epr_state,
-                         family_from_unitary, kron, load_spec, naimark_dilate,
-                         quantum_correlation, save_spec, tensor,
+                         kron, load_spec, naimark_dilate,
+                         quantum_correlation, rotated_basis_pvm, save_spec, tensor,
                          validate_measurement, validate_spec)
 from nlv.rng import generator
 
@@ -82,6 +84,60 @@ def test_negative_element_rejected():
     report = validate_measurement(fam)
     assert not report.ok
     assert any("not positive" in v for v in report.violations)
+
+
+def test_every_defect_reported_in_outcome_order():
+    # Non-self-adjoint, non-positive, non-idempotent and incomplete at once;
+    # the lines and worst are those of the per-outcome loop this replaced.
+    mats = (np.array([[1.0, 0.5], [0.0, -0.25]], dtype=complex),
+            np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex),
+            np.array([[0.25, 0.5j], [-0.5j, 0.0]], dtype=complex))
+    pvm = validate_measurement(MeasurementFamily(outcomes=mats, flavor=PVM))
+    assert pvm.violations == (
+        "outcome 1 not self-adjoint: residual 0.5",
+        "outcome 1 not positive: eigenvalue -0.25",
+        "outcome 1 not idempotent: residual 0.312",
+        "outcome 2 not idempotent: residual 0.25",
+        "outcome 3 not positive: eigenvalue -0.39",
+        "outcome 3 not idempotent: residual 0.375",
+        "completeness residual 0.75")
+    assert pvm.worst == 0.75
+    povm = validate_measurement(MeasurementFamily(outcomes=mats, flavor=POVM))
+    assert povm.violations == (
+        "outcome 1 not self-adjoint: residual 0.5",
+        "outcome 1 not positive: eigenvalue -0.25",
+        "outcome 3 not positive: eigenvalue -0.39",
+        "completeness residual 0.75")
+    assert povm.worst == 0.75
+
+
+@pytest.mark.parametrize("outcomes, match", [
+    ((np.eye(2), np.eye(3)), "outcome 2 has dim 3, expected 2"),
+    ((np.eye(2), np.ones((2, 3))), "outcome 2 is not a square matrix"),
+    ((np.ones(2), np.ones(2)), "outcome 1 is not a square matrix"),
+    ((), "at least one outcome"),
+])
+def test_family_rejects_malformed_outcomes(outcomes, match):
+    with pytest.raises(ValidationError, match=match):
+        MeasurementFamily(outcomes=outcomes, flavor=POVM)
+
+
+def test_family_outcomes_are_one_read_only_array():
+    source = np.array([np.eye(2), np.zeros((2, 2))], dtype=complex)
+    fam = MeasurementFamily(outcomes=source, flavor=PVM)
+    assert fam.outcomes.shape == (2, 2, 2) and fam.outcomes.dtype == np.complex128
+    with pytest.raises(ValueError):
+        fam.outcomes[0, 0, 0] = 0.5
+    source[0, 0, 0] = 0.5
+    assert fam.outcomes[0, 0, 0] == 1.0
+
+
+def test_diagonal_pvm_range_checks_answers():
+    fam = diagonal_pvm([2, 1, 2], 2)
+    assert np.array_equal(fam.outcomes[1], np.diag([1, 0, 1]))
+    for bad in (0, 3):
+        with pytest.raises(ValidationError, match=f"answer {bad} out of range"):
+            diagonal_pvm([1, bad], 2)
 
 
 # -- born_probabilities ------------------------------------------------------
@@ -218,6 +274,19 @@ def test_commutation_violation_reported_with_indices():
         quantum_correlation(spec)
 
 
+def test_commutation_violations_listed_in_index_order():
+    alice = (rotated_basis_pvm(0.0), rotated_basis_pvm(np.pi / 4))
+    bob = (rotated_basis_pvm(0.0), rotated_basis_pvm(np.pi / 8))
+    report = validate_spec(QuantumStrategySpec(flavor=COMMUTING, state=E1, alice=alice, bob=bob))
+    expected = [(1, a, 2, b, "0.5") for a in (1, 2) for b in (1, 2)]
+    expected += [(2, a, y, b, "0.707" if y == 1 else "0.5")
+                 for a in (1, 2) for y in (1, 2) for b in (1, 2)]
+    assert report.violations == tuple(
+        f"commutation violation at (x={x}, a={a}, y={y}, b={b}): residual {r}"
+        for x, a, y, b, r in expected)
+    assert report.worst == pytest.approx(np.sqrt(0.5), rel=1e-12)
+
+
 def test_correlations_are_valid_strategies():
     rng = np.random.default_rng(31)
     for seed in range(10):
@@ -298,22 +367,22 @@ def test_naimark_rejects_invalid_povm():
 
 # -- block partition ---------------------------------------------------------
 
-def test_block_sizes_near_equal():
-    assert block_sizes(5, 2) == [3, 2]
-    assert block_sizes(4, 2) == [2, 2]
-    assert block_sizes(2, 3) == [1, 1, 0]
-    assert block_sizes(1, 2) == [1, 0]
+def test_block_projectors_near_equal_ranks():
+    for d, n, ranks in [(5, 2, [3, 2]), (4, 2, [2, 2]), (2, 3, [1, 1, 0]), (1, 2, [1, 0])]:
+        blocks = block_projectors(np.eye(d, dtype=complex), n)
+        assert [round(float(np.trace(p).real)) for p in blocks] == ranks
 
 
-def test_family_from_unitary_handles_empty_blocks():
+def test_block_projectors_handles_empty_blocks():
     u = random_unitary(2, generator(5))
-    fam = family_from_unitary(u, block_columns(2, 3))
+    fam = MeasurementFamily(outcomes=block_projectors(u, 3), flavor=PVM)
     assert validate_measurement(fam).ok
     assert np.allclose(fam.outcomes[2], 0.0)
 
 
 def test_strided_outcomes_and_state_are_accepted():
-    fam = family_from_unitary(random_unitary(2, generator(3)), block_columns(2, 2))
+    fam = MeasurementFamily(outcomes=block_projectors(random_unitary(2, generator(3)), 2),
+                            flavor=PVM)
     transposed = MeasurementFamily(outcomes=tuple(m.T for m in fam.outcomes), flavor=PVM)
     state = random_unitary(4, generator(4))[:, 0]
     spec = QuantumStrategySpec(flavor=TENSOR, state=state, alice=(transposed,), bob=(fam,))
@@ -336,7 +405,7 @@ def test_best_response_two_outcomes_is_global_optimum(d):
     rng = generator(d)
     for _ in range(5):
         w = random_weights(2, d, rng)
-        current = block_projectors(random_unitary(d, rng), block_columns(d, 2))
+        current = block_projectors(random_unitary(d, rng), 2)
         gains = np.linalg.eigvalsh(w[0] - w[1])
         optimum = np.trace(w[1]).real + gains[gains > 0].sum()
         assert score(w, best_response(w, current)) == pytest.approx(optimum, abs=1e-10)
@@ -347,16 +416,16 @@ def test_best_response_three_outcomes_never_decreases(d):
     rng = generator(10 + d)
     for _ in range(20):
         w = random_weights(3, d, rng)
-        current = block_projectors(random_unitary(d, rng), block_columns(d, 3))
+        current = block_projectors(random_unitary(d, rng), 3)
         assert score(w, best_response(w, current)) >= score(w, current) - 1e-12
 
 
 def test_best_response_stays_a_pvm_over_60_rounds():
     rng = generator(21)
-    projections = block_projectors(random_unitary(5, rng), block_columns(5, 3))
+    projections = block_projectors(random_unitary(5, rng), 3)
     for _ in range(60):
         projections = best_response(random_weights(3, 5, rng), projections)
-    fam = MeasurementFamily(outcomes=tuple(projections), flavor=PVM)
+    fam = MeasurementFamily(outcomes=projections, flavor=PVM)
     assert validate_measurement(fam, tol=1e-12).ok
 
 
@@ -445,3 +514,10 @@ def test_spec_file_round_trip_commuting():
         flavor=fam.flavor) for fam in base.bob)
     spec_round_trips(QuantumStrategySpec(flavor=COMMUTING, state=base.state,
                                          alice=alice, bob=bob))
+
+
+def test_load_spec_rejects_non_numeric_fields():
+    obj = json.loads(save_spec(chsh_optimal_spec()))
+    for field, bad in (("dim_alice", "x"), ("state", ["x", 0.0])):
+        with pytest.raises(ParseError, match="malformed field"):
+            load_spec(json.dumps(dict(obj, **{field: bad})))

@@ -10,7 +10,7 @@ from nlv.classical import DeterministicStrategy, det_to_strategy, is_synchronous
 from nlv.errors import DefectTooLargeError, ValidationError
 from nlv.game import Game, chsh_game, game_value, random_game, validate_strategy
 from nlv.linalg import dagger, frobenius, random_unitary
-from nlv.quantum import PVM, MeasurementFamily, block_sizes, validate_measurement
+from nlv.quantum import PVM, MeasurementFamily, block_projectors, validate_measurement
 from nlv.rng import generator
 from nlv.synchronous import (TracialPVMFamily, random_tracial_family,
                              repair_almost_pvm, scalar_family,
@@ -123,7 +123,7 @@ def test_sync_lower_bound_changes_ranks_and_stays_exact():
     value, fam = sync_value_lower_bound(g, dim=3, restarts=2, seed=0, iters=60,
                                         seed_scalar=False)
     ranks = [[round(float(np.trace(m).real)) for m in f.outcomes] for f in fam.families]
-    assert any(r != block_sizes(3, 2) for r in ranks)
+    assert any(r != [2, 1] for r in ranks)
     assert validate_family(fam, tol=1e-12).ok
     assert game_value(g, tracial_correlation(fam)) == pytest.approx(value, abs=1e-12)
 
@@ -136,8 +136,8 @@ def test_sync_lower_bound_rejects_bad_parameters():
 # -- repair_almost_pvm -------------------------------------------------------
 
 def exact_random_pvm(d, n, seed):
-    from nlv.quantum import block_columns, family_from_unitary
-    return family_from_unitary(random_unitary(d, generator(seed)), block_columns(d, n))
+    return MeasurementFamily(outcomes=block_projectors(random_unitary(d, generator(seed)), n),
+                             flavor=PVM)
 
 
 def test_repair_fixed_point_on_exact_pvm():

@@ -139,6 +139,15 @@ def test_load_rejects_duplicate_transition():
         load_machine(json.dumps(obj))
 
 
+def test_load_rejects_non_list_transitions():
+    import json
+    obj = json.loads(save_machine(immediate_halt_machine()))
+    for bad in (None, 3, 1.5, True):
+        obj["transitions"] = bad
+        with pytest.raises(ParseError, match="'transitions' must be a list"):
+            load_machine(json.dumps(obj))
+
+
 def test_load_rejects_bad_json():
     with pytest.raises(ParseError, match="line"):
         load_machine("{oops")
