@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -33,6 +34,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be finite")
     return value
 
 
@@ -119,9 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--trace", action="store_true")
 
     p = add_parser("demo-chsh", help="classical vs entangled value of the bundled game")
-    p.add_argument("--completeness", type=float, default=None,
+    p.add_argument("--completeness", type=_finite_float, default=None,
                    help="optional acceptance threshold to annotate, e.g. 0.6667")
-    p.add_argument("--soundness", type=float, default=None,
+    p.add_argument("--soundness", type=_finite_float, default=None,
                    help="optional rejection threshold to annotate, e.g. 0.3333")
 
     return parser
@@ -210,7 +218,7 @@ def _run_moments(args):
         return {"count": int(vec.values.size), "values": _interleave(vec.values)}
     if args.moments_command == "cloud":
         cloud = sample_moment_cloud(args.n, args.d, args.p, args.count, args.seed)
-        lines = [",".join(repr(float(v)) for v in _interleave(vec.values)) for vec in cloud]
+        lines = [",".join(map(repr, _interleave(vec.values))) for vec in cloud]
         Path(args.out).write_text("\n".join(lines) + ("\n" if lines else ""))
         return {"rows": len(cloud),
                 "moments_per_row": int(cloud[0].values.size) if cloud else 0,

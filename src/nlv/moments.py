@@ -11,18 +11,20 @@ ones; they are empirical estimates, never certificates.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapExceededError, ValidationError
-from .linalg import as_complex, dagger, ginibre
+from .linalg import as_complex, dagger
 from .rng import generator
 
 WORD_CAP = 1_000_000
 CLOUD_CAP = 5_000_000
 CONTRACTION_TOL = 1e-9
+CHUNK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -56,15 +58,19 @@ def monomial_count(n: int, d: int) -> int:
     return sum((2 * n) ** j for j in range(1, d + 1))
 
 
-def enumerate_monomials(n: int, d: int) -> list[Monomial]:
-    """All words of length 1..d in length-then-lexicographic order, with
-    the letters ordered x1 < x1* < x2 < x2* < ...  The degree-0 word is
-    excluded: its trace is identically 1 and carries no information."""
+def _check_degree(n: int, d: int) -> None:
     if n < 1 or d < 1:
         raise ValidationError("need n >= 1 and d >= 1")
     if (2 * n) ** d > WORD_CAP:
         raise CapExceededError(
             f"(2n)^d = {(2 * n) ** d} exceeds monomial cap {WORD_CAP}")
+
+
+def enumerate_monomials(n: int, d: int) -> list[Monomial]:
+    """All words of length 1..d in length-then-lexicographic order, with
+    the letters ordered x1 < x1* < x2 < x2* < ...  The degree-0 word is
+    excluded: its trace is identically 1 and carries no information."""
+    _check_degree(n, d)
     letters = [(var, star) for var in range(1, n + 1) for star in (False, True)]
     words = []
     for length in range(1, d + 1):
@@ -89,6 +95,8 @@ class MomentVector:
             raise ValidationError(
                 f"moment vector needs {expected} entries for n={self.n}, d={self.d}, "
                 f"got shape {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValidationError("moment vector has non-finite entries")
         top = float(np.max(np.abs(values))) if values.size else 0.0
         if top > 1.0 + CONTRACTION_TOL:
             raise ValidationError(f"moment modulus {top:.6g} exceeds 1")
@@ -101,6 +109,40 @@ class MomentVector:
                 and self.d == other.d and np.array_equal(self.values, other.values))
 
 
+def _moments(tuples: np.ndarray, d: int) -> np.ndarray:
+    """Normalized traces of every word of length 1..d on each tuple of a
+    ``(count, n, p, p)`` stack, as a ``(count, L)`` array in enumeration
+    order.
+
+    Word j of length l is word j // 2n of length l - 1 followed by letter
+    j % 2n, so each product is its prefix's product times one letter: one
+    stacked matmul over the whole stack per word.  Only the previous
+    length's products are kept, and the longest words are traced and
+    dropped as they are made.
+    """
+    n, p = tuples.shape[1:3]
+    _check_degree(n, d)
+    norms = np.linalg.norm(tuples, 2, axis=(-2, -1))
+    over = np.argwhere(norms > 1.0 + CONTRACTION_TOL)
+    if over.size:
+        t, i = over[0]
+        raise ValidationError(
+            f"matrix {i + 1} has operator norm {norms[t, i]:.9g} > 1: not a contraction")
+    letters = [m for i in range(n) for m in (tuples[:, i], dagger(tuples[:, i]))]
+    traces = [np.trace(m, axis1=1, axis2=2) for m in letters]
+    products = letters
+    for length in range(2, d + 1):
+        longer = []
+        for prefix in products:
+            for letter in letters:
+                product = prefix @ letter
+                traces.append(np.trace(product, axis1=1, axis2=2))
+                if length < d:
+                    longer.append(product)
+        products = longer
+    return np.stack(traces, axis=1) / p
+
+
 def moment_map(matrices, d: int) -> MomentVector:
     """Moment vector of a tuple of contractions.
 
@@ -111,50 +153,49 @@ def moment_map(matrices, d: int) -> MomentVector:
     mats = [as_complex(m) for m in matrices]
     if not mats:
         raise ValidationError("need at least one matrix")
-    n = len(mats)
-    p = mats[0].shape[0]
+    p = mats[0].shape[0] if mats[0].ndim else 0
+    if p < 1:
+        raise ValidationError("matrices must be at least 1 x 1")
     for i, mat in enumerate(mats):
-        if mat.ndim != 2 or mat.shape != (p, p):
+        if mat.shape != (p, p):
             raise ValidationError(f"matrix {i + 1} is not {p} x {p}")
-        norm = np.linalg.norm(mat, 2)
-        if norm > 1.0 + CONTRACTION_TOL:
-            raise ValidationError(
-                f"matrix {i + 1} has operator norm {norm:.9g} > 1: not a contraction")
-    words = enumerate_monomials(n, d)
-    by_letter = {}
-    for var in range(1, n + 1):
-        by_letter[(var, False)] = mats[var - 1]
-        by_letter[(var, True)] = dagger(mats[var - 1])
-    products: dict[tuple, np.ndarray] = {}
-    values = np.empty(len(words), dtype=np.complex128)
-    for i, word in enumerate(words):
-        key = word.letters
-        if len(key) == 1:
-            product = by_letter[key[0]]
-        else:
-            product = products[key[:-1]] @ by_letter[key[-1]]
-        products[key] = product
-        values[i] = np.trace(product) / p
-    return MomentVector(n=n, d=d, values=values)
+    values = _moments(np.stack(mats)[None], d)
+    return MomentVector(n=len(mats), d=d, values=values[0])
+
+
+def _draw_contractions(count: int, n: int, p: int, rng: np.random.Generator) -> np.ndarray:
+    """``(count, n, p, p)`` stack of complex Ginibre matrices, each divided
+    by its computed operator norm when that norm exceeds 1.  One draw
+    consumes the stream in the order of ``count`` sequential
+    per-matrix draws."""
+    z = rng.standard_normal((count, n, 2, p, p))
+    g = (z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0)
+    norm = np.linalg.norm(g, 2, axis=(-2, -1))[..., None, None]
+    return np.divide(g, norm, out=g, where=norm > 1.0)
 
 
 def random_contractions(n: int, p: int, rng: np.random.Generator) -> list[np.ndarray]:
     """n independent complex Ginibre matrices, each divided by its computed
     operator norm when that norm exceeds 1, so the tuple lies in the unit
     ball without collapsing interior samples onto its boundary."""
-    out = []
-    for _ in range(n):
-        g = ginibre(p, rng)
-        norm = np.linalg.norm(g, 2)
-        out.append(g / norm if norm > 1.0 else g)
-    return out
+    return list(_draw_contractions(1, n, p, rng)[0])
+
+
+def _chunk_size(n: int, d: int, p: int) -> int:
+    """Tuples per batched pass, so that a chunk's matrices at the widest
+    point of the draw and of ``_moments`` fit in ``CHUNK_BYTES``.  A tuple
+    holds at most its draw (4n matrices' worth), its letters and every
+    product shorter than d: 4n + monomial_count(n, d - 1) p x p matrices."""
+    held = 4 * n + monomial_count(n, d - 1)
+    return max(1, CHUNK_BYTES // (held * p * p * 16))
 
 
 def sample_moment_cloud(n: int, d: int, p: int, count: int, seed: int) -> list[MomentVector]:
     """Moment vectors of ``count`` random contraction tuples at matrix
-    dimension ``p``.  The stream is keyed by (seed, p), so equal seeds and
-    dimensions reproduce the same cloud regardless of the other
-    parameters."""
+    dimension ``p``, evaluated in batched passes of ``_chunk_size`` tuples,
+    so peak memory stays near ``CHUNK_BYTES`` whatever ``count`` and ``p``.
+    The stream is keyed by (seed, p), so equal seeds and dimensions
+    reproduce the same cloud regardless of the other parameters."""
     if p < 1 or count < 0:
         raise ValidationError("need p >= 1 and count >= 0")
     length = monomial_count(n, d)
@@ -162,9 +203,11 @@ def sample_moment_cloud(n: int, d: int, p: int, count: int, seed: int) -> list[M
         raise CapExceededError(
             f"cloud of {count} vectors x {length} moments exceeds cap {CLOUD_CAP}")
     rng = generator(seed, stream=p)
+    chunk = _chunk_size(n, d, p)
     cloud = []
-    for _ in range(count):
-        cloud.append(moment_map(random_contractions(n, p, rng), d))
+    for start in range(0, count, chunk):
+        values = _moments(_draw_contractions(min(chunk, count - start), n, p, rng), d)
+        cloud.extend(MomentVector(n=n, d=d, values=row) for row in values)
     return cloud
 
 
@@ -199,6 +242,8 @@ def density_check(n: int, d: int, p_small: int, p_large: int, eps: float,
     and the largest nearest-point gap."""
     if p_small > p_large:
         raise ValidationError("p_small must be <= p_large")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValidationError(f"eps must be finite and >= 0, got {eps!r}")
     started = time.perf_counter()
     small = sample_moment_cloud(n, d, p_small, counts[0], seed)
     large = sample_moment_cloud(n, d, p_large, counts[1], seed)

@@ -517,7 +517,7 @@ def _interleave(arr: np.ndarray) -> list[float]:
     out = np.empty(2 * flat.size)
     out[0::2] = flat.real
     out[1::2] = flat.imag
-    return [float(v) for v in out]
+    return out.tolist()
 
 
 def _deinterleave(values, shape) -> np.ndarray:
@@ -548,6 +548,16 @@ def save_spec(spec: QuantumStrategySpec) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _spec_count(obj: dict, key: str) -> int:
+    """A spec file's dimension or outcome count: an integral value >= 1."""
+    value = obj[key]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def load_spec(text: str) -> QuantumStrategySpec:
     try:
         obj = json.loads(text)
@@ -555,9 +565,7 @@ def load_spec(text: str) -> QuantumStrategySpec:
         raise ParseError(f"spec file: invalid JSON at line {err.lineno}: {err.msg}") from err
     try:
         flavor = obj["flavor"]
-        d_a = int(obj["dim_alice"])
-        d_b = int(obj["dim_bob"])
-        n = int(obj["n_outcomes"])
+        d_a, d_b, n = (_spec_count(obj, key) for key in ("dim_alice", "dim_bob", "n_outcomes"))
         state_dim = d_a * d_b if flavor == TENSOR else d_a
         state = _deinterleave(obj["state"], (state_dim,))
 

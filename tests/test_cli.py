@@ -301,6 +301,30 @@ def test_moments_map_non_json_domain_error(tmp_path, capsys):
     assert "invalid JSON" in line
 
 
+def test_moments_map_empty_matrices_domain_error(tmp_path, capsys):
+    mats = tmp_path / "mats.json"
+    mats.write_text('{"dim": 0, "matrices": [[]]}')
+    line = domain_error_line(capsys, ["moments", "map", "--n", "1", "--d", "1",
+                                      "--matrices", str(mats)])
+    assert line == "error: matrices must be at least 1 x 1"
+
+
+@pytest.mark.parametrize("eps", ["nan", "-1", "inf"])
+def test_density_bad_eps_domain_error(capsys, eps):
+    line = domain_error_line(capsys, ["moments", "density", "--json", "--n", "1", "--d", "1",
+                                      "--p1", "1", "--p2", "2", "--eps", eps, "--seed", "0"])
+    assert line.startswith("error: eps must be finite and >= 0")
+
+
+@pytest.mark.parametrize("flag", ["--completeness", "--soundness"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_demo_chsh_non_finite_threshold_usage_error(capsys, flag, value):
+    assert dispatch(["demo-chsh", "--json", f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be finite" in captured.err
+
+
 def test_oversized_game_is_refused_before_allocation(tmp_path, capsys):
     # k^2 n^2 = 1.6e7 entries: past the cap, yet small enough to allocate
     # if the cap were missing.

@@ -1,13 +1,18 @@
 """Monomial enumeration, the moment map, clouds, and density estimates."""
 
+import dataclasses
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from nlv import moments
 from nlv.errors import CapExceededError, ValidationError
-from nlv.linalg import random_unitary
-from nlv.moments import (Monomial, cloud_distance, density_check, enumerate_monomials,
-                         moment_map, monomial_count, random_contractions,
-                         sample_moment_cloud)
+from nlv.linalg import dagger, ginibre, random_unitary
+from nlv.moments import (Monomial, MomentVector, cloud_distance, density_check,
+                         enumerate_monomials, moment_map, monomial_count,
+                         random_contractions, sample_moment_cloud)
 from nlv.rng import generator
 
 
@@ -54,8 +59,22 @@ def test_moment_map_diag_golden_vector():
 
 
 def test_moment_map_rejects_expansion():
-    with pytest.raises(ValidationError, match="matrix 2 has operator norm"):
+    message = "matrix 2 has operator norm 1.5 > 1: not a contraction"
+    with pytest.raises(ValidationError, match=re.escape(message)):
         moment_map([np.eye(2, dtype=complex), 1.5 * np.eye(2, dtype=complex)], 1)
+
+
+def test_moment_map_rejects_bad_shapes():
+    with pytest.raises(ValidationError, match="matrix 2 is not 2 x 2"):
+        moment_map([np.eye(2, dtype=complex), np.eye(3, dtype=complex)], 1)
+    for empty in ([np.zeros((0, 0))], [1.0]):
+        with pytest.raises(ValidationError, match="at least 1 x 1"):
+            moment_map(empty, 1)
+
+
+def test_moment_vector_rejects_non_finite():
+    with pytest.raises(ValidationError, match="non-finite"):
+        MomentVector(n=1, d=1, values=[np.nan, 0.0])
 
 
 def test_moment_entries_stay_in_unit_disk():
@@ -152,3 +171,123 @@ def test_cloud_distance_sup_norm():
     b = sample_moment_cloud(1, 1, 1, count=1, seed=2)[0]
     assert cloud_distance(a, b) == pytest.approx(float(np.max(np.abs(a.values - b.values))))
     assert cloud_distance(a, a) == 0.0
+
+
+def reference_contractions(n, p, rng):
+    """The per-matrix draw: one Ginibre matrix at a time, scaled into the
+    unit ball when its norm exceeds 1."""
+    out = []
+    for _ in range(n):
+        g = ginibre(p, rng)
+        norm = np.linalg.norm(g, 2)
+        out.append(g / norm if norm > 1.0 else g)
+    return out
+
+
+def reference_moments(mats, d):
+    """The per-word loop over enumerated monomials: each product is its
+    prefix's product times the last letter."""
+    p = mats[0].shape[0]
+    by_letter = {}
+    for var, mat in enumerate(mats, start=1):
+        by_letter[(var, False)] = mat
+        by_letter[(var, True)] = dagger(mat)
+    products = {}
+    values = []
+    for word in enumerate_monomials(len(mats), d):
+        key = word.letters
+        product = by_letter[key[0]] if len(key) == 1 else products[key[:-1]] @ by_letter[key[-1]]
+        products[key] = product
+        values.append(np.trace(product) / p)
+    return np.array(values, dtype=np.complex128)
+
+
+def reference_cloud(n, d, p, count, seed):
+    rng = generator(seed, stream=p)
+    return [moment_map(random_contractions(n, p, rng), d) for _ in range(count)]
+
+
+CLOUD_SHAPES = [(1, 1, 2, 0), (2, 2, 2, 1), (1, 3, 1, 20), (2, 1, 3, 15), (2, 3, 3, 40),
+                (3, 2, 4, 10), (1, 4, 9, 5)]
+
+
+@pytest.mark.parametrize("n, d, p, count", CLOUD_SHAPES)
+def test_batched_cloud_is_bit_identical_to_per_tuple_form(n, d, p, count):
+    cloud = sample_moment_cloud(n, d, p, count, seed=3)
+    reference = reference_cloud(n, d, p, count, seed=3)
+    assert len(cloud) == len(reference) == count
+    for vec, ref in zip(cloud, reference):
+        assert np.array_equal(vec.values, ref.values)
+
+
+@pytest.mark.parametrize("n, d, p, count", CLOUD_SHAPES)
+def test_one_tuple_case_matches_per_matrix_loops(n, d, p, count):
+    rng, ref_rng = generator(5, stream=p), generator(5, stream=p)
+    for _ in range(max(count, 1)):
+        mats = random_contractions(n, p, rng)
+        ref = reference_contractions(n, p, ref_rng)
+        assert all(np.array_equal(a, b) for a, b in zip(mats, ref))
+        assert np.array_equal(moment_map(mats, d).values, reference_moments(ref, d))
+
+
+@pytest.mark.parametrize("n, d, p_small, p_large, eps, counts, seed",
+                         [(2, 2, 2, 3, 0.1, (400, 100), 2), (1, 1, 1, 2, 0.1, (300, 50), 11),
+                          (2, 3, 1, 3, 0.5, (30, 1), 4)])
+def test_density_report_matches_reference_clouds(n, d, p_small, p_large, eps, counts, seed):
+    report = density_check(n, d, p_small, p_large, eps, counts, seed)
+    small = np.stack([v.values for v in reference_cloud(n, d, p_small, counts[0], seed)])
+    nearest = [float(np.min(np.max(np.abs(small - v.values[None, :]), axis=1)))
+               for v in reference_cloud(n, d, p_large, counts[1], seed)]
+    expected = dataclasses.replace(
+        report, covered_fraction=sum(g <= eps for g in nearest) / counts[1],
+        max_gap=max(nearest))
+    assert report == expected
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0, -1e-300])
+def test_density_rejects_bad_eps(eps):
+    with pytest.raises(ValidationError, match="eps must be finite and >= 0"):
+        density_check(1, 1, 1, 2, eps=eps, counts=(10, 10), seed=0)
+
+
+def test_cloud_holds_only_one_length_of_products():
+    # Keeping every word's product for every tuple would take all_products
+    # bytes; the batched pass keeps only the previous length's products.
+    n, d, p, count = 2, 3, 3, 400
+    all_products = monomial_count(n, d) * count * p * p * 16
+    tracemalloc.start()
+    try:
+        sample_moment_cloud(n, d, p, count, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < all_products / 2
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+@pytest.mark.parametrize("n, d, p, count", [(2, 3, 3, 40), (1, 1, 2, 10), (3, 2, 4, 8)])
+def test_chunked_cloud_is_bit_identical_to_per_tuple_form(monkeypatch, chunk, n, d, p, count):
+    held = 4 * n + monomial_count(n, d - 1)
+    monkeypatch.setattr(moments, "CHUNK_BYTES", chunk * held * p * p * 16)
+    assert moments._chunk_size(n, d, p) == chunk
+    cloud = sample_moment_cloud(n, d, p, count, seed=3)
+    reference = reference_cloud(n, d, p, count, seed=3)
+    assert len(cloud) == count
+    for vec, ref in zip(cloud, reference):
+        assert np.array_equal(vec.values, ref.values)
+
+
+@pytest.mark.parametrize("n, d, p, count", [(1, 1, 64, 400), (2, 2, 32, 600)])
+def test_large_cloud_peak_stays_within_chunk_budget(n, d, p, count):
+    # The whole (count, n, p, p) stack would be several times CHUNK_BYTES;
+    # evaluating in chunks keeps the traced peak below the budget.
+    whole_stack = count * n * p * p * 16
+    assert whole_stack > 2 * moments.CHUNK_BYTES
+    tracemalloc.start()
+    try:
+        cloud = sample_moment_cloud(n, d, p, count, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cloud) == count
+    assert peak < moments.CHUNK_BYTES

@@ -521,3 +521,25 @@ def test_load_spec_rejects_non_numeric_fields():
     for field, bad in (("dim_alice", "x"), ("state", ["x", 0.0])):
         with pytest.raises(ParseError, match="malformed field"):
             load_spec(json.dumps(dict(obj, **{field: bad})))
+
+
+@pytest.mark.parametrize("field, bad", [("dim_alice", 0), ("dim_bob", 0), ("n_outcomes", 0),
+                                        ("n_outcomes", 2.7), ("dim_alice", -1),
+                                        ("dim_bob", True), ("n_outcomes", None)])
+def test_load_spec_requires_positive_integral_counts(field, bad):
+    obj = json.loads(save_spec(chsh_optimal_spec()))
+    with pytest.raises(ParseError, match=f"{field} must be an integer >= 1"):
+        load_spec(json.dumps(dict(obj, **{field: bad})))
+
+
+def test_load_spec_rejects_empty_spec():
+    empty = {"flavor": "tensor", "dim_alice": 0, "dim_bob": 0, "n_outcomes": 2,
+             "state": [], "alice": [], "bob": []}
+    with pytest.raises(ParseError, match="dim_alice must be an integer >= 1, got 0"):
+        load_spec(json.dumps(empty))
+
+
+def test_load_spec_accepts_integral_floats():
+    obj = json.loads(save_spec(chsh_optimal_spec()))
+    loaded = load_spec(json.dumps(dict(obj, dim_alice=2.0, n_outcomes=2.0)))
+    assert loaded.dims == chsh_optimal_spec().dims
