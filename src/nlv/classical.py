@@ -16,6 +16,7 @@ from .errors import CapExceededError, ValidationError
 from .game import DIST_TOL, Game, Strategy
 
 ENUMERATION_CAP = 10_000_000
+SEED_ENUMERATION_CAP = 1_000_000   # n^k at most this many to seed the see-saw searches
 
 
 @dataclass(frozen=True)

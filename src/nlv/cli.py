@@ -20,12 +20,13 @@ from pathlib import Path
 
 from . import __version__
 from .classical import classical_value
-from .errors import NlvError, ParseError
+from .errors import NlvError
 from .game import chsh_game, game_value, load_game, load_strategy
-from .moments import density_check, moment_map, sample_moment_cloud
+from .linalg import interleave
+from .moments import density_check, load_matrices, moment_map, sample_moment_cloud
 from .protocols import TwoBitMessage, epr_correlation_demo, superdense_decode, superdense_encode
-from .quantum import (_deinterleave, _interleave, chsh_optimal_spec, entangled_lower_bound,
-                      load_spec, quantum_correlation, save_spec)
+from .quantum import (chsh_optimal_spec, entangled_lower_bound, load_spec, quantum_correlation,
+                      save_spec)
 from .synchronous import sync_value_lower_bound
 from .tm import Halted, load_machine, run as tm_run
 
@@ -168,7 +169,7 @@ def _run_sync_lb(args):
         game, dim=args.dim, restarts=args.restarts, seed=args.seed, iters=args.iters)
     family_file = None
     if args.family_out:
-        rows = [[_interleave(mat) for mat in fam.outcomes] for fam in family.families]
+        rows = [[interleave(mat) for mat in fam.outcomes] for fam in family.families]
         Path(args.family_out).write_text(json.dumps(
             {"dim": family.d, "n_outcomes": family.n, "families": rows}, indent=2) + "\n")
         family_file = args.family_out
@@ -184,7 +185,7 @@ def _run_superdense(args):
     decoded, probs = superdense_decode(encoded)
     return {
         "message": [message.first, message.second],
-        "encoded_state": _interleave(encoded),
+        "encoded_state": interleave(encoded),
         "decoded": [decoded.first, decoded.second],
         "outcome_probabilities": [float(v) for v in probs],
         "roundtrip_ok": decoded == message,
@@ -203,22 +204,14 @@ def _run_epr(args):
 
 def _run_moments(args):
     if args.moments_command == "map":
-        try:
-            obj = json.loads(Path(args.matrices).read_text())
-            dim = int(obj["dim"])
-            mats = [_deinterleave(vals, (dim, dim)) for vals in obj["matrices"]]
-        except json.JSONDecodeError as err:
-            raise ParseError(
-                f"matrices file: invalid JSON at line {err.lineno}: {err.msg}") from err
-        except (KeyError, TypeError, ValueError) as err:
-            raise ParseError(f"matrices file: malformed field ({err})") from err
+        mats = load_matrices(Path(args.matrices).read_text())
         if len(mats) != args.n:
             raise NlvError(f"matrix file holds {len(mats)} matrices, --n is {args.n}")
         vec = moment_map(mats, args.d)
-        return {"count": int(vec.values.size), "values": _interleave(vec.values)}
+        return {"count": int(vec.values.size), "values": interleave(vec.values)}
     if args.moments_command == "cloud":
         cloud = sample_moment_cloud(args.n, args.d, args.p, args.count, args.seed)
-        lines = [",".join(map(repr, _interleave(vec.values))) for vec in cloud]
+        lines = [",".join(map(repr, interleave(vec.values))) for vec in cloud]
         Path(args.out).write_text("\n".join(lines) + ("\n" if lines else ""))
         return {"rows": len(cloud),
                 "moments_per_row": int(cloud[0].values.size) if cloud else 0,

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, DimensionMismatchError, ParseError, Report, ValidationError
+from .errors import (CapExceededError, DimensionMismatchError, ParseError, Report, ValidationError,
+                     read_array, read_count, read_field, read_object)
 from .rng import generator
 
 DIST_TOL = 1e-12       # distributions supplied in files
@@ -161,26 +162,6 @@ def random_game(k: int, n: int, seed: int) -> Game:
     return Game(k=k, n=n, pi=pi, wins=wins)
 
 
-def _require(obj: dict, field: str, kind, where: str):
-    if field not in obj:
-        raise ParseError(f"{where}: missing field '{field}'")
-    value = obj[field]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ParseError(f"{where}: field '{field}' must be a number")
-        return float(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ParseError(f"{where}: field '{field}' must be {kind.__name__}")
-    return value
-
-
-def _numeric(values, field: str, where: str) -> np.ndarray:
-    try:
-        return np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as err:
-        raise ParseError(f"{where}: '{field}' must be a numeric array") from err
-
-
 def load_game(text: str) -> Game:
     """Parse a game from its JSON form and validate it before returning.
 
@@ -188,36 +169,23 @@ def load_game(text: str) -> Game:
     "wins": [[x, y, a, b], ...]}`` with 1-based indices; ``wins`` lists
     exactly the tuples where the predicate is 1.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ParseError(f"game file: invalid JSON at line {err.lineno}: {err.msg}") from err
-    if not isinstance(obj, dict):
-        raise ParseError("game file: top level must be an object")
-    k = _require(obj, "k", int, "game file")
-    n = _require(obj, "n", int, "game file")
-    pi = _require(obj, "pi", list, "game file")
-    win_list = _require(obj, "wins", list, "game file")
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    where = "game file"
+    obj = read_object(text, where)
+    k, n = read_count(obj, "k", where), read_count(obj, "n", where)
     if k * k * n * n > MAX_GAME_ENTRIES:
-        raise CapExceededError(f"game file: k^2 n^2 = {k * k * n * n} predicate entries "
+        raise CapExceededError(f"{where}: k^2 n^2 = {k * k * n * n} predicate entries "
                                f"exceeds cap {MAX_GAME_ENTRIES}")
-    pi_arr = _numeric(pi, "pi", "game file")
-    if pi_arr.shape != (k, k):
-        raise ParseError(f"game file: 'pi' must be a {k}x{k} matrix")
+    pi = read_array(read_field(obj, "pi", list, where), (k, k), f"{where}: 'pi'")
     wins = np.zeros((k, k, n, n))
-    for pos, entry in enumerate(win_list):
+    for pos, entry in enumerate(read_field(obj, "wins", list, where)):
         if (not isinstance(entry, list) or len(entry) != 4
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in entry)):
-            raise ParseError(f"game file: wins[{pos}] must be a list of four integers")
+                or not all(type(v) is int for v in entry)):
+            raise ParseError(f"{where}: wins[{pos}] must be a list of four integers")
         x, y, a, b = entry
         if not (1 <= x <= k and 1 <= y <= k and 1 <= a <= n and 1 <= b <= n):
-            raise ParseError(f"game file: wins[{pos}] = {entry} out of range for k={k}, n={n}")
+            raise ParseError(f"{where}: wins[{pos}] = {entry} out of range for k={k}, n={n}")
         wins[x - 1, y - 1, a - 1, b - 1] = 1.0
-    game = Game(k=k, n=n, pi=pi_arr, wins=wins)
+    game = Game(k=k, n=n, pi=pi, wins=wins)
     validate_game(game).raise_if_failed("game")
     return game
 
@@ -242,17 +210,10 @@ def save_game(game: Game) -> str:
 def load_strategy(text: str) -> Strategy:
     """Parse a strategy from JSON: ``{"k": int, "n": int,
     "p": [[[[float; n]; n]; k]; k]}`` laid out [x][y][a][b]."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ParseError(f"strategy file: invalid JSON at line {err.lineno}: {err.msg}") from err
-    if not isinstance(obj, dict):
-        raise ParseError("strategy file: top level must be an object")
-    k = _require(obj, "k", int, "strategy file")
-    n = _require(obj, "n", int, "strategy file")
-    p = _numeric(_require(obj, "p", list, "strategy file"), "p", "strategy file")
-    if p.shape != (k, k, n, n):
-        raise ParseError(f"strategy file: 'p' must have shape ({k}, {k}, {n}, {n})")
+    where = "strategy file"
+    obj = read_object(text, where)
+    k, n = read_count(obj, "k", where), read_count(obj, "n", where)
+    p = read_array(read_field(obj, "p", list, where), (k, k, n, n), f"{where}: 'p'")
     strategy = Strategy(k=k, n=n, p=p)
     validate_strategy(strategy).raise_if_failed("strategy")
     return strategy

@@ -6,9 +6,11 @@ to LAPACK through ``numpy.linalg``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, read_array
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -26,6 +28,20 @@ def as_complex(a) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise ValidationError("matrix has non-finite entries")
     return out
+
+
+def interleave(arr) -> list[float]:
+    """A complex array as the flat row-major list [re, im, re, im, ...]
+    that every file format uses: complex128 memory already holds each
+    entry as a (re, im) pair of float64s."""
+    return np.asarray(arr, dtype=np.complex128).ravel().view(np.float64).tolist()
+
+
+def deinterleave(values, shape, what: str = "interleaved array") -> np.ndarray:
+    """Inverse of :func:`interleave`: ``values`` must be a flat list of
+    exactly 2 * prod(shape) numbers; ``what`` names it in the error."""
+    flat = read_array(values, (2 * math.prod(shape),), what)
+    return (flat[0::2] + 1j * flat[1::2]).reshape(shape)
 
 
 def identity(dim: int) -> np.ndarray:

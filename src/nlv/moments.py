@@ -17,14 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapExceededError, ValidationError
-from .linalg import as_complex, dagger
+from .errors import CapExceededError, ValidationError, read_count, read_field, read_object
+from .linalg import as_complex, dagger, deinterleave
 from .rng import generator
 
 WORD_CAP = 1_000_000
 CLOUD_CAP = 5_000_000
 CONTRACTION_TOL = 1e-9
 CHUNK_BYTES = 8 << 20
+MAX_MATRIX_DIM = 1024   # p for clouds: one sampled p x p matrix is 16 p^2 bytes
 
 
 @dataclass(frozen=True)
@@ -163,6 +164,16 @@ def moment_map(matrices, d: int) -> MomentVector:
     return MomentVector(n=len(mats), d=d, values=values[0])
 
 
+def load_matrices(text: str) -> list[np.ndarray]:
+    """Parse a matrix tuple file, the input of ``moments map``:
+    ``{"dim": p, "matrices": [<p x p interleaved>, ...]}``."""
+    where = "matrices file"
+    obj = read_object(text, where)
+    dim = read_count(obj, "dim", where)
+    return [deinterleave(values, (dim, dim), f"{where}: matrix {i + 1}")
+            for i, values in enumerate(read_field(obj, "matrices", list, where))]
+
+
 def _draw_contractions(count: int, n: int, p: int, rng: np.random.Generator) -> np.ndarray:
     """``(count, n, p, p)`` stack of complex Ginibre matrices, each divided
     by its computed operator norm when that norm exceeds 1.  One draw
@@ -198,6 +209,8 @@ def sample_moment_cloud(n: int, d: int, p: int, count: int, seed: int) -> list[M
     reproduce the same cloud regardless of the other parameters."""
     if p < 1 or count < 0:
         raise ValidationError("need p >= 1 and count >= 0")
+    if p > MAX_MATRIX_DIM:
+        raise CapExceededError(f"matrix dimension p = {p} exceeds cap {MAX_MATRIX_DIM}")
     length = monomial_count(n, d)
     if count * max(length, 1) > CLOUD_CAP:
         raise CapExceededError(

@@ -20,13 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import DeterministicStrategy, check_answer_range, classical_value
-from .errors import DimensionMismatchError, ParseError, Report, ValidationError
+from .classical import (SEED_ENUMERATION_CAP, DeterministicStrategy, check_answer_range,
+                        classical_value)
+from .errors import (CapExceededError, DimensionMismatchError, ParseError, Report,
+                     ValidationError, read_count, read_field, read_object)
 from .game import Game, Strategy, game_value
-from .linalg import as_complex, dagger, identity, kron, psd_sqrt, random_unitary
+from .linalg import (as_complex, dagger, deinterleave, identity, interleave, kron, psd_sqrt,
+                     random_unitary)
 from .rng import generator
 
 MEASUREMENT_TOL = 1e-9
+MAX_STATE_DIM = 1024   # d^2 for the entangled search: its game operator is d^2 x d^2
 
 POVM = "povm"
 PVM = "pvm"
@@ -498,8 +502,12 @@ def entangled_lower_bound(game: Game, dim: int, restarts: int, seed: int,
     in ``seed``; restarts are independent and merged by max with ties going
     to the earliest candidate.
     """
+    if dim * dim > MAX_STATE_DIM:
+        raise CapExceededError(
+            f"dim^2 = {dim * dim} exceeds the entangled search cap {MAX_STATE_DIM}")
+
     def seeds() -> list[QuantumStrategySpec]:
-        if not seed_classical or game.n ** game.k > 1_000_000:
+        if not seed_classical or game.n ** game.k > SEED_ENUMERATION_CAP:
             return []
         _, argmax = classical_value(game)
         return [embed_deterministic(argmax, game.k, game.n, dim)]
@@ -512,28 +520,12 @@ def entangled_lower_bound(game: Game, dim: int, restarts: int, seed: int,
 # Spec (de)serialization: interleaved real/imag arrays
 # ---------------------------------------------------------------------------
 
-def _interleave(arr: np.ndarray) -> list[float]:
-    flat = np.asarray(arr, dtype=np.complex128).ravel()
-    out = np.empty(2 * flat.size)
-    out[0::2] = flat.real
-    out[1::2] = flat.imag
-    return out.tolist()
-
-
-def _deinterleave(values, shape) -> np.ndarray:
-    flat = np.asarray(values, dtype=np.float64)
-    if flat.size != 2 * int(np.prod(shape)):
-        raise ParseError(f"expected {2 * int(np.prod(shape))} interleaved values, "
-                         f"got {flat.size}")
-    return (flat[0::2] + 1j * flat[1::2]).reshape(shape)
-
-
 def save_spec(spec: QuantumStrategySpec) -> str:
     """Serialize a strategy spec to JSON with every complex array stored as
     a flat interleaved [re, im, re, im, ...] list in row-major order."""
     def side(families: tuple[MeasurementFamily, ...]):
         return [{"flavor": fam.flavor,
-                 "outcomes": [_interleave(mat) for mat in fam.outcomes]}
+                 "outcomes": [interleave(mat) for mat in fam.outcomes]}
                 for fam in families]
 
     obj = {
@@ -541,47 +533,34 @@ def save_spec(spec: QuantumStrategySpec) -> str:
         "dim_alice": spec.dims[0],
         "dim_bob": spec.dims[1],
         "n_outcomes": spec.n,
-        "state": _interleave(spec.state),
+        "state": interleave(spec.state),
         "alice": side(spec.alice),
         "bob": side(spec.bob),
     }
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _spec_count(obj: dict, key: str) -> int:
-    """A spec file's dimension or outcome count: an integral value >= 1."""
-    value = obj[key]
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if type(value) is not int or value < 1:
-        raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
-    return value
-
-
 def load_spec(text: str) -> QuantumStrategySpec:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ParseError(f"spec file: invalid JSON at line {err.lineno}: {err.msg}") from err
-    try:
-        flavor = obj["flavor"]
-        d_a, d_b, n = (_spec_count(obj, key) for key in ("dim_alice", "dim_bob", "n_outcomes"))
-        state_dim = d_a * d_b if flavor == TENSOR else d_a
-        state = _deinterleave(obj["state"], (state_dim,))
+    """Parse a strategy spec written by :func:`save_spec`."""
+    where = "spec file"
+    obj = read_object(text, where)
+    flavor = read_field(obj, "flavor", str, where)
+    d_a, d_b, n = (read_count(obj, key, where) for key in ("dim_alice", "dim_bob", "n_outcomes"))
+    state = deinterleave(read_field(obj, "state", list, where),
+                         (d_a * d_b if flavor == TENSOR else d_a,), f"{where}: 'state'")
 
-        def side(entries, dim):
-            return tuple(
-                MeasurementFamily(
-                    outcomes=tuple(_deinterleave(vals, (dim, dim))
-                                   for vals in fam["outcomes"]),
-                    flavor=fam["flavor"])
-                for fam in entries)
+    def side(key, dim):
+        families = []
+        for x, entry in enumerate(read_field(obj, key, list, where)):
+            at = f"{where}: {key}[{x}]"
+            outcomes = tuple(deinterleave(values, (dim, dim), f"{at} outcome {a + 1}")
+                             for a, values in enumerate(read_field(entry, "outcomes", list, at)))
+            families.append(MeasurementFamily(outcomes=outcomes,
+                                              flavor=read_field(entry, "flavor", str, at)))
+        return tuple(families)
 
-        alice = side(obj["alice"], d_a)
-        bob = side(obj["bob"], d_b)
-    except (KeyError, TypeError, ValueError) as err:
-        raise ParseError(f"spec file: malformed field ({err})") from err
+    alice, bob = side("alice", d_a), side("bob", d_b)
     for fam in alice + bob:
         if fam.n_outcomes != n:
-            raise ParseError("spec file: outcome count mismatch")
+            raise ParseError(f"{where}: outcome count mismatch")
     return QuantumStrategySpec(flavor=flavor, state=state, alice=alice, bob=bob)

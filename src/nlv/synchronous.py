@@ -11,11 +11,13 @@ over matrix algebras only and attainment there is not guaranteed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DefectTooLargeError, Report, ValidationError
+from .classical import SEED_ENUMERATION_CAP
+from .errors import CapExceededError, DefectTooLargeError, Report, ValidationError
 from .game import Game, Strategy
 from .linalg import dagger, frobenius, identity, random_unitary
 from .quantum import (POVM, PVM, MeasurementFamily, best_response, block_projectors, diagonal_pvm,
@@ -23,6 +25,7 @@ from .quantum import (POVM, PVM, MeasurementFamily, best_response, block_project
 from .rng import generator
 
 REPAIR_DEFECT_CAP = 0.1
+MAX_FAMILY_DIM = 1024  # d for the synchronous search: each best response is a d x d eigh
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,9 +104,8 @@ def _best_scalar_assignment(game: Game) -> tuple[float, tuple[int, ...]] | None:
     """Exact best deterministic synchronous strategy (both players use the
     same answer function), or None when enumeration is too large."""
     k, n = game.k, game.n
-    if n ** k > 1_000_000:
+    if n ** k > SEED_ENUMERATION_CAP:
         return None
-    import itertools
     best = (-np.inf, (1,) * k)
     for assignment in itertools.product(range(1, n + 1), repeat=k):
         value = 0.0
@@ -155,6 +157,9 @@ def sync_value_lower_bound(game: Game, dim: int, restarts: int, seed: int,
     When ``seed_scalar`` is set, the best deterministic synchronous family
     joins the candidate pool.  Deterministic in ``seed``.
     """
+    if dim > MAX_FAMILY_DIM:
+        raise CapExceededError(f"dim = {dim} exceeds the synchronous search cap {MAX_FAMILY_DIM}")
+
     def seeds() -> list[TracialPVMFamily]:
         best = _best_scalar_assignment(game) if seed_scalar else None
         return [] if best is None else [scalar_family(best[1], game.n, dim)]

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import MachineHaltedError, ParseError, ValidationError
+from .errors import MachineHaltedError, ParseError, ValidationError, read_field, read_object
 
 SYMBOLS = ("0", "1", "_", "^")
 BLANK = "_"
@@ -244,33 +244,15 @@ def ndtm_accepts(machine: NDTM, input_string: str, depth_budget: int) -> NdtmRes
 
 
 # ---------------------------------------------------------------------------
-# JSON machine format and bundled machines
+# JSON machine format
 # ---------------------------------------------------------------------------
-
-def _table_to_rows(table: TransitionTable) -> list[list[str]]:
-    return [list(key) + list(action) for key, action in sorted(table.items())]
-
-
-def _rows_to_table(rows, label: str) -> TransitionTable:
-    if not isinstance(rows, list):
-        raise ParseError(f"machine file: '{label}' must be a list")
-    table: TransitionTable = {}
-    for pos, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != 10 or not all(isinstance(v, str) for v in row):
-            raise ParseError(f"machine file: {label}[{pos}] must be a list of 10 strings")
-        key = tuple(row[:4])
-        if key in table:
-            raise ParseError(f"machine file: duplicate transition for {key}")
-        table[key] = tuple(row[4:])
-    return table
-
 
 def save_machine(machine: TuringMachine) -> str:
     obj = {
         "states": list(machine.states),
         "start_state": machine.start_state,
         "halt_state": machine.halt_state,
-        "transitions": _table_to_rows(machine.table),
+        "transitions": [list(key) + list(action) for key, action in sorted(machine.table.items())],
     }
     return json.dumps(obj, indent=2) + "\n"
 
@@ -279,24 +261,23 @@ def load_machine(text: str) -> TuringMachine:
     """Parse a deterministic machine from JSON.  The transition list must
     cover every (state, symbol triple) exactly once: the transition
     function is total, so missing rows are rejected at load."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ParseError(f"machine file: invalid JSON at line {err.lineno}: {err.msg}") from err
-    if not isinstance(obj, dict):
-        raise ParseError("machine file: top level must be an object")
-    for fld in ("states", "start_state", "halt_state", "transitions"):
-        if fld not in obj:
-            raise ParseError(f"machine file: missing field '{fld}'")
-    states = obj["states"]
-    if (not isinstance(states, list) or not states
-            or not all(isinstance(s, str) for s in states)):
-        raise ParseError("machine file: 'states' must be a nonempty list of strings")
-    table = _rows_to_table(obj["transitions"], "transitions")
+    where = "machine file"
+    obj = read_object(text, where)
+    states = read_field(obj, "states", list, where)
+    if not states or not all(isinstance(s, str) for s in states):
+        raise ParseError(f"{where}: 'states' must be a nonempty list of strings")
+    table: TransitionTable = {}
+    for pos, row in enumerate(read_field(obj, "transitions", list, where)):
+        if not isinstance(row, list) or len(row) != 10 or not all(isinstance(v, str) for v in row):
+            raise ParseError(f"{where}: transitions[{pos}] must be a list of 10 strings")
+        key = tuple(row[:4])
+        if key in table:
+            raise ParseError(f"{where}: duplicate transition for {key}")
+        table[key] = tuple(row[4:])
     return TuringMachine(
         states=tuple(states),
-        start_state=obj["start_state"],
-        halt_state=obj["halt_state"],
+        start_state=read_field(obj, "start_state", str, where),
+        halt_state=read_field(obj, "halt_state", str, where),
         table=table)
 
 
@@ -309,56 +290,3 @@ def dense_table(states: tuple[str, ...], rules: dict, default) -> TransitionTabl
             key = (q, s1, s2, s3)
             table[key] = rules.get(key, default(q, s1, s2, s3))
     return table
-
-
-def _halt_in_place(halt_state: str):
-    def default(_q, _s1, s2, s3):
-        return (halt_state, s2, s3, "S", "S", "S")
-    return default
-
-
-def copier_machine() -> TuringMachine:
-    """Copies the input string to the output tape.
-
-    One step leaves the start cells, then each step copies one input
-    symbol; the first blank halts.  Unreachable symbol combinations
-    default to halting in place."""
-    states = ("go", "copy", "halt")
-    rules = {}
-    rules[("go", START, START, START)] = ("copy", START, START, "R", "S", "R")
-    for s1 in ("0", "1"):
-        for s2 in SYMBOLS:
-            for s3 in SYMBOLS:
-                rules[("copy", s1, s2, s3)] = ("copy", s2, s1, "R", "S", "R")
-    for s2 in SYMBOLS:
-        for s3 in SYMBOLS:
-            rules[("copy", BLANK, s2, s3)] = ("halt", s2, s3, "S", "S", "S")
-    return TuringMachine(
-        states=states, start_state="go", halt_state="halt",
-        table=dense_table(states, rules, _halt_in_place("halt")))
-
-
-def looper_machine() -> TuringMachine:
-    """Loops forever: every transition rewrites the cells it read and stays
-    put, and no transition reaches the halt state."""
-    states = ("spin", "halt")
-
-    def spin(q, _s1, s2, s3):
-        return ("spin" if q == "spin" else "halt", s2, s3, "S", "S", "S")
-
-    return TuringMachine(
-        states=states, start_state="spin", halt_state="halt",
-        table=dense_table(states, {}, spin))
-
-
-def clamp_machine() -> TuringMachine:
-    """Single-step machine whose only move is left from cell 0 on every
-    tape: exercises the left-edge clamp."""
-    states = ("edge", "halt")
-
-    def push_left(q, _s1, s2, s3):
-        return ("halt", s2, s3, "L", "L", "L") if q == "edge" else ("halt", s2, s3, "S", "S", "S")
-
-    return TuringMachine(
-        states=states, start_state="edge", halt_state="halt",
-        table=dense_table(states, {}, push_left))

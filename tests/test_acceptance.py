@@ -22,7 +22,7 @@ from nlv.quantum import (born_probabilities, chsh_optimal_spec, entangled_lower_
                          naimark_dilate, quantum_correlation)
 from nlv.rng import generator
 from nlv.synchronous import random_tracial_family, tracial_correlation, validate_family
-from nlv.tm import BudgetExceeded, Configuration, Halted, clamp_machine, load_machine, run, step
+from nlv.tm import BudgetExceeded, Configuration, Halted, load_machine, run, step
 
 DATA = Path(__file__).parent / "data"
 CHSH_FILE = str(data_path("chsh.json"))
@@ -182,7 +182,7 @@ def test_criterion_10_turing_machine_golden():
         ok = ok and "\n".join(result.trace) + "\n" == DATA.joinpath(golden).read_text()
     loop_result = run(looper, "1", 10_000)
     ok = ok and isinstance(loop_result, BudgetExceeded) and loop_result.steps == 10_000
-    clamp = clamp_machine()
+    clamp = load_machine(data_path("clamp.json").read_text())
     config = Configuration.initial("edge", "")
     step(clamp, config)
     ok = ok and config.heads == [0, 0, 0] and config.state == "halt"

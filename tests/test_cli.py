@@ -3,6 +3,7 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from nlv import data_path
 from nlv.cli import build_parser, dispatch
+from nlv.errors import NlvError
+from nlv.quantum import chsh_optimal_spec, load_spec, save_spec
 
 CHSH = str(data_path("chsh.json"))
 UNIFORM = str(data_path("uniform.json"))
@@ -306,7 +309,23 @@ def test_moments_map_empty_matrices_domain_error(tmp_path, capsys):
     mats.write_text('{"dim": 0, "matrices": [[]]}')
     line = domain_error_line(capsys, ["moments", "map", "--n", "1", "--d", "1",
                                       "--matrices", str(mats)])
-    assert line == "error: matrices must be at least 1 x 1"
+    assert line == "error: matrices file: dim must be an integer >= 1, got 0"
+
+
+# A nested matrix holds the 8 numbers of one 2 x 2 matrix in two rows: a
+# reader that flattens would take the rows as real and imaginary parts.
+@pytest.mark.parametrize("text, message", [
+    ('{"dim": 1.5, "matrices": [[0.5, 0.0]]}', "dim must be an integer >= 1, got 1.5"),
+    ('{"dim": true, "matrices": [[0.5, 0.0]]}', "dim must be an integer >= 1, got True"),
+    ('{"dim": 2, "matrices": [[[0.5, 0.0, 0.0, 0.5], [0.0, -0.5, 0.5, 0.0]]]}',
+     "matrix 1 must be a numeric array of shape (8,)"),
+], ids=["dim-1.5", "dim-true", "nested"])
+def test_moments_map_malformed_matrices_domain_error(tmp_path, capsys, text, message):
+    mats = tmp_path / "mats.json"
+    mats.write_text(text)
+    line = domain_error_line(capsys, ["moments", "map", "--n", "1", "--d", "1",
+                                      "--matrices", str(mats)])
+    assert line == f"error: matrices file: {message}"
 
 
 @pytest.mark.parametrize("eps", ["nan", "-1", "inf"])
@@ -331,6 +350,23 @@ def test_oversized_game_is_refused_before_allocation(tmp_path, capsys):
     big = tmp_path / "big.json"
     big.write_text('{"k": 1, "n": 4000, "pi": [[1.0]], "wins": []}')
     assert "exceeds cap" in domain_error_line(capsys, ["classical", "--game", str(big)])
+
+
+# Each size would need far more memory than a desk machine has: the
+# entangled search's game operator at d = 400 is 381 GiB, a sync family at
+# d = 10^5 is 300 GiB, and one p x p matrix at p = 10^6 is 15 TiB.
+@pytest.mark.parametrize("argv, cap", [
+    (["quantum-lb", "--game", CHSH, "--dim", "400", "--restarts", "1", "--seed", "0"],
+     "dim^2 = 160000 exceeds the entangled search cap"),
+    (["sync-lb", "--game", CHSH, "--dim", "100000", "--restarts", "1", "--seed", "0"],
+     "dim = 100000 exceeds the synchronous search cap"),
+    (["moments", "cloud", "--n", "1", "--d", "1", "--p", "1000000", "--count", "1",
+      "--seed", "0", "--out", "never-written.csv"], "p = 1000000 exceeds cap"),
+    (["moments", "density", "--n", "1", "--d", "1", "--p1", "1", "--p2", "1000000",
+      "--eps", "0.1", "--seed", "0"], "p = 1000000 exceeds cap"),
+], ids=["quantum-lb", "sync-lb", "moments-cloud", "moments-density"])
+def test_oversized_dimension_is_refused_before_allocation(capsys, argv, cap):
+    assert cap in domain_error_line(capsys, argv)
 
 
 # One position of a bundled file gets one of these: wrong types, empty and
@@ -372,20 +408,45 @@ def replaced(obj, path, value):
     return out
 
 
-@pytest.mark.parametrize("name", sorted(MUTATED_RUNS))
-def test_mutated_bundled_file_gives_at_most_one_error_line(name, tmp_path_factory):
-    original = json.loads(data_path(name).read_text())
-    target = tmp_path_factory.mktemp("mutant") / name
-    argv = MUTATED_RUNS[name](str(target))
-
+def check_mutants(original, target, check):
+    """Write ``original`` with one position replaced to ``target`` and run
+    ``check(str(target))``, over positions and MUTANTS drawn by hypothesis."""
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(st.sampled_from(list(json_positions(original))), st.sampled_from(MUTANTS))
-    def check(path, value):
+    def check_one(path, value):
         target.write_text(json.dumps(replaced(original, path, value)))
-        err = io.StringIO()
-        with redirect_stdout(io.StringIO()), redirect_stderr(err):
-            code = dispatch(argv)
-        assert code in (0, 1)
-        assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1
+        check(str(target))
 
-    check()
+    check_one()
+
+
+def exits_with_at_most_one_error_line(argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = dispatch(argv)
+    assert code in (0, 1)
+    assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1
+
+
+@pytest.mark.parametrize("name", sorted(MUTATED_RUNS))
+def test_mutated_bundled_file_gives_at_most_one_error_line(name, tmp_path_factory):
+    target = tmp_path_factory.mktemp("mutant") / name
+    argv = MUTATED_RUNS[name](str(target))
+    check_mutants(json.loads(data_path(name).read_text()), target,
+                  lambda _path: exits_with_at_most_one_error_line(argv))
+
+
+def test_mutated_spec_file_loads_or_raises_nlv_error(tmp_path):
+    def check(path):
+        try:
+            load_spec(Path(path).read_text())
+        except NlvError:
+            pass
+
+    check_mutants(json.loads(save_spec(chsh_optimal_spec())), tmp_path / "spec.json", check)
+
+
+def test_mutated_matrices_file_gives_at_most_one_error_line(tmp_path):
+    original = {"dim": 2, "matrices": [[0.5, 0.0, 0.0, 0.5, 0.0, -0.5, 0.5, 0.0]]}
+    check_mutants(original, tmp_path / "mats.json", lambda path: exits_with_at_most_one_error_line(
+        ["moments", "map", "--n", "1", "--d", "2", "--matrices", path]))

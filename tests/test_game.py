@@ -153,8 +153,16 @@ def test_strategy_round_trip():
 
 
 def test_load_rejects_degenerate_k():
-    with pytest.raises(ValidationError, match="k must be >= 1"):
+    with pytest.raises(ParseError, match="k must be an integer >= 1, got 0"):
         load_game('{"k": 0, "n": 2, "pi": [], "wins": []}')
+
+
+def test_load_reads_integral_float_counts_as_integers():
+    text = save_game(chsh_game()).replace('"k": 2', '"k": 2.0').replace('"n": 2', '"n": 2.0')
+    assert load_game(text) == chsh_game()
+    for bad in ("2.5", "true", '"x"'):
+        with pytest.raises(ParseError, match="k must be an integer >= 1"):
+            load_game(save_game(chsh_game()).replace('"k": 2', f'"k": {bad}'))
 
 
 def test_load_rejects_malformed_json():
@@ -195,7 +203,8 @@ def test_game_arrays_immutable():
 
 
 def test_load_rejects_non_numeric_arrays():
-    for pi in ('[["x", 0.25], [0.25, 0.25]]', '[[0.5], [0.25, 0.25]]', '[[{}, 0.25], [0.25, 0.25]]'):
+    for pi in ('[["x", 0.25], [0.25, 0.25]]', '[[0.5], [0.25, 0.25]]', '[[{}, 0.25], [0.25, 0.25]]',
+               '[["0.25", 0.25], [0.25, 0.25]]', '[[true, 0.25], [0.25, 0.25]]'):
         with pytest.raises(ParseError, match="'pi' must be a numeric array"):
             load_game(f'{{"k": 2, "n": 2, "pi": {pi}, "wins": []}}')
     with pytest.raises(ParseError, match="'p' must be a numeric array"):

@@ -518,9 +518,19 @@ def test_spec_file_round_trip_commuting():
 
 def test_load_spec_rejects_non_numeric_fields():
     obj = json.loads(save_spec(chsh_optimal_spec()))
-    for field, bad in (("dim_alice", "x"), ("state", ["x", 0.0])):
-        with pytest.raises(ParseError, match="malformed field"):
+    for field, bad, message in (("dim_alice", "x", "dim_alice must be an integer >= 1"),
+                                ("state", ["x", 0.0], "'state' must be a numeric array")):
+        with pytest.raises(ParseError, match=message):
             load_spec(json.dumps(dict(obj, **{field: bad})))
+
+
+def test_load_spec_rejects_nested_interleaved_state():
+    # Same 8 numbers as the flat state, but split per amplitude: a reader
+    # that flattens would load a different vector.
+    obj = json.loads(save_spec(chsh_optimal_spec()))
+    nested = [obj["state"][i:i + 2] for i in range(0, 8, 2)]
+    with pytest.raises(ParseError, match=r"spec file: 'state' must be a numeric array of shape \(8,\)"):
+        load_spec(json.dumps(dict(obj, state=nested)))
 
 
 @pytest.mark.parametrize("field, bad", [("dim_alice", 0), ("dim_bob", 0), ("n_outcomes", 0),

@@ -7,11 +7,15 @@ import pytest
 from nlv import data_path
 from nlv.errors import MachineHaltedError, ParseError, ValidationError
 from nlv.tm import (NDTM, BLANK, BudgetExceeded, Configuration, Halted,
-                    NdtmResult, TuringMachine, clamp_machine, copier_machine,
-                    dense_table, extract_output, load_machine, looper_machine,
+                    NdtmResult, TuringMachine, dense_table, extract_output, load_machine,
                     ndtm_accepts, run, save_machine, step)
 
 DATA = Path(__file__).parent / "data"
+
+
+def bundled(name):
+    """One of the bundled machines: copier, looper or clamp."""
+    return load_machine(data_path(f"{name}.json").read_text())
 
 
 def halt_default(halt_state):
@@ -37,7 +41,7 @@ def test_immediate_halt_one_step():
 
 
 def test_left_move_clamps_at_edge():
-    machine = clamp_machine()
+    machine = bundled("clamp")
     config = Configuration.initial("edge", "")
     step(machine, config)
     assert config.heads == [0, 0, 0]
@@ -53,7 +57,7 @@ def test_step_rejects_halted_configuration():
 
 
 def test_step_never_writes_input_tape():
-    machine = copier_machine()
+    machine = bundled("copier")
     config = Configuration.initial("go", "1011")
     reference = ["^", "1", "0", "1", "1"]
     while config.state != "halt":
@@ -71,7 +75,7 @@ def test_step_never_writes_input_tape():
     ("1011", "1011", 6, "copier_trace_1011.txt"),
 ])
 def test_copier_golden_traces(text, expected, steps, golden):
-    result = run(copier_machine(), text, 100, trace=True)
+    result = run(bundled("copier"), text, 100, trace=True)
     assert isinstance(result, Halted)
     assert result.output == expected
     assert result.steps == steps
@@ -80,44 +84,42 @@ def test_copier_golden_traces(text, expected, steps, golden):
 
 
 def test_looper_budget_exceeded():
-    result = run(looper_machine(), "1", 10_000)
+    result = run(bundled("looper"), "1", 10_000)
     assert isinstance(result, BudgetExceeded)
     assert result.steps == 10_000
 
 
 def test_run_rejects_zero_budget():
     with pytest.raises(ValidationError):
-        run(copier_machine(), "1", 0)
+        run(bundled("copier"), "1", 0)
 
 
 def test_run_rejects_non_binary_input():
     with pytest.raises(ValidationError):
-        run(copier_machine(), "10x", 10)
+        run(bundled("copier"), "10x", 10)
 
 
 def test_run_deterministic_full_trace():
-    a = run(copier_machine(), "1011", 100, trace=True)
-    b = run(copier_machine(), "1011", 100, trace=True)
+    a = run(bundled("copier"), "1011", 100, trace=True)
+    b = run(bundled("copier"), "1011", 100, trace=True)
     assert a == b
 
 
 def test_budget_monotonicity():
-    small = run(copier_machine(), "1011", 6)
-    large = run(copier_machine(), "1011", 5000)
+    small = run(bundled("copier"), "1011", 6)
+    large = run(bundled("copier"), "1011", 5000)
     assert isinstance(small, Halted) and isinstance(large, Halted)
     assert small.output == large.output
     assert small.steps == large.steps
-    under = run(copier_machine(), "1011", 5)
+    under = run(bundled("copier"), "1011", 5)
     assert isinstance(under, BudgetExceeded)
 
 
 # -- machine files -----------------------------------------------------------
 
 def test_bundled_machines_round_trip():
-    for name, builder in (("copier", copier_machine), ("looper", looper_machine),
-                          ("clamp", clamp_machine)):
+    for name in ("copier", "looper", "clamp"):
         text = data_path(f"{name}.json").read_text()
-        assert load_machine(text) == builder()
         assert save_machine(load_machine(text)) == text
 
 
