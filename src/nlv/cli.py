@@ -169,7 +169,7 @@ def _run_sync_lb(args):
         game, dim=args.dim, restarts=args.restarts, seed=args.seed, iters=args.iters)
     family_file = None
     if args.family_out:
-        rows = [[interleave(mat) for mat in fam.outcomes] for fam in family.families]
+        rows = [[interleave(mat) for mat in fam] for fam in family.families]
         Path(args.family_out).write_text(json.dumps(
             {"dim": family.d, "n_outcomes": family.n, "families": rows}, indent=2) + "\n")
         family_file = args.family_out

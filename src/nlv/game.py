@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import data_path
 from .errors import (CapExceededError, DimensionMismatchError, ParseError, Report, ValidationError,
                      read_array, read_count, read_field, read_object)
 from .rng import generator
@@ -229,17 +230,7 @@ def save_strategy(strategy: Strategy) -> str:
 
 
 def chsh_game() -> Game:
-    """The 2-question, 2-answer game with uniform question pairs where the
-    players must agree unless both questions are 2, in which case they must
-    disagree."""
-    pi = np.full((2, 2), 0.25)
-    wins = np.zeros((2, 2, 2, 2))
-    for x in range(2):
-        for y in range(2):
-            for a in range(2):
-                for b in range(2):
-                    if x == 1 and y == 1:
-                        wins[x, y, a, b] = 1.0 if a != b else 0.0
-                    else:
-                        wins[x, y, a, b] = 1.0 if a == b else 0.0
-    return Game(k=2, n=2, pi=pi, wins=wins)
+    """The bundled ``chsh.json``: 2 questions and 2 answers, uniform question
+    pairs, and the players must agree unless both questions are 2, in which
+    case they must disagree."""
+    return load_game(data_path("chsh.json").read_text())

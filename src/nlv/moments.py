@@ -26,6 +26,7 @@ CLOUD_CAP = 5_000_000
 CONTRACTION_TOL = 1e-9
 CHUNK_BYTES = 8 << 20
 MAX_MATRIX_DIM = 1024   # p for clouds: one sampled p x p matrix is 16 p^2 bytes
+MAX_TUPLE_BYTES = 256 << 20   # bytes of matrices one tuple holds at once, see _tuple_bytes
 
 
 @dataclass(frozen=True)
@@ -62,9 +63,9 @@ def monomial_count(n: int, d: int) -> int:
 def _check_degree(n: int, d: int) -> None:
     if n < 1 or d < 1:
         raise ValidationError("need n >= 1 and d >= 1")
-    if (2 * n) ** d > WORD_CAP:
-        raise CapExceededError(
-            f"(2n)^d = {(2 * n) ** d} exceeds monomial cap {WORD_CAP}")
+    # 2n >= 2, so a d past WORD_CAP's bit length is over it without the power.
+    if d > WORD_CAP.bit_length() or (2 * n) ** d > WORD_CAP:
+        raise CapExceededError(f"(2n)^d = {2 * n}^{d} exceeds monomial cap {WORD_CAP}")
 
 
 def enumerate_monomials(n: int, d: int) -> list[Monomial]:
@@ -123,6 +124,10 @@ def _moments(tuples: np.ndarray, d: int) -> np.ndarray:
     """
     n, p = tuples.shape[1:3]
     _check_degree(n, d)
+    held = _tuple_bytes(n, d, p)
+    if held > MAX_TUPLE_BYTES:
+        raise CapExceededError(f"one tuple at n = {n}, d = {d}, p = {p} needs {held} bytes "
+                               f"exceeding cap {MAX_TUPLE_BYTES}")
     norms = np.linalg.norm(tuples, 2, axis=(-2, -1))
     over = np.argwhere(norms > 1.0 + CONTRACTION_TOL)
     if over.size:
@@ -192,13 +197,15 @@ def random_contractions(n: int, p: int, rng: np.random.Generator) -> list[np.nda
     return list(_draw_contractions(1, n, p, rng)[0])
 
 
+def _tuple_bytes(n: int, d: int, p: int) -> int:
+    """Bytes one tuple holds at most, in the draw and in ``_moments``: its
+    draw (4n matrices' worth), letters and products shorter than d."""
+    return (4 * n + monomial_count(n, d - 1)) * 16 * p * p
+
+
 def _chunk_size(n: int, d: int, p: int) -> int:
-    """Tuples per batched pass, so that a chunk's matrices at the widest
-    point of the draw and of ``_moments`` fit in ``CHUNK_BYTES``.  A tuple
-    holds at most its draw (4n matrices' worth), its letters and every
-    product shorter than d: 4n + monomial_count(n, d - 1) p x p matrices."""
-    held = 4 * n + monomial_count(n, d - 1)
-    return max(1, CHUNK_BYTES // (held * p * p * 16))
+    """Tuples per batched pass: as many as fit in ``CHUNK_BYTES``."""
+    return max(1, CHUNK_BYTES // _tuple_bytes(n, d, p))
 
 
 def sample_moment_cloud(n: int, d: int, p: int, count: int, seed: int) -> list[MomentVector]:
@@ -211,6 +218,7 @@ def sample_moment_cloud(n: int, d: int, p: int, count: int, seed: int) -> list[M
         raise ValidationError("need p >= 1 and count >= 0")
     if p > MAX_MATRIX_DIM:
         raise CapExceededError(f"matrix dimension p = {p} exceeds cap {MAX_MATRIX_DIM}")
+    _check_degree(n, d)
     length = monomial_count(n, d)
     if count * max(length, 1) > CLOUD_CAP:
         raise CapExceededError(

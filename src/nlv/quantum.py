@@ -57,6 +57,26 @@ def check_state(state, tol: float = MEASUREMENT_TOL) -> np.ndarray:
     return vec
 
 
+def _frozen_stack(items, what: str, ndim: int) -> np.ndarray:
+    """Equal-shape ``ndim``-dimensional items ending in square matrices, as
+    one read-only complex array over a new first axis; ``what`` names an
+    item in errors."""
+    shapes = [np.shape(item) for item in items]
+    if not shapes:
+        raise ValidationError(f"need at least one {what}")
+    for i, shape in enumerate(shapes, 1):
+        if len(shape) != ndim or shape[-1] != shape[-2]:
+            kind = ("a square matrix", "a stack of square matrices")[ndim - 2]
+            raise ValidationError(f"{what} {i} is not {kind}")
+        if shape[-1] != shapes[0][-1]:
+            raise ValidationError(f"{what} {i} has dim {shape[-1]}, expected {shapes[0][-1]}")
+        if shape != shapes[0]:
+            raise ValidationError(f"{what} {i} has {shape[0]} outcomes, expected {shapes[0][0]}")
+    stack = as_complex(items).copy()
+    stack.setflags(write=False)
+    return stack
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementFamily:
     """An n-outcome measurement: positive operators summing to the identity
@@ -71,18 +91,7 @@ class MeasurementFamily:
     def __post_init__(self):
         if self.flavor not in (POVM, PVM):
             raise ValidationError(f"flavor must be '{POVM}' or '{PVM}', got {self.flavor!r}")
-        shapes = [np.shape(raw) for raw in self.outcomes]
-        if not shapes:
-            raise ValidationError("measurement needs at least one outcome")
-        for i, shape in enumerate(shapes):
-            if len(shape) != 2 or shape[0] != shape[1]:
-                raise ValidationError(f"outcome {i + 1} is not a square matrix")
-            if shape != shapes[0]:
-                raise ValidationError(
-                    f"outcome {i + 1} has dim {shape[0]}, expected {shapes[0][0]}")
-        mats = as_complex(self.outcomes).copy()
-        mats.setflags(write=False)
-        object.__setattr__(self, "outcomes", mats)
+        object.__setattr__(self, "outcomes", _frozen_stack(self.outcomes, "outcome", 2))
 
     @property
     def dim(self) -> int:
@@ -93,53 +102,60 @@ class MeasurementFamily:
         return self.outcomes.shape[0]
 
 
-# Per-outcome checks of validate_measurement: message, and the sign that
-# turns the reported number into the size of the violation.
+def stack_families(families, measurement: str) -> np.ndarray:
+    """k families as one read-only (k, n, d, d) complex array: ``families``
+    is such an array, a sequence of (n, d, d) stacks, or a sequence of
+    :class:`MeasurementFamily` objects flavored ``measurement``."""
+    if measurement not in (POVM, PVM):
+        raise ValidationError(f"measurement must be '{POVM}' or '{PVM}', got {measurement!r}")
+    for x, fam in enumerate(families):
+        if isinstance(fam, MeasurementFamily) and fam.flavor != measurement:
+            raise ValidationError(f"family {x + 1} must be flavored '{measurement}'")
+    return _frozen_stack([fam.outcomes if isinstance(fam, MeasurementFamily) else fam
+                          for fam in families], "family", 3)
+
+
+# Per-outcome checks of the measurement validators: message, and the sign
+# that turns the reported number into the size of the violation.
 _DEFECTS = (("not self-adjoint: residual", 1.0), ("not positive: eigenvalue", -1.0),
             ("not idempotent: residual", 1.0))
 
 
-def validate_measurement(family: MeasurementFamily, tol: float = MEASUREMENT_TOL) -> Report:
-    """Check the flavor-specific invariants, reporting the worst violation.
+def validate_stack(stack: np.ndarray, measurement: str, label: str,
+                   tol: float = MEASUREMENT_TOL) -> Report:
+    """Check every family of a (k, n, d, d) stack in one batched pass.
 
     POVM: every element self-adjoint with smallest eigenvalue >= -tol, and
-    the elements sum to the identity within tol.  PVM: additionally each
-    element squares to itself within tol (which forces pairwise
-    orthogonality).
+    each family's elements sum to the identity within tol.  PVM:
+    additionally each element squares to itself within tol (which forces
+    pairwise orthogonality).  Violations are listed by family, then
+    outcome, with family x's lines prefixed by ``label.format(x + 1)``.
     """
-    mats = family.outcomes
-    sizes = [np.max(np.abs(mats - dagger(mats)), axis=(1, 2)),
-             -np.linalg.eigvalsh(mats)[:, 0]]
-    if family.flavor == PVM:
-        sizes.append(np.max(np.abs(mats @ mats - mats), axis=(1, 2)))
-    sizes = np.stack(sizes, axis=1)                        # [outcome, check]
+    sizes = [np.max(np.abs(stack - dagger(stack)), axis=(-2, -1)),
+             -np.linalg.eigvalsh(stack)[..., 0]]
+    if measurement == PVM:
+        sizes.append(np.max(np.abs(stack @ stack - stack), axis=(-2, -1)))
+    sizes = np.stack(sizes, axis=-1)                       # [family, outcome, check]
+    completeness = np.max(np.abs(stack.sum(axis=1) - identity(stack.shape[-1])), axis=(-2, -1))
+    failed = sizes > tol
     violations, worst = [], 0.0
-    for i, c in np.argwhere(sizes > tol):
-        what, sign = _DEFECTS[c]
-        size = float(sizes[i, c])
-        worst = max(worst, size)
-        violations.append(f"outcome {i + 1} {what} {sign * size:.3g}")
-    completeness = float(np.max(np.abs(mats.sum(axis=0) - identity(family.dim))))
-    if completeness > tol:
-        worst = max(worst, completeness)
-        violations.append(f"completeness residual {completeness:.3g}")
+    for x in np.flatnonzero(failed.any(axis=(1, 2)) | (completeness > tol)):
+        prefix = label.format(x + 1)
+        for i, c in np.argwhere(failed[x]):
+            what, sign = _DEFECTS[c]
+            size = float(sizes[x, i, c])
+            worst = max(worst, size)
+            violations.append(f"{prefix}outcome {i + 1} {what} {sign * size:.3g}")
+        if completeness[x] > tol:
+            worst = max(worst, float(completeness[x]))
+            violations.append(f"{prefix}completeness residual {completeness[x]:.3g}")
     return Report(ok=not violations, violations=tuple(violations), worst=worst)
 
 
-def family_violations(labelled, tol: float = MEASUREMENT_TOL) -> tuple[list[str], float]:
-    """:func:`validate_measurement` over ``(label, family)`` pairs: every
-    violation line prefixed by its family's label, and the worst size."""
-    violations, worst = [], 0.0
-    for label, fam in labelled:
-        report = validate_measurement(fam, tol=tol)
-        worst = max(worst, report.worst)
-        violations.extend(f"{label}: {v}" for v in report.violations)
-    return violations, worst
-
-
-def stack_outcomes(families) -> np.ndarray:
-    """Outcome operators of same-shape families as one (k, n, d, d) array."""
-    return np.array([fam.outcomes for fam in families])
+def validate_measurement(family: MeasurementFamily, tol: float = MEASUREMENT_TOL) -> Report:
+    """Check the flavor-specific invariants of one family (see
+    :func:`validate_stack`), reporting the worst violation."""
+    return validate_stack(family.outcomes[None], family.flavor, "", tol)
 
 
 def born_probabilities(family: MeasurementFamily, state) -> np.ndarray:
@@ -171,6 +187,9 @@ def collapse_state(family: MeasurementFamily, outcome: int, state) -> np.ndarray
 class QuantumStrategySpec:
     """Shared state plus per-question measurement families for both players.
 
+    ``alice`` and ``bob`` each hold a player's k families as one read-only
+    (k, n, d, d) complex array, built by :func:`stack_families` from any
+    form it takes; every family is a ``measurement`` ("povm" or "pvm").
     ``flavor == "tensor"``: Alice's families act on her factor, Bob's on
     his, and the state lives on the product space.  ``flavor ==
     "commuting"``: all families act on one common space and every Alice
@@ -179,31 +198,25 @@ class QuantumStrategySpec:
 
     flavor: str
     state: np.ndarray
-    alice: tuple[MeasurementFamily, ...]
-    bob: tuple[MeasurementFamily, ...]
+    alice: np.ndarray
+    bob: np.ndarray
+    measurement: str = PVM
 
     def __post_init__(self):
         if self.flavor not in (TENSOR, COMMUTING):
             raise ValidationError(
                 f"flavor must be '{TENSOR}' or '{COMMUTING}', got {self.flavor!r}")
-        alice = tuple(self.alice)
-        bob = tuple(self.bob)
-        if not alice or len(alice) != len(bob):
-            raise ValidationError("need the same nonzero number of families per player")
-        n = alice[0].n_outcomes
-        for fam in alice + bob:
-            if fam.n_outcomes != n:
-                raise ValidationError("all families must have the same number of outcomes")
-        for side in (alice, bob):
-            for fam in side:
-                if fam.dim != side[0].dim:
-                    raise ValidationError("families of one player must share a dimension")
+        alice = stack_families(self.alice, self.measurement)
+        bob = stack_families(self.bob, self.measurement)
+        if alice.shape[:2] != bob.shape[:2]:
+            raise ValidationError("both players need the same numbers of families and outcomes")
         state = as_complex(self.state)
         if state.ndim != 1:
             raise ValidationError("state must be a vector")
-        expected = (alice[0].dim * bob[0].dim if self.flavor == TENSOR else alice[0].dim)
-        if self.flavor == COMMUTING and alice[0].dim != bob[0].dim:
+        d_a, d_b = alice.shape[-1], bob.shape[-1]
+        if self.flavor == COMMUTING and d_a != d_b:
             raise ValidationError("commuting flavor needs both players on one space")
+        expected = d_a * d_b if self.flavor == TENSOR else d_a
         if state.shape[0] != expected:
             raise ValidationError(f"state dim {state.shape[0]} != expected {expected}")
         state = state.copy()
@@ -214,36 +227,35 @@ class QuantumStrategySpec:
 
     @property
     def k(self) -> int:
-        return len(self.alice)
+        return self.alice.shape[0]
 
     @property
     def n(self) -> int:
-        return self.alice[0].n_outcomes
+        return self.alice.shape[1]
 
     @property
     def dims(self) -> tuple[int, int]:
-        return self.alice[0].dim, self.bob[0].dim
+        return self.alice.shape[-1], self.bob.shape[-1]
 
 
 def validate_spec(spec: QuantumStrategySpec, tol: float = MEASUREMENT_TOL) -> Report:
-    """Validate state, all families, and (for commuting flavor) that every
-    Alice element commutes with every Bob element in Frobenius norm."""
+    """Validate state, each player's families in one batched pass (see
+    :func:`validate_stack`), and (for commuting flavor) that every Alice
+    element commutes with every Bob element in Frobenius norm."""
     violations = []
     worst = 0.0
     norm = float(np.linalg.norm(spec.state))
     if abs(norm - 1.0) > tol:
         worst = max(worst, abs(norm - 1.0))
         violations.append(f"state norm {norm:.9g} != 1")
-    lines, family_worst = family_violations(
-        (f"{label} family {x + 1}", fam)
-        for label, side in (("alice", spec.alice), ("bob", spec.bob))
-        for x, fam in enumerate(side))
-    violations.extend(lines)
-    worst = max(worst, family_worst)
+    for player, stack in (("alice", spec.alice), ("bob", spec.bob)):
+        report = validate_stack(stack, spec.measurement, player + " family {}: ", tol)
+        violations.extend(report.violations)
+        worst = max(worst, report.worst)
     if spec.flavor == COMMUTING:
         # residual[x, a, y, b]: Frobenius norm of [A^x_a, B^y_b].
-        alice = stack_outcomes(spec.alice)[:, :, None, None]
-        bob = stack_outcomes(spec.bob)[None, None]
+        alice = spec.alice[:, :, None, None]
+        bob = spec.bob[None, None]
         residual = np.linalg.norm(alice @ bob - bob @ alice, axis=(-2, -1))
         for x, a, y, b in np.argwhere(residual > tol):
             worst = max(worst, float(residual[x, a, y, b]))
@@ -261,7 +273,7 @@ def quantum_correlation(spec: QuantumStrategySpec) -> Strategy:
     operator product Alice_a Bob_b.
     """
     validate_spec(spec).raise_if_failed("strategy spec")
-    alice, bob = stack_outcomes(spec.alice), stack_outcomes(spec.bob)
+    alice, bob = spec.alice, spec.bob
     if spec.flavor == TENSOR:
         psi = spec.state.reshape(spec.dims)
         p = np.einsum("im,xaik,ybmj,kj->xyab", psi.conj(), alice, bob, psi)
@@ -274,18 +286,16 @@ def quantum_correlation(spec: QuantumStrategySpec) -> Strategy:
     return Strategy(k=spec.k, n=spec.n, p=p.real)
 
 
-def diagonal_pvm(answers, n: int) -> MeasurementFamily:
-    """Diagonal n-outcome PVM on len(answers) dimensions that sends basis
-    vector i to the 1-based outcome ``answers[i]``: outcome a projects
-    onto the coordinates answering a."""
+def diagonal_pvm(answers, n: int) -> np.ndarray:
+    """Diagonal n-outcome PVMs sending basis vector i to the 1-based outcome
+    answers[..., i]: for a (..., m) answer array, the (..., n, m, m) stack
+    whose outcome a projects onto the coordinates answering a."""
     answers = np.asarray(answers, dtype=np.int64)
     outside = answers[(answers < 1) | (answers > n)]
     if outside.size:
         raise ValidationError(f"answer {outside[0]} out of range [1..{n}]")
-    outcomes = np.zeros((n, answers.size, answers.size), dtype=np.complex128)
-    coords = np.arange(answers.size)
-    outcomes[answers - 1, coords, coords] = 1.0
-    return MeasurementFamily(outcomes=outcomes, flavor=PVM)
+    chosen = answers[..., None, :] == np.arange(1, n + 1)[:, None]     # [..., a, i]
+    return chosen[..., None] * identity(answers.shape[-1])
 
 
 def embed_deterministic(d: DeterministicStrategy, k: int, n: int,
@@ -300,8 +310,8 @@ def embed_deterministic(d: DeterministicStrategy, k: int, n: int,
     return QuantumStrategySpec(
         flavor=TENSOR,
         state=state,
-        alice=tuple(diagonal_pvm([answer] * dim, n) for answer in d.alice),
-        bob=tuple(diagonal_pvm([answer] * dim, n) for answer in d.bob))
+        alice=diagonal_pvm(np.repeat(np.array(d.alice)[:, None], dim, axis=1), n),
+        bob=diagonal_pvm(np.repeat(np.array(d.bob)[:, None], dim, axis=1), n))
 
 
 def embed_local(mixture: list[tuple[float, DeterministicStrategy]], k: int,
@@ -326,10 +336,11 @@ def embed_local(mixture: list[tuple[float, DeterministicStrategy]], k: int,
     state = np.zeros(m * m, dtype=np.complex128)
     for label, weight in enumerate(weights):
         state[label * m + label] = np.sqrt(weight)
+    # Row x of each answer array: every mixture member's answer to question x.
     return QuantumStrategySpec(
         flavor=TENSOR, state=state,
-        alice=tuple(diagonal_pvm([det.alice[x] for _, det in mixture], n) for x in range(k)),
-        bob=tuple(diagonal_pvm([det.bob[x] for _, det in mixture], n) for x in range(k)))
+        alice=diagonal_pvm(np.array([det.alice for _, det in mixture]).T, n),
+        bob=diagonal_pvm(np.array([det.bob for _, det in mixture]).T, n))
 
 
 def naimark_dilate(family: MeasurementFamily) -> tuple[MeasurementFamily, np.ndarray]:
@@ -348,7 +359,8 @@ def naimark_dilate(family: MeasurementFamily) -> tuple[MeasurementFamily, np.nda
     if residual > MEASUREMENT_TOL:
         raise ValidationError(f"dilation isometry residual {residual:.3g}")
     # Outcome a projects onto the slots kron(e_i, e_a): coordinate i*n + a.
-    return diagonal_pvm(np.arange(dim * n) % n + 1, n), isometry
+    return MeasurementFamily(outcomes=diagonal_pvm(np.arange(dim * n) % n + 1, n),
+                             flavor=PVM), isometry
 
 
 def epr_state() -> np.ndarray:
@@ -386,6 +398,12 @@ def block_projectors(u: np.ndarray, n: int) -> np.ndarray:
     columns in block a of a near-equal split: the first d % n blocks get
     one column more, and blocks are empty (zero projections) when n > d."""
     return np.array([cols @ dagger(cols) for cols in np.array_split(u, n, axis=1)])
+
+
+def random_block_families(k: int, n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The searches' random start: a (k, n, dim, dim) stack whose family x
+    is :func:`block_projectors` of the x-th Haar unitary drawn from ``rng``."""
+    return np.array([block_projectors(random_unitary(dim, rng), n) for _ in range(k)])
 
 
 def best_response(weights: np.ndarray, current: np.ndarray) -> np.ndarray:
@@ -436,8 +454,8 @@ def _seesaw(game: Game, dim: int, rng: np.random.Generator,
     ``iters`` rounds."""
     k, n = game.k, game.n
     v = payoff(game)
-    alice = np.array([block_projectors(random_unitary(dim, rng), n) for _ in range(k)])
-    bob = np.array([block_projectors(random_unitary(dim, rng), n) for _ in range(k)])
+    alice = random_block_families(k, n, dim, rng)
+    bob = random_block_families(k, n, dim, rng)
     last = -np.inf
     op = _game_operator(v, alice, bob)
     for _ in range(iters):
@@ -454,11 +472,7 @@ def _seesaw(game: Game, dim: int, rng: np.random.Generator,
         if current <= last + 1e-12:
             break
         last = current
-    return QuantumStrategySpec(
-        flavor=TENSOR,
-        state=psi,
-        alice=tuple(MeasurementFamily(outcomes=fam, flavor=PVM) for fam in alice),
-        bob=tuple(MeasurementFamily(outcomes=fam, flavor=PVM) for fam in bob))
+    return QuantumStrategySpec(flavor=TENSOR, state=psi, alice=alice, bob=bob)
 
 
 def seesaw_search(game: Game, dim: int, restarts: int, seed: int, iters: int,
@@ -489,25 +503,24 @@ def seesaw_search(game: Game, dim: int, restarts: int, seed: int, iters: int,
 
 
 def entangled_lower_bound(game: Game, dim: int, restarts: int, seed: int,
-                          iters: int = 60,
-                          seed_classical: bool = True) -> tuple[float, QuantumStrategySpec]:
+                          iters: int = 60) -> tuple[float, QuantumStrategySpec]:
     """Best tensor-flavor strategy of local dimensions (dim, dim) found by
     seeded see-saw restarts; returns its exact re-evaluated game value.
 
     The value is a certified lower bound on the entangled value because the
     returned spec reproduces it through quantum_correlation + game_value.
-    When ``seed_classical`` is set and exact enumeration is affordable, the
-    deterministic optimum embedded at dimension ``dim`` joins the candidate
-    pool, so the result also dominates the classical value.  Deterministic
-    in ``seed``; restarts are independent and merged by max with ties going
-    to the earliest candidate.
+    When exact enumeration is affordable, the deterministic optimum
+    embedded at dimension ``dim`` joins the candidate pool, so the result
+    also dominates the classical value.  Deterministic in ``seed``;
+    restarts are independent and merged by max with ties going to the
+    earliest candidate.
     """
     if dim * dim > MAX_STATE_DIM:
         raise CapExceededError(
             f"dim^2 = {dim * dim} exceeds the entangled search cap {MAX_STATE_DIM}")
 
     def seeds() -> list[QuantumStrategySpec]:
-        if not seed_classical or game.n ** game.k > SEED_ENUMERATION_CAP:
+        if game.n ** game.k > SEED_ENUMERATION_CAP:
             return []
         _, argmax = classical_value(game)
         return [embed_deterministic(argmax, game.k, game.n, dim)]
@@ -523,10 +536,9 @@ def entangled_lower_bound(game: Game, dim: int, restarts: int, seed: int,
 def save_spec(spec: QuantumStrategySpec) -> str:
     """Serialize a strategy spec to JSON with every complex array stored as
     a flat interleaved [re, im, re, im, ...] list in row-major order."""
-    def side(families: tuple[MeasurementFamily, ...]):
-        return [{"flavor": fam.flavor,
-                 "outcomes": [interleave(mat) for mat in fam.outcomes]}
-                for fam in families]
+    def side(stack: np.ndarray):
+        return [{"flavor": spec.measurement, "outcomes": [interleave(mat) for mat in fam]}
+                for fam in stack]
 
     obj = {
         "flavor": spec.flavor,
@@ -549,18 +561,22 @@ def load_spec(text: str) -> QuantumStrategySpec:
     state = deinterleave(read_field(obj, "state", list, where),
                          (d_a * d_b if flavor == TENSOR else d_a,), f"{where}: 'state'")
 
+    flavors = set()
+
     def side(key, dim):
         families = []
         for x, entry in enumerate(read_field(obj, key, list, where)):
             at = f"{where}: {key}[{x}]"
-            outcomes = tuple(deinterleave(values, (dim, dim), f"{at} outcome {a + 1}")
-                             for a, values in enumerate(read_field(entry, "outcomes", list, at)))
-            families.append(MeasurementFamily(outcomes=outcomes,
-                                              flavor=read_field(entry, "flavor", str, at)))
-        return tuple(families)
+            flavors.add(read_field(entry, "flavor", str, at))
+            outcomes = read_field(entry, "outcomes", list, at)
+            if len(outcomes) != n:
+                raise ParseError(f"{where}: outcome count mismatch")
+            families.append([deinterleave(values, (dim, dim), f"{at} outcome {a + 1}")
+                             for a, values in enumerate(outcomes)])
+        return families
 
     alice, bob = side("alice", d_a), side("bob", d_b)
-    for fam in alice + bob:
-        if fam.n_outcomes != n:
-            raise ParseError(f"{where}: outcome count mismatch")
-    return QuantumStrategySpec(flavor=flavor, state=state, alice=alice, bob=bob)
+    if len(flavors) > 1:
+        raise ParseError(f"{where}: families mix flavors {sorted(flavors)}")
+    return QuantumStrategySpec(flavor=flavor, state=state, alice=alice, bob=bob,
+                               measurement=flavors.pop() if flavors else PVM)

@@ -19,9 +19,9 @@ import numpy as np
 from .classical import SEED_ENUMERATION_CAP
 from .errors import CapExceededError, DefectTooLargeError, Report, ValidationError
 from .game import Game, Strategy
-from .linalg import dagger, frobenius, identity, random_unitary
-from .quantum import (POVM, PVM, MeasurementFamily, best_response, block_projectors, diagonal_pvm,
-                      family_violations, payoff, seesaw_search, stack_outcomes)
+from .linalg import dagger, frobenius, identity
+from .quantum import (POVM, PVM, MeasurementFamily, best_response, diagonal_pvm, payoff,
+                      random_block_families, seesaw_search, stack_families, validate_stack)
 from .rng import generator
 
 REPAIR_DEFECT_CAP = 0.1
@@ -30,42 +30,31 @@ MAX_FAMILY_DIM = 1024  # d for the synchronous search: each best response is a d
 
 @dataclass(frozen=True, eq=False)
 class TracialPVMFamily:
-    """k families of n projections in a common matrix dimension d."""
+    """k families of n projections in a common matrix dimension d, held as
+    one read-only (k, n, d, d) complex array and built by
+    :func:`~nlv.quantum.stack_families` with measurement "pvm"."""
 
-    families: tuple[MeasurementFamily, ...]
+    families: np.ndarray
 
     def __post_init__(self):
-        families = tuple(self.families)
-        if not families:
-            raise ValidationError("need at least one question family")
-        d = families[0].dim
-        n = families[0].n_outcomes
-        for x, fam in enumerate(families):
-            if fam.flavor != PVM:
-                raise ValidationError(f"family {x + 1} must be flavored '{PVM}'")
-            if fam.dim != d or fam.n_outcomes != n:
-                raise ValidationError(
-                    f"family {x + 1} has shape (dim {fam.dim}, {fam.n_outcomes} outcomes), "
-                    f"expected (dim {d}, {n} outcomes)")
-        object.__setattr__(self, "families", families)
+        object.__setattr__(self, "families", stack_families(self.families, PVM))
 
     @property
     def d(self) -> int:
-        return self.families[0].dim
+        return self.families.shape[-1]
 
     @property
     def k(self) -> int:
-        return len(self.families)
+        return self.families.shape[0]
 
     @property
     def n(self) -> int:
-        return self.families[0].n_outcomes
+        return self.families.shape[1]
 
 
 def validate_family(family: TracialPVMFamily, tol: float = 1e-9) -> Report:
-    violations, worst = family_violations(
-        ((f"family {x + 1}", fam) for x, fam in enumerate(family.families)), tol)
-    return Report(ok=not violations, violations=tuple(violations), worst=worst)
+    """Check every family as a PVM in one batched pass."""
+    return validate_stack(family.families, PVM, "family {}: ", tol)
 
 
 def tracial_correlation(family: TracialPVMFamily) -> Strategy:
@@ -76,7 +65,7 @@ def tracial_correlation(family: TracialPVMFamily) -> Strategy:
     mass, and cyclicity of the trace gives p(a, b | x, y) = p(b, a | y, x).
     """
     validate_family(family).raise_if_failed("tracial PVM family")
-    f = stack_outcomes(family.families)
+    f = family.families
     p = np.einsum("xaij,ybji->xyab", f, f) / family.d
     worst_imag = float(np.max(np.abs(p.imag)))
     if worst_imag > 1e-9:
@@ -87,17 +76,14 @@ def tracial_correlation(family: TracialPVMFamily) -> Strategy:
 def scalar_family(assignment: tuple[int, ...], n: int, d: int) -> TracialPVMFamily:
     """Deterministic synchronous family: question x answers assignment[x]
     with certainty (the identity sits on that outcome, zero elsewhere)."""
-    return TracialPVMFamily(families=tuple(diagonal_pvm([answer] * d, n)
-                                           for answer in assignment))
+    return TracialPVMFamily(
+        families=diagonal_pvm(np.repeat(np.array(assignment)[:, None], d, axis=1), n))
 
 
 def random_tracial_family(k: int, n: int, d: int, seed: int) -> TracialPVMFamily:
     """Test-corpus generator: each question family conjugates the near-equal
     coordinate block PVM by an independent random unitary."""
-    rng = generator(seed)
-    return TracialPVMFamily(families=tuple(
-        MeasurementFamily(outcomes=block_projectors(random_unitary(d, rng), n), flavor=PVM)
-        for _ in range(k)))
+    return TracialPVMFamily(families=random_block_families(k, n, d, generator(seed)))
 
 
 def _best_scalar_assignment(game: Game) -> tuple[float, tuple[int, ...]] | None:
@@ -132,7 +118,7 @@ def _sync_seesaw(game: Game, d: int, rng: np.random.Generator,
     coupling[np.arange(k), np.arange(k)] = 0.0
     # same[x, a] = (V[x, x, a, a] / d) I, the same-question weight.
     same = np.einsum("xxaa,ij->xaij", v, identity(d)) / d
-    f = np.array([block_projectors(random_unitary(d, rng), n) for _ in range(k)])
+    f = random_block_families(k, n, d, rng)
     last = -np.inf
     for _ in range(iters):
         for x in range(k):
@@ -142,26 +128,24 @@ def _sync_seesaw(game: Game, d: int, rng: np.random.Generator,
         if current <= last + 1e-12:
             break
         last = current
-    return TracialPVMFamily(families=tuple(
-        MeasurementFamily(outcomes=fam, flavor=PVM) for fam in f))
+    return TracialPVMFamily(families=f)
 
 
 def sync_value_lower_bound(game: Game, dim: int, restarts: int, seed: int,
-                           iters: int = 60,
-                           seed_scalar: bool = True) -> tuple[float, TracialPVMFamily]:
+                           iters: int = 60) -> tuple[float, TracialPVMFamily]:
     """Best tracial PVM family of dimension ``dim`` found by seeded
     restarts, with its exact value via tracial_correlation + game_value.
 
     Self-certifying like the entangled search; all outputs are
     finite-dimensional lower bounds on the synchronous entangled value.
-    When ``seed_scalar`` is set, the best deterministic synchronous family
-    joins the candidate pool.  Deterministic in ``seed``.
+    The best deterministic synchronous family joins the candidate pool
+    when enumeration is affordable.  Deterministic in ``seed``.
     """
     if dim > MAX_FAMILY_DIM:
         raise CapExceededError(f"dim = {dim} exceeds the synchronous search cap {MAX_FAMILY_DIM}")
 
     def seeds() -> list[TracialPVMFamily]:
-        best = _best_scalar_assignment(game) if seed_scalar else None
+        best = _best_scalar_assignment(game)
         return [] if best is None else [scalar_family(best[1], game.n, dim)]
 
     return seesaw_search(game, dim, restarts, seed, iters, _sync_seesaw,

@@ -354,7 +354,8 @@ def test_oversized_game_is_refused_before_allocation(tmp_path, capsys):
 
 # Each size would need far more memory than a desk machine has: the
 # entangled search's game operator at d = 400 is 381 GiB, a sync family at
-# d = 10^5 is 300 GiB, and one p x p matrix at p = 10^6 is 15 TiB.
+# d = 10^5 is 300 GiB, one p x p matrix at p = 10^6 is 15 TiB, and the
+# products one tuple holds for words up to d = 19 at p = 64 are 32 GiB.
 @pytest.mark.parametrize("argv, cap", [
     (["quantum-lb", "--game", CHSH, "--dim", "400", "--restarts", "1", "--seed", "0"],
      "dim^2 = 160000 exceeds the entangled search cap"),
@@ -364,7 +365,9 @@ def test_oversized_game_is_refused_before_allocation(tmp_path, capsys):
       "--seed", "0", "--out", "never-written.csv"], "p = 1000000 exceeds cap"),
     (["moments", "density", "--n", "1", "--d", "1", "--p1", "1", "--p2", "1000000",
       "--eps", "0.1", "--seed", "0"], "p = 1000000 exceeds cap"),
-], ids=["quantum-lb", "sync-lb", "moments-cloud", "moments-density"])
+    (["moments", "cloud", "--n", "1", "--d", "19", "--p", "64", "--count", "1",
+      "--seed", "0", "--out", "never-written.csv"], "needs 34359869440 bytes exceeding cap"),
+], ids=["quantum-lb", "sync-lb", "moments-cloud", "moments-density", "moments-tuple"])
 def test_oversized_dimension_is_refused_before_allocation(capsys, argv, cap):
     assert cap in domain_error_line(capsys, argv)
 

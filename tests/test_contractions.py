@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 from nlv.game import random_game
-from nlv.linalg import dagger, identity, kron, random_unitary
-from nlv.quantum import (COMMUTING, PVM, TENSOR, MeasurementFamily, QuantumStrategySpec,
-                         _game_operator, block_projectors, payoff,
-                         quantum_correlation, stack_outcomes)
+from nlv.linalg import dagger, identity, kron
+from nlv.quantum import (COMMUTING, TENSOR, QuantumStrategySpec, _game_operator, payoff,
+                         quantum_correlation, random_block_families)
 from nlv.rng import generator
 from nlv.synchronous import random_tracial_family, tracial_correlation
 
@@ -30,16 +29,16 @@ def ref_quantum_correlation(spec):
             for y in range(k):
                 for a in range(n):
                     for b in range(n):
-                        window = psi @ spec.bob[y].outcomes[b].T @ dagger(psi)
-                        p[x, y, a, b] = np.trace(spec.alice[x].outcomes[a] @ window).real
+                        window = psi @ spec.bob[y, b].T @ dagger(psi)
+                        p[x, y, a, b] = np.trace(spec.alice[x, a] @ window).real
     else:
         vec = spec.state
         for x in range(k):
             for y in range(k):
                 for a in range(n):
                     for b in range(n):
-                        left = dagger(spec.alice[x].outcomes[a]) @ vec
-                        p[x, y, a, b] = np.vdot(left, spec.bob[y].outcomes[b] @ vec).real
+                        left = dagger(spec.alice[x, a]) @ vec
+                        p[x, y, a, b] = np.vdot(left, spec.bob[y, b] @ vec).real
     return p
 
 
@@ -50,26 +49,21 @@ def ref_tracial_correlation(family):
         for y in range(k):
             for a in range(n):
                 for b in range(n):
-                    prod = family.families[x].outcomes[a] @ family.families[y].outcomes[b]
+                    prod = family.families[x, a] @ family.families[y, b]
                     p[x, y, a, b] = np.trace(prod).real / d
     return p
 
 
 def ref_game_operator(game, alice, bob):
-    dim = alice[0].dim * bob[0].dim
+    dim = alice.shape[-1] * bob.shape[-1]
     op = np.zeros((dim, dim), dtype=np.complex128)
     for x in range(game.k):
         for y in range(game.k):
             for a in range(game.n):
                 for b in range(game.n):
                     weight = game.pi[x, y] * game.wins[x, y, a, b]
-                    op += weight * kron(alice[x].outcomes[a], bob[y].outcomes[b])
+                    op += weight * kron(alice[x, a], bob[y, b])
     return op
-
-
-def random_families(k, n, dim, rng):
-    return tuple(MeasurementFamily(outcomes=block_projectors(random_unitary(dim, rng), n),
-                                   flavor=PVM) for _ in range(k))
 
 
 def random_state(dim, rng):
@@ -79,9 +73,8 @@ def random_state(dim, rng):
 
 def lift(families, left, right):
     """Families acting on the middle factor of eye(left) kron . kron eye(right)."""
-    return tuple(MeasurementFamily(
-        outcomes=tuple(kron(kron(identity(left), m), identity(right)) for m in fam.outcomes),
-        flavor=PVM) for fam in families)
+    return np.array([[kron(kron(identity(left), m), identity(right)) for m in fam]
+                     for fam in families])
 
 
 @pytest.mark.parametrize("k, n, d_a, d_b", SHAPES)
@@ -89,7 +82,7 @@ def test_tensor_correlation_matches_loops(k, n, d_a, d_b):
     rng = generator(100 * k + 10 * n + d_a, stream=d_b)
     spec = QuantumStrategySpec(
         flavor=TENSOR, state=random_state(d_a * d_b, rng),
-        alice=random_families(k, n, d_a, rng), bob=random_families(k, n, d_b, rng))
+        alice=random_block_families(k, n, d_a, rng), bob=random_block_families(k, n, d_b, rng))
     assert np.max(np.abs(quantum_correlation(spec).p - ref_quantum_correlation(spec))) <= TOL
 
 
@@ -98,8 +91,8 @@ def test_commuting_correlation_matches_loops(k, n, d_a, d_b):
     rng = generator(7 * k + n, stream=d_a * d_b)
     spec = QuantumStrategySpec(
         flavor=COMMUTING, state=random_state(d_a * d_b, rng),
-        alice=lift(random_families(k, n, d_a, rng), 1, d_b),
-        bob=lift(random_families(k, n, d_b, rng), d_a, 1))
+        alice=lift(random_block_families(k, n, d_a, rng), 1, d_b),
+        bob=lift(random_block_families(k, n, d_b, rng), d_a, 1))
     assert np.max(np.abs(quantum_correlation(spec).p - ref_quantum_correlation(spec))) <= TOL
 
 
@@ -114,7 +107,7 @@ def test_tracial_correlation_matches_loops(k, n, d):
 def test_game_operator_matches_loops(k, n, d_a, d_b):
     rng = generator(k + n, stream=d_a + 5 * d_b)
     game = random_game(k, n, seed=d_a * d_b)
-    alice = random_families(k, n, d_a, rng)
-    bob = random_families(k, n, d_b, rng)
-    op = _game_operator(payoff(game), stack_outcomes(alice), stack_outcomes(bob))
+    alice = random_block_families(k, n, d_a, rng)
+    bob = random_block_families(k, n, d_b, rng)
+    op = _game_operator(payoff(game), alice, bob)
     assert np.max(np.abs(op - ref_game_operator(game, alice, bob))) <= TOL

@@ -146,6 +146,21 @@ def test_cloud_cap():
         sample_moment_cloud(2, 3, 2, count=10_000_000, seed=0)
 
 
+def test_huge_degree_is_refused_without_computing_the_power():
+    # 6^(10^6) has millions of digits; the refusal must come before it.
+    with pytest.raises(CapExceededError, match=r"\(2n\)\^d = 6\^1000000 exceeds monomial cap"):
+        sample_moment_cloud(3, 10 ** 6, 2, count=1, seed=0)
+
+
+def test_tuple_cap_admits_the_documented_tuple_and_refuses_before_any_product():
+    # The n = 2, d = 2, p = 1024 tuple holds 192 MiB and is admitted.  Words
+    # up to d = 19 at p = 64 pass the word and dimension caps, but the
+    # products of one tuple would take 32 GiB (the cloud form is a CLI test).
+    assert moments._tuple_bytes(2, 2, 1024) == 192 << 20 <= moments.MAX_TUPLE_BYTES
+    with pytest.raises(CapExceededError, match="needs 34359869440 bytes exceeding cap"):
+        moment_map([np.zeros((64, 64))], 19)
+
+
 def test_density_self_cover():
     report = density_check(1, 1, 2, 2, eps=0.0, counts=(100, 100), seed=7)
     assert report.covered_fraction == 1.0

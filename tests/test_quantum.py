@@ -10,7 +10,7 @@ from nlv.errors import DimensionMismatchError, ParseError, ValidationError
 from nlv.game import Game, chsh_game, game_value, random_game, validate_strategy
 from nlv.linalg import dagger, frobenius, random_unitary
 from nlv.quantum import (COMMUTING, POVM, PVM, TENSOR, MeasurementFamily,
-                         QuantumStrategySpec, best_response, block_projectors,
+                         QuantumStrategySpec, _seesaw, best_response, block_projectors,
                          born_probabilities, chsh_optimal_spec, diagonal_pvm,
                          embed_deterministic,
                          embed_local, entangled_lower_bound, epr_state,
@@ -133,8 +133,10 @@ def test_family_outcomes_are_one_read_only_array():
 
 
 def test_diagonal_pvm_range_checks_answers():
-    fam = diagonal_pvm([2, 1, 2], 2)
-    assert np.array_equal(fam.outcomes[1], np.diag([1, 0, 1]))
+    assert np.array_equal(diagonal_pvm([2, 1, 2], 2)[1], np.diag([1, 0, 1]))
+    stacked = diagonal_pvm([[2, 1, 2], [1, 1, 3]], 3)
+    assert stacked.shape == (2, 3, 3, 3)
+    assert np.array_equal(stacked[1], diagonal_pvm([1, 1, 3], 3))
     for bad in (0, 3):
         with pytest.raises(ValidationError, match=f"answer {bad} out of range"):
             diagonal_pvm([1, bad], 2)
@@ -200,8 +202,7 @@ def test_chsh_optimal_spec_value():
 
 def test_chsh_optimal_spec_families_are_pvms():
     spec = chsh_optimal_spec()
-    for fam in spec.alice + spec.bob:
-        assert validate_measurement(fam).ok
+    assert spec.measurement == PVM
     assert validate_spec(spec).ok
 
 
@@ -220,8 +221,8 @@ def test_embedding_reproduces_deterministic_strategy():
 
 def test_embedding_families_are_degenerate_povms():
     spec = embed_deterministic(DeterministicStrategy(alice=(1,), bob=(2,)), 1, 2)
-    for fam in spec.alice + spec.bob:
-        assert validate_measurement(fam).ok
+    assert spec.measurement == PVM
+    assert validate_spec(spec).ok
 
 
 def test_classical_value_chain_through_embedding():
@@ -239,20 +240,16 @@ def test_tensor_spec_reexpressed_as_commuting():
     d_a, d_b = spec.dims
     eye_a = np.eye(d_a, dtype=complex)
     eye_b = np.eye(d_b, dtype=complex)
-    alice = tuple(MeasurementFamily(
-        outcomes=tuple(kron(m, eye_b) for m in fam.outcomes), flavor=fam.flavor)
-        for fam in spec.alice)
-    bob = tuple(MeasurementFamily(
-        outcomes=tuple(kron(eye_a, m) for m in fam.outcomes), flavor=fam.flavor)
-        for fam in spec.bob)
+    alice = np.array([[kron(m, eye_b) for m in fam] for fam in spec.alice])
+    bob = np.array([[kron(eye_a, m) for m in fam] for fam in spec.bob])
     commuting = QuantumStrategySpec(flavor=COMMUTING, state=spec.state, alice=alice, bob=bob)
     report = validate_spec(commuting)
     assert report.ok
     # commutators of the embedded families vanish to machine precision
     for fam_a in alice:
         for fam_b in bob:
-            for ma in fam_a.outcomes:
-                for mb in fam_b.outcomes:
+            for ma in fam_a:
+                for mb in fam_b:
                     assert frobenius(ma @ mb - mb @ ma) < 1e-12
     assert np.allclose(quantum_correlation(commuting).p, quantum_correlation(spec).p,
                        atol=1e-12)
@@ -287,6 +284,75 @@ def test_commutation_violations_listed_in_index_order():
     assert report.worst == pytest.approx(np.sqrt(0.5), rel=1e-12)
 
 
+def defective_pvms():
+    """Two families flagged PVM that are not: one skewed and incomplete,
+    one with a negative element."""
+    skew = MeasurementFamily(outcomes=(np.array([[1.0, 0.5], [0.0, 0.0]]),
+                                       np.diag([0.0, 0.5])), flavor=PVM)
+    negative = MeasurementFamily(outcomes=(np.diag([1.25, 0.0]), np.diag([-0.25, 1.0])),
+                                 flavor=PVM)
+    return skew, negative
+
+
+# Lines and worst of the per-family validator that the batched pass
+# replaced, taken from it verbatim.
+TENSOR_SPEC_LINES = (
+    "state norm 1.001 != 1",
+    "alice family 2: outcome 1 not self-adjoint: residual 0.5",
+    "alice family 2: outcome 2 not idempotent: residual 0.25",
+    "alice family 2: completeness residual 0.5",
+    "bob family 1: outcome 1 not idempotent: residual 0.312",
+    "bob family 1: outcome 2 not positive: eigenvalue -0.25",
+    "bob family 1: outcome 2 not idempotent: residual 0.312")
+
+
+def test_validate_spec_lines_are_frozen_for_a_tensor_spec():
+    skew, negative = defective_pvms()
+    alice = (rotated_basis_pvm(0.0), skew)
+    bob = (negative, rotated_basis_pvm(np.pi / 8))
+    report = validate_spec(QuantumStrategySpec(flavor=TENSOR, state=1.001 * epr_state(),
+                                               alice=alice, bob=bob))
+    assert report.violations == TENSOR_SPEC_LINES
+    assert report.worst == 0.5
+    povm = validate_spec(QuantumStrategySpec(
+        flavor=TENSOR, state=1.001 * epr_state(), measurement=POVM,
+        alice=[fam.outcomes for fam in alice], bob=[fam.outcomes for fam in bob]))
+    assert povm.violations == tuple(v for v in TENSOR_SPEC_LINES if "idempotent" not in v)
+    assert povm.worst == 0.5
+
+
+def test_validate_spec_lines_are_frozen_for_a_commuting_spec():
+    halves = MeasurementFamily(outcomes=(np.eye(2) / 2, np.eye(2) / 2), flavor=PVM)
+    report = validate_spec(QuantumStrategySpec(
+        flavor=COMMUTING, state=E1, alice=(rotated_basis_pvm(0.0), rotated_basis_pvm(np.pi / 4)),
+        bob=(rotated_basis_pvm(0.0), halves)))
+    assert report.violations == (
+        "bob family 2: outcome 1 not idempotent: residual 0.25",
+        "bob family 2: outcome 2 not idempotent: residual 0.25",
+        "commutation violation at (x=2, a=1, y=1, b=1): residual 0.707",
+        "commutation violation at (x=2, a=1, y=1, b=2): residual 0.707",
+        "commutation violation at (x=2, a=2, y=1, b=1): residual 0.707",
+        "commutation violation at (x=2, a=2, y=1, b=2): residual 0.707")
+    assert report.worst == 0.7071067811865476
+
+
+def test_spec_families_take_every_stacked_form():
+    spec = chsh_optimal_spec()
+    for alice in (spec.alice, list(spec.alice)):
+        again = QuantumStrategySpec(flavor=TENSOR, state=spec.state, alice=alice, bob=spec.bob)
+        assert again.alice.dtype == np.complex128 and again.alice.shape == (2, 2, 2, 2)
+        assert np.array_equal(again.alice, spec.alice)
+    with pytest.raises(ValueError):
+        spec.alice[0, 0, 0, 0] = 0.5
+    with pytest.raises(ValidationError, match="family 2 must be flavored 'povm'"):
+        QuantumStrategySpec(flavor=TENSOR, state=spec.state, measurement=POVM,
+                            alice=(random_povm(2, 2, generator(0)), rotated_basis_pvm(0.0)),
+                            bob=spec.bob)
+    with pytest.raises(ValidationError, match="family 2 has dim 3, expected 2"):
+        QuantumStrategySpec(flavor=TENSOR, state=spec.state, alice=spec.alice,
+                            bob=(spec.bob[0], np.zeros((2, 3, 3))))
+
+
 def test_correlations_are_valid_strategies():
     rng = np.random.default_rng(31)
     for seed in range(10):
@@ -298,7 +364,8 @@ def test_correlations_are_valid_strategies():
         bob = tuple(MeasurementFamily(
             outcomes=random_povm(d_b, n, rng).outcomes, flavor=POVM) for _ in range(k))
         state = random_state(d_a * d_b, rng)
-        spec = QuantumStrategySpec(flavor=TENSOR, state=state, alice=alice, bob=bob)
+        spec = QuantumStrategySpec(flavor=TENSOR, state=state, alice=alice, bob=bob,
+                                   measurement=POVM)
         assert validate_strategy(quantum_correlation(spec)).ok
 
 
@@ -431,10 +498,10 @@ def test_best_response_stays_a_pvm_over_60_rounds():
 
 def test_lower_bound_search_output_is_pvm_to_rounding():
     g = random_game(3, 3, seed=4)
-    _, spec = entangled_lower_bound(g, dim=3, restarts=2, seed=1, iters=60,
-                                    seed_classical=False)
-    for fam in spec.alice + spec.bob:
-        assert validate_measurement(fam, tol=1e-12).ok
+    for r in range(2):
+        spec = _seesaw(g, 3, generator(1, stream=r), 60)
+        assert spec.measurement == PVM
+        assert validate_spec(spec, tol=1e-12).ok
 
 
 # -- entangled_lower_bound ---------------------------------------------------
@@ -490,30 +557,34 @@ def test_bell_basis_orthonormal():
 
 def spec_round_trips(spec):
     loaded = load_spec(save_spec(spec))
-    assert loaded.flavor == spec.flavor
+    assert (loaded.flavor, loaded.measurement) == (spec.flavor, spec.measurement)
     assert np.array_equal(loaded.state, spec.state)
-    for fam_a, fam_b in zip(loaded.alice + loaded.bob, spec.alice + spec.bob):
-        assert fam_a.flavor == fam_b.flavor
-        for ma, mb in zip(fam_a.outcomes, fam_b.outcomes):
-            assert np.array_equal(ma, mb)
+    assert np.array_equal(loaded.alice, spec.alice)
+    assert np.array_equal(loaded.bob, spec.bob)
     assert np.allclose(quantum_correlation(loaded).p, quantum_correlation(spec).p, atol=0)
 
 
 def test_spec_file_round_trip_tensor():
-    spec_round_trips(chsh_optimal_spec())
+    spec = chsh_optimal_spec()
+    spec_round_trips(spec)
+    spec_round_trips(QuantumStrategySpec(flavor=TENSOR, state=spec.state, alice=spec.alice,
+                                         bob=spec.bob, measurement=POVM))
 
 
 def test_spec_file_round_trip_commuting():
     base = chsh_optimal_spec()
     d_a, d_b = base.dims
-    alice = tuple(MeasurementFamily(
-        outcomes=tuple(kron(m, np.eye(d_b, dtype=complex)) for m in fam.outcomes),
-        flavor=fam.flavor) for fam in base.alice)
-    bob = tuple(MeasurementFamily(
-        outcomes=tuple(kron(np.eye(d_a, dtype=complex), m) for m in fam.outcomes),
-        flavor=fam.flavor) for fam in base.bob)
+    alice = np.array([[kron(m, np.eye(d_b, dtype=complex)) for m in fam] for fam in base.alice])
+    bob = np.array([[kron(np.eye(d_a, dtype=complex), m) for m in fam] for fam in base.bob])
     spec_round_trips(QuantumStrategySpec(flavor=COMMUTING, state=base.state,
                                          alice=alice, bob=bob))
+
+
+def test_load_spec_refuses_mixed_flavors():
+    obj = json.loads(save_spec(chsh_optimal_spec()))
+    obj["bob"][1]["flavor"] = POVM
+    with pytest.raises(ParseError, match=r"spec file: families mix flavors \['povm', 'pvm'\]"):
+        load_spec(json.dumps(obj))
 
 
 def test_load_spec_rejects_non_numeric_fields():

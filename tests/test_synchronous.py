@@ -12,7 +12,7 @@ from nlv.game import Game, chsh_game, game_value, random_game, validate_strategy
 from nlv.linalg import dagger, frobenius, random_unitary
 from nlv.quantum import PVM, MeasurementFamily, block_projectors, validate_measurement
 from nlv.rng import generator
-from nlv.synchronous import (TracialPVMFamily, random_tracial_family,
+from nlv.synchronous import (TracialPVMFamily, _sync_seesaw, random_tracial_family,
                              repair_almost_pvm, scalar_family,
                              sync_value_lower_bound, tracial_correlation,
                              validate_family)
@@ -79,7 +79,7 @@ def test_tracial_correlations_synchronous_symmetric_consistent():
         # marginals depend only on the question asked, not the partner's
         marginals = s.p.sum(axis=3)
         for x in range(k):
-            expected = np.array([np.trace(m).real / d for m in fam.families[x].outcomes])
+            expected = np.array([np.trace(m).real / d for m in fam.families[x]])
             for y in range(k):
                 assert np.allclose(marginals[x, y], expected, atol=1e-9)
 
@@ -120,12 +120,15 @@ def test_sync_lower_bound_changes_ranks_and_stays_exact():
     # Same-question terms are linear in each projection, so the search may
     # leave the near-equal block profile.
     g = random_game(2, 2, seed=0)
-    value, fam = sync_value_lower_bound(g, dim=3, restarts=2, seed=0, iters=60,
-                                        seed_scalar=False)
-    ranks = [[round(float(np.trace(m).real)) for m in f.outcomes] for f in fam.families]
-    assert any(r != [2, 1] for r in ranks)
-    assert validate_family(fam, tol=1e-12).ok
-    assert game_value(g, tracial_correlation(fam)) == pytest.approx(value, abs=1e-12)
+    values = []
+    for r in range(2):
+        fam = _sync_seesaw(g, 3, generator(0, stream=r), 60)
+        ranks = [[round(float(np.trace(m).real)) for m in f] for f in fam.families]
+        assert any(rank != [2, 1] for rank in ranks)
+        assert validate_family(fam, tol=1e-12).ok
+        values.append(game_value(g, tracial_correlation(fam)))
+    value, _ = sync_value_lower_bound(g, dim=3, restarts=2, seed=0, iters=60)
+    assert value == pytest.approx(max(values), abs=1e-12)
 
 
 def test_sync_lower_bound_rejects_bad_parameters():
@@ -183,5 +186,39 @@ def test_repair_rejects_large_defect():
 def test_family_shape_validation():
     good = exact_random_pvm(2, 2, seed=1)
     povm_flavored = MeasurementFamily(outcomes=good.outcomes, flavor="povm")
-    with pytest.raises(ValidationError):
-        TracialPVMFamily(families=(povm_flavored,))
+    with pytest.raises(ValidationError, match="family 2 must be flavored 'pvm'"):
+        TracialPVMFamily(families=(good, povm_flavored))
+    with pytest.raises(ValidationError, match="family 2 has 3 outcomes, expected 2"):
+        TracialPVMFamily(families=(good.outcomes, exact_random_pvm(2, 3, seed=2).outcomes))
+
+
+def test_family_objects_and_array_give_the_same_family():
+    # The tuple-of-MeasurementFamily form is the one the benchmark passes.
+    fams = tuple(exact_random_pvm(3, 2, seed=s) for s in range(3))
+    from_objects = TracialPVMFamily(families=fams)
+    from_array = TracialPVMFamily(families=np.array([fam.outcomes for fam in fams]))
+    assert from_objects.families.shape == (3, 2, 3, 3)
+    assert from_objects.families.dtype == np.complex128
+    assert np.array_equal(from_objects.families, from_array.families)
+    assert (from_objects.k, from_objects.n, from_objects.d) == (3, 2, 3)
+    with pytest.raises(ValueError):
+        from_array.families[0, 0, 0, 0] = 1.0
+
+
+def test_validate_family_lines_are_frozen():
+    # Lines and worst of the per-family validator that the batched pass
+    # replaced, taken from it verbatim.
+    skew = MeasurementFamily(outcomes=(np.array([[1.0, 0.5], [0.0, 0.0]]), np.diag([0.0, 0.5])),
+                             flavor=PVM)
+    negative = MeasurementFamily(outcomes=(np.diag([1.25, 0.0]), np.diag([-0.25, 1.0])),
+                                 flavor=PVM)
+    coordinate = MeasurementFamily(outcomes=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), flavor=PVM)
+    report = validate_family(TracialPVMFamily(families=(coordinate, skew, negative)))
+    assert report.violations == (
+        "family 2: outcome 1 not self-adjoint: residual 0.5",
+        "family 2: outcome 2 not idempotent: residual 0.25",
+        "family 2: completeness residual 0.5",
+        "family 3: outcome 1 not idempotent: residual 0.312",
+        "family 3: outcome 2 not positive: eigenvalue -0.25",
+        "family 3: outcome 2 not idempotent: residual 0.312")
+    assert report.worst == 0.5
