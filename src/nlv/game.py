@@ -11,6 +11,7 @@ all internal tensors are 0-based numpy arrays laid out [x][y][a][b].
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -229,8 +230,10 @@ def save_strategy(strategy: Strategy) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+@functools.cache
 def chsh_game() -> Game:
     """The bundled ``chsh.json``: 2 questions and 2 answers, uniform question
     pairs, and the players must agree unless both questions are 2, in which
-    case they must disagree."""
+    case they must disagree.  Read once; every call returns the same frozen
+    instance."""
     return load_game(data_path("chsh.json").read_text())

@@ -61,17 +61,22 @@ def _frozen_stack(items, what: str, ndim: int) -> np.ndarray:
     """Equal-shape ``ndim``-dimensional items ending in square matrices, as
     one read-only complex array over a new first axis; ``what`` names an
     item in errors."""
-    shapes = [np.shape(item) for item in items]
-    if not shapes:
-        raise ValidationError(f"need at least one {what}")
-    for i, shape in enumerate(shapes, 1):
+    kind = ("a square matrix", "a stack of square matrices")[ndim - 2]
+    first = None
+    for i, item in enumerate(items, 1):
+        try:
+            shape = np.shape(item)
+        except ValueError:  # a ragged nested sequence has no shape
+            raise ValidationError(f"{what} {i} is not {kind}") from None
         if len(shape) != ndim or shape[-1] != shape[-2]:
-            kind = ("a square matrix", "a stack of square matrices")[ndim - 2]
             raise ValidationError(f"{what} {i} is not {kind}")
-        if shape[-1] != shapes[0][-1]:
-            raise ValidationError(f"{what} {i} has dim {shape[-1]}, expected {shapes[0][-1]}")
-        if shape != shapes[0]:
-            raise ValidationError(f"{what} {i} has {shape[0]} outcomes, expected {shapes[0][0]}")
+        first = first or shape
+        if shape[-1] != first[-1]:
+            raise ValidationError(f"{what} {i} has dim {shape[-1]}, expected {first[-1]}")
+        if shape != first:
+            raise ValidationError(f"{what} {i} has {shape[0]} outcomes, expected {first[0]}")
+    if first is None:
+        raise ValidationError(f"need at least one {what}")
     stack = as_complex(items).copy()
     stack.setflags(write=False)
     return stack

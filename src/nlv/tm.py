@@ -20,6 +20,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import MachineHaltedError, ParseError, ValidationError, read_field, read_object
 
@@ -30,6 +31,11 @@ MOVES = ("L", "S", "R")
 
 # (state, in_sym, work_sym, out_sym) -> (state', work_write, out_write, m_in, m_work, m_out)
 TransitionTable = dict[tuple[str, str, str, str], tuple[str, str, str, str, str, str]]
+
+# Tapes hold the ASCII bytes of the symbols, and ``byte & 3`` codes
+# 0 1 ^ _ as 0 1 2 3.
+_BLANK_BYTE = ord(BLANK)
+_MOVE_STEP = {"L": -1, "S": 0, "R": 1}
 
 
 def _check_table(states: tuple[str, ...], table: TransitionTable, label: str) -> None:
@@ -57,17 +63,45 @@ def _check_table(states: tuple[str, ...], table: TransitionTable, label: str) ->
                     f"{label}: transition table not total, missing ({q}, {s1}, {s2}, {s3})")
 
 
+class _Program(NamedTuple):
+    """A transition table compiled for :func:`_advance`.  Entry
+    ``64·q + 16·c_in + 4·c_work + c_out`` of ``code`` holds ``(64·q',
+    work byte, out byte, move_in, move_work, move_out)`` with moves coded
+    -1/0/+1; ``halt`` is ``64·q`` of the state that stops a run, or -1."""
+
+    code: list
+    states: tuple[str, ...]
+    index: dict[str, int]
+    halt: int
+
+
+def _compile(states: tuple[str, ...], table: TransitionTable, halt_state=None) -> _Program:
+    index = {q: i for i, q in enumerate(states)}
+    code = [None] * (64 * len(states))
+    for (q, s_in, s_work, s_out), (q2, w_work, w_out, *moves) in table.items():
+        slot = 64 * index[q] + 16 * (ord(s_in) & 3) + 4 * (ord(s_work) & 3) + (ord(s_out) & 3)
+        code[slot] = (64 * index[q2], ord(w_work), ord(w_out),
+                      *(_MOVE_STEP[move] for move in moves))
+    halt = -1 if halt_state is None else 64 * index[halt_state]
+    return _Program(code, states, index, halt)
+
+
 @dataclass(frozen=True)
 class TuringMachine:
+    """A deterministic machine; its table is checked for totality and
+    compiled once, at construction."""
+
     states: tuple[str, ...]
     start_state: str
     halt_state: str
     table: TransitionTable
+    _program: _Program = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.start_state not in self.states or self.halt_state not in self.states:
             raise ValidationError("start and halt states must be listed in states")
         _check_table(self.states, self.table, "machine")
+        object.__setattr__(self, "_program", _compile(self.states, self.table, self.halt_state))
 
 
 @dataclass(frozen=True)
@@ -81,6 +115,7 @@ class NDTM:
     reject_state: str
     table0: TransitionTable
     table1: TransitionTable
+    _programs: tuple[_Program, _Program] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for q in (self.start_state, self.accept_state, self.reject_state):
@@ -90,15 +125,18 @@ class NDTM:
             raise ValidationError("accept and reject states must be distinct")
         _check_table(self.states, self.table0, "table0")
         _check_table(self.states, self.table1, "table1")
+        object.__setattr__(self, "_programs", (_compile(self.states, self.table0),
+                                               _compile(self.states, self.table1)))
 
 
 @dataclass
 class Configuration:
     """Machine state plus the three materialized tapes and head positions.
-    Tapes grow with blanks on demand; cell 0 holds the start symbol."""
+    Each tape is a ``bytearray`` of the ASCII symbols; tapes grow with
+    blanks on demand, and cell 0 holds the start symbol."""
 
     state: str
-    tapes: list[list[str]]
+    tapes: list[bytearray]
     heads: list[int]
 
     @classmethod
@@ -108,7 +146,7 @@ class Configuration:
                 raise ValidationError(f"input must be a binary string, got {ch!r}")
         return cls(
             state=start_state,
-            tapes=[[START] + list(input_string), [START], [START]],
+            tapes=[bytearray((START + text).encode("ascii")) for text in (input_string, "", "")],
             heads=[0, 0, 0])
 
     def clone(self) -> "Configuration":
@@ -121,24 +159,47 @@ class Configuration:
         labels = ("in", "work", "out")
         parts = [self.state]
         for label, tape, head in zip(labels, self.tapes, self.heads):
-            parts.append(f"{label}:{head}:{''.join(tape)}")
+            parts.append(f"{label}:{head}:{tape.decode('ascii')}")
         return " | ".join(parts)
 
 
-def _apply(table: TransitionTable, config: Configuration) -> None:
-    symbols = tuple(config.tapes[t][config.heads[t]] for t in range(3))
-    state2, w_work, w_out, *moves = table[(config.state, *symbols)]
-    config.tapes[1][config.heads[1]] = w_work
-    config.tapes[2][config.heads[2]] = w_out
-    for t, move in enumerate(moves):
-        if move == "L":
-            if config.heads[t] > 0:
-                config.heads[t] -= 1
-        elif move == "R":
-            config.heads[t] += 1
-            if config.heads[t] == len(config.tapes[t]):
-                config.tapes[t].append(BLANK)
-    config.state = state2
+def _advance(program: _Program, config: Configuration, limit: int,
+             lines: list[str] | None = None) -> int:
+    """Apply up to ``limit`` transitions to ``config`` in place, stopping
+    early in the program's halt state, and return the number applied.
+    With ``lines`` given, appends ``"<step> | <render>"`` after each one."""
+    code, states, halt = program.code, program.states, program.halt
+    q = 64 * program.index[config.state]
+    t_in, t_work, t_out = config.tapes
+    h_in, h_work, h_out = config.heads
+    steps = 0
+    while steps < limit and q != halt:
+        q, t_work[h_work], t_out[h_out], m_in, m_work, m_out = code[
+            q + 16 * (t_in[h_in] & 3) + 4 * (t_work[h_work] & 3) + (t_out[h_out] & 3)]
+        if m_in:
+            h_in += m_in
+            if h_in < 0:
+                h_in = 0
+            elif h_in == len(t_in):
+                t_in.append(_BLANK_BYTE)
+        if m_work:
+            h_work += m_work
+            if h_work < 0:
+                h_work = 0
+            elif h_work == len(t_work):
+                t_work.append(_BLANK_BYTE)
+        if m_out:
+            h_out += m_out
+            if h_out < 0:
+                h_out = 0
+            elif h_out == len(t_out):
+                t_out.append(_BLANK_BYTE)
+        steps += 1
+        if lines is not None:
+            config.state, config.heads[:] = states[q >> 6], (h_in, h_work, h_out)
+            lines.append(f"{steps} | {config.render()}")
+    config.state, config.heads[:] = states[q >> 6], (h_in, h_work, h_out)
+    return steps
 
 
 def step(machine: TuringMachine, config: Configuration) -> Configuration:
@@ -146,19 +207,14 @@ def step(machine: TuringMachine, config: Configuration) -> Configuration:
     The input tape is never written; left moves at cell 0 stay put."""
     if config.state == machine.halt_state:
         raise MachineHaltedError("cannot step a halted configuration")
-    _apply(machine.table, config)
+    _advance(machine._program, config, 1)
     return config
 
 
 def extract_output(config: Configuration) -> str:
     """Longest run of 0/1 symbols on the output tape starting at cell 1."""
-    out = []
-    for sym in config.tapes[2][1:]:
-        if sym in ("0", "1"):
-            out.append(sym)
-        else:
-            break
-    return "".join(out)
+    written = config.tapes[2][1:].decode("ascii")
+    return written[:len(written) - len(written.lstrip("01"))]
 
 
 @dataclass(frozen=True)
@@ -186,14 +242,9 @@ def run(machine: TuringMachine, input_string: str, budget: int,
         raise ValidationError("budget must be >= 1")
     config = Configuration.initial(machine.start_state, input_string)
     lines: list[str] = []
-    steps = 0
-    while config.state != machine.halt_state:
-        if steps == budget:
-            return BudgetExceeded(steps=steps, trace=tuple(lines))
-        step(machine, config)
-        steps += 1
-        if trace:
-            lines.append(f"{steps} | {config.render()}")
+    steps = _advance(machine._program, config, budget, lines if trace else None)
+    if config.state != machine.halt_state:
+        return BudgetExceeded(steps=steps, trace=tuple(lines))
     return Halted(output=extract_output(config), steps=steps, trace=tuple(lines))
 
 
@@ -214,9 +265,9 @@ def _explore(machine: NDTM, config: Configuration, depth: int):
     if depth == 0:
         return _CUTOFF
     saw_cutoff = False
-    for table in (machine.table0, machine.table1):
+    for program in machine._programs:
         branch = config.clone()
-        _apply(table, branch)
+        _advance(program, branch, 1)
         outcome = _explore(machine, branch, depth - 1)
         if outcome is NdtmResult.ACCEPT:
             return NdtmResult.ACCEPT

@@ -19,6 +19,12 @@ def test_chsh_game_is_valid():
     assert report.violations == ()
 
 
+def test_chsh_game_is_one_frozen_instance():
+    g = chsh_game()
+    assert chsh_game() is g
+    assert not g.pi.flags.writeable and not g.wins.flags.writeable
+
+
 def test_validate_flags_bad_mass():
     g = chsh_game()
     bad = Game(k=2, n=2, pi=g.pi * 0.5, wins=g.wins)

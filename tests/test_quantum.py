@@ -116,6 +116,7 @@ def test_every_defect_reported_in_outcome_order():
     ((np.eye(2), np.ones((2, 3))), "outcome 2 is not a square matrix"),
     ((np.ones(2), np.ones(2)), "outcome 1 is not a square matrix"),
     ((), "at least one outcome"),
+    (([[1, 0], [0]],), "outcome 1 is not a square matrix"),
 ])
 def test_family_rejects_malformed_outcomes(outcomes, match):
     with pytest.raises(ValidationError, match=match):
@@ -351,6 +352,9 @@ def test_spec_families_take_every_stacked_form():
     with pytest.raises(ValidationError, match="family 2 has dim 3, expected 2"):
         QuantumStrategySpec(flavor=TENSOR, state=spec.state, alice=spec.alice,
                             bob=(spec.bob[0], np.zeros((2, 3, 3))))
+    with pytest.raises(ValidationError, match="family 1 is not a stack of square matrices"):
+        QuantumStrategySpec(flavor=TENSOR, state=[1, 0, 0, 0], alice=[[np.eye(2), np.eye(3)]],
+                            bob=[[np.eye(2)]])
 
 
 def test_correlations_are_valid_strategies():

@@ -1,12 +1,16 @@
 """Turing machine step semantics, golden traces, and NDTM acceptance."""
 
+import itertools
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlv import data_path
 from nlv.errors import MachineHaltedError, ParseError, ValidationError
-from nlv.tm import (NDTM, BLANK, BudgetExceeded, Configuration, Halted,
+from nlv.tm import (MOVES, NDTM, BLANK, SYMBOLS, BudgetExceeded, Configuration, Halted,
                     NdtmResult, TuringMachine, dense_table, extract_output, load_machine,
                     ndtm_accepts, run, save_machine, step)
 
@@ -62,7 +66,7 @@ def test_step_never_writes_input_tape():
     reference = ["^", "1", "0", "1", "1"]
     while config.state != "halt":
         step(machine, config)
-        materialized = config.tapes[0]
+        materialized = list(config.tapes[0].decode("ascii"))
         assert materialized[:5] == reference
         assert all(sym == BLANK for sym in materialized[5:])
 
@@ -231,3 +235,130 @@ def test_ndtm_distinct_halting_states_required():
 def test_ndtm_rejects_zero_budget():
     with pytest.raises(ValidationError):
         ndtm_accepts(guess_bit_ndtm(), "1", 0)
+
+
+# -- differential check against a reference interpreter -----------------------
+
+def reference_step(table, state, tapes, heads):
+    """One transition as the module docstring states it, on list tapes."""
+    state2, w_work, w_out, *moves = table[(state, *(tape[h] for tape, h in zip(tapes, heads)))]
+    tapes[1][heads[1]] = w_work
+    tapes[2][heads[2]] = w_out
+    for t, move in enumerate(moves):
+        if move == "L":
+            heads[t] = max(heads[t] - 1, 0)
+        elif move == "R":
+            heads[t] += 1
+            if heads[t] == len(tapes[t]):
+                tapes[t].append(BLANK)
+    return state2
+
+
+def reference_run(machine, input_string, budget):
+    """(status, steps, output, trace lines) of a traced run."""
+    state, tapes, heads = machine.start_state, [["^", *input_string], ["^"], ["^"]], [0, 0, 0]
+    lines = []
+    while state != machine.halt_state and len(lines) < budget:
+        state = reference_step(machine.table, state, tapes, heads)
+        cells = " | ".join(f"{label}:{h}:{''.join(tape)}"
+                           for label, tape, h in zip(("in", "work", "out"), tapes, heads))
+        lines.append(f"{len(lines) + 1} | {state} | {cells}")
+    if state != machine.halt_state:
+        return "budget_exceeded", len(lines), None, lines
+    output = "".join(itertools.takewhile(lambda sym: sym in "01", tapes[2][1:]))
+    return "halted", len(lines), output, lines
+
+
+def reference_accepts(machine, input_string, depth):
+    """The whole choice tree to ``depth`` at once, without deepening."""
+    def explore(state, tapes, heads, depth):
+        if state in (machine.accept_state, machine.reject_state):
+            return state == machine.accept_state
+        if depth == 0:
+            return None
+        outcomes = []
+        for table in (machine.table0, machine.table1):
+            branch_tapes, branch_heads = [tape.copy() for tape in tapes], heads.copy()
+            state2 = reference_step(table, state, branch_tapes, branch_heads)
+            outcomes.append(explore(state2, branch_tapes, branch_heads, depth - 1))
+        if True in outcomes:
+            return True
+        return None if None in outcomes else False
+
+    outcome = explore(machine.start_state, [["^", *input_string], ["^"], ["^"]], [0, 0, 0],
+                      depth)
+    return {True: NdtmResult.ACCEPT, False: NdtmResult.REJECT,
+            None: NdtmResult.BUDGET_EXCEEDED}[outcome]
+
+
+@st.composite
+def total_tables(draw, states):
+    """Every action drawn as one integer, so a table is one list of integers."""
+    keys = [(q, *symbols) for q in states for symbols in itertools.product(SYMBOLS, repeat=3)]
+    actions = list(itertools.product(states, SYMBOLS, SYMBOLS, MOVES, MOVES, MOVES))
+    codes = draw(st.lists(st.integers(0, len(actions) - 1),
+                          min_size=len(keys), max_size=len(keys)))
+    return {key: actions[code] for key, code in zip(keys, codes)}
+
+
+@st.composite
+def machines(draw):
+    states = ("q0", "q1", "halt")[-draw(st.integers(2, 3)):]
+    return TuringMachine(states=states, start_state=states[0], halt_state="halt",
+                         table=draw(total_tables(states)))
+
+
+@st.composite
+def ndtms(draw):
+    states = ("q0", "q1", "accept", "reject")[-draw(st.integers(3, 4)):]
+    return NDTM(states=states, start_state=states[0], accept_state="accept",
+                reject_state="reject", table0=draw(total_tables(states)),
+                table1=draw(total_tables(states)))
+
+
+binary = st.text(alphabet="01", max_size=6)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(machine=machines(), input_string=binary, budget=st.integers(1, 60))
+def test_run_matches_reference_interpreter(machine, input_string, budget):
+    result = run(machine, input_string, budget, trace=True)
+    status, steps, output, lines = reference_run(machine, input_string, budget)
+    assert isinstance(result, Halted if status == "halted" else BudgetExceeded)
+    assert result.steps == steps
+    assert getattr(result, "output", None) == output
+    assert list(result.trace) == lines
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(machine=ndtms(), input_string=binary, depth=st.integers(1, 6))
+def test_ndtm_accepts_matches_reference_search(machine, input_string, depth):
+    assert ndtm_accepts(machine, input_string, depth) is reference_accepts(
+        machine, input_string, depth)
+
+
+def test_long_tape_growing_run():
+    """Copies the input to the work tape and its complement to the output
+    tape, every head moving right, and halts on the first blank input cell:
+    all three tapes grow on every one of the 10^5 + 2 steps."""
+    bits = "".join(random.Random(0).choice("01") for _ in range(100_000))
+    flip = {"0": "1", "1": "0", "^": "^"}
+    states = ("walk", "halt")
+
+    def walk(q, s_in, s_work, s_out):
+        if q == "halt" or s_in == BLANK:
+            return ("halt", s_work, s_out, "S", "S", "S")
+        return ("walk", s_in, flip[s_in], "R", "R", "R")
+
+    machine = TuringMachine(states=states, start_state="walk", halt_state="halt",
+                            table=dense_table(states, {}, walk))
+    result = run(machine, bits, 200_000)
+    assert isinstance(result, Halted)
+    assert result.steps == len(bits) + 2
+    assert result.output == "".join(flip[b] for b in bits)
+    config = Configuration.initial("walk", bits)
+    while config.state != "halt":
+        step(machine, config)
+    assert config.heads == [len(bits) + 1] * 3
+    assert [len(tape) for tape in config.tapes] == [len(bits) + 2] * 3
+    assert config.tapes[1].decode("ascii") == "^" + bits + BLANK
