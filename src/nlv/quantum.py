@@ -20,13 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import moments
 from .classical import (SEED_ENUMERATION_CAP, DeterministicStrategy, check_answer_range,
                         classical_value)
 from .errors import (CapExceededError, DimensionMismatchError, ParseError, Report,
                      ValidationError, read_count, read_field, read_object)
 from .game import Game, Strategy, game_value
-from .linalg import (as_complex, dagger, deinterleave, identity, interleave, kron, psd_sqrt,
-                     random_unitary)
+from .linalg import (as_complex, dagger, deinterleave, frobenius, identity, interleave, kron,
+                     psd_sqrt, random_unitary)
 from .rng import generator
 
 MEASUREMENT_TOL = 1e-9
@@ -413,28 +414,46 @@ def random_block_families(k: int, n: int, dim: int, rng: np.random.Generator) ->
 
 def best_response(weights: np.ndarray, current: np.ndarray) -> np.ndarray:
     """Exact see-saw step: the PVM maximizing sum_a Re tr(P_a W_a), taken
-    one outcome pair at a time from the (n, d, d) projections ``current``.
+    one outcome pair at a time from the projections ``current``; both
+    arguments are (..., n, d, d) stacks, and every family of the stack
+    moves in the same stacked calls.
 
     For each pair (a, b), Q = P_a + P_b stays fixed; within range(Q), P_a
-    becomes the positive eigenspace of W_a - W_b and P_b the rest.  With
-    n = 2, Q = I and the step is the global optimum; with n > 2 each split
-    is exact, so the score never decreases.  Both projections of a split
+    becomes the positive eigenspace of W_a - W_b and P_b the rest.  A gain
+    within 1e-12 ||W_a - W_b||_F of zero counts as zero and goes to P_b, so
+    an exactly degenerate direction is placed the same way whatever the
+    rounding of its eigenvalue.  With n > 2 each split is exact, so the
+    score never decreases (up to those zero gains); ranges are found by one
+    stacked eigh of Q, and the unoccupied directions get a diagonal
+    sentinel below -||W_a - W_b|| that sorts them first and out of both
+    halves, so ranks may differ across the stack and an empty pair stays
+    empty.  With n = 2 the families must be complete PVMs, as the
+    searches' are: then Q = I, one eigh of W_0 - W_1 splits the whole
+    space, and the step is the global optimum.  Both projections of a split
     are built from their own eigenvectors, which keeps them idempotent to
     rounding over many rounds.
     """
     out = np.array(current, dtype=np.complex128)
-    n = out.shape[0]
+    n, d = out.shape[-3], out.shape[-1]
     for a in range(n):
         for b in range(a + 1, n):
-            occupied, vectors = np.linalg.eigh(out[a] + out[b])
-            basis = vectors[:, occupied > 0.5]
-            if basis.shape[1] == 0:
-                continue
-            gains, rotation = np.linalg.eigh(dagger(basis) @ (weights[a] - weights[b]) @ basis)
-            split = basis @ rotation
-            up, down = split[:, gains > 0], split[:, gains <= 0]
-            out[a] = up @ dagger(up)
-            out[b] = down @ dagger(down)
+            diff = weights[..., a, :, :] - weights[..., b, :, :]
+            scale = frobenius(diff)[..., None]
+            if n == 2:
+                gains, split = np.linalg.eigh(diff)
+                kept = True
+            else:
+                occupied, basis = np.linalg.eigh(out[..., a, :, :] + out[..., b, :, :])
+                empty = occupied <= 0.5
+                inside = basis * ~empty[..., None, :]
+                sentinel = empty * (-1.0 - 2.0 * scale)
+                gains, rotation = np.linalg.eigh(dagger(inside) @ diff @ inside
+                                                 + identity(d) * sentinel[..., None, :])
+                split = basis @ rotation
+                kept = np.arange(d) >= empty.sum(axis=-1)[..., None]
+            positive = gains > 1e-12 * scale
+            for slot, side in ((a, kept & positive), (b, kept & ~positive)):
+                out[..., slot, :, :] = (split * side[..., None, :]) @ dagger(split)
     return out
 
 
@@ -446,64 +465,91 @@ def payoff(game: Game) -> np.ndarray:
 
 def _game_operator(v: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
     """sum over x, y, a, b of V[x, y, a, b] kron(A[x, a], B[y, b]) for
-    stacked (k, n, d, d) families A and B."""
+    (..., k, n, d, d) family stacks A and B: one operator per stack entry."""
     dim = alice.shape[-1] * bob.shape[-1]
-    return np.einsum("xyab,xaij,ybkl->ikjl", v, alice, bob).reshape(dim, dim)
+    op = np.einsum("xyab,...xaij,...ybkl->...ikjl", v, alice, bob)
+    return op.reshape(op.shape[:-4] + (dim, dim))
 
 
-def _seesaw(game: Game, dim: int, rng: np.random.Generator,
-            iters: int) -> QuantumStrategySpec:
-    """One restart from random block PVMs.  Each round takes the top
-    eigenvector of the game operator as the state, then Alice's and Bob's
-    best responses; it stops once a round gains at most 1e-12, or after
-    ``iters`` rounds."""
+def _seesaw_bytes(game: Game, dim: int) -> int:
+    """Bytes one restart of :func:`_seesaw` holds at most: three d^2 x d^2
+    matrices (a game operator with eigh's copy and eigenvectors of it, or
+    two game operators) and a dozen (k, n, d, d) stacks (both players'
+    families, a player's weights and best-response temporaries)."""
+    return 16 * (3 * dim ** 4 + 12 * game.k * game.n * dim * dim)
+
+
+def _seesaw(game: Game, dim: int, rngs: list[np.random.Generator],
+            iters: int) -> list[QuantumStrategySpec]:
+    """One restart per generator in ``rngs``, each from random block PVMs
+    (Alice's, then Bob's), all run as one stacked pass.  Each round takes
+    the top eigenvector of each game operator as the state, then Alice's
+    and Bob's best responses.  A restart leaves ``live`` once a round gains
+    at most 1e-12, which freezes it as it would have stopped alone; all stop
+    after ``iters`` rounds."""
     k, n = game.k, game.n
     v = payoff(game)
-    alice = random_block_families(k, n, dim, rng)
-    bob = random_block_families(k, n, dim, rng)
-    last = -np.inf
+    starts = np.array([[random_block_families(k, n, dim, rng) for _ in "ab"] for rng in rngs])
+    alice, bob = starts[:, 0], starts[:, 1]
+    psi = np.empty((len(rngs), dim * dim), dtype=np.complex128)
+    last = np.full(len(rngs), -np.inf)
+    live = np.arange(len(rngs))
     op = _game_operator(v, alice, bob)
     for _ in range(iters):
-        psi = np.linalg.eigh(op)[1][:, -1]
-        mat = psi.reshape(dim, dim)
-        # Alice's weights W[x, a] from the fixed Bob families.
-        weights = np.einsum("xyab,ij,ybkj,lk->xail", v, mat, bob, mat.conj())
-        alice = np.array([best_response(weights[x], alice[x]) for x in range(k)])
+        state = np.linalg.eigh(op)[1][..., -1].copy()   # frees the other eigenvectors
+        mat = state.reshape(-1, dim, dim)
+        # Alice's weights W[r, x, a] from the fixed Bob families.
+        weights = np.einsum("xyab,rij,rybkj,rlk->rxail", v, mat, bob[live], mat.conj())
+        new_alice = best_response(weights, alice[live])
         # Bob's weights from Alice's new families.
-        weights = np.einsum("xyab,ij,xaik,kl->yblj", v, mat.conj(), alice, mat)
-        bob = np.array([best_response(weights[y], bob[y]) for y in range(k)])
-        op = _game_operator(v, alice, bob)
-        current = float(np.real(np.vdot(psi, op @ psi)))
-        if current <= last + 1e-12:
+        weights = np.einsum("xyab,rij,rxaik,rkl->ryblj", v, mat.conj(), new_alice, mat)
+        new_bob = best_response(weights, bob[live])
+        op = _game_operator(v, new_alice, new_bob)
+        current = np.einsum("ri,rij,rj->r", state.conj(), op, state).real
+        psi[live], alice[live], bob[live] = state, new_alice, new_bob
+        going = current > last[live] + 1e-12
+        last[live] = current
+        live, op = live[going], op[going]
+        if not live.size:
             break
-        last = current
-    return QuantumStrategySpec(flavor=TENSOR, state=psi, alice=alice, bob=bob)
+    return [QuantumStrategySpec(flavor=TENSOR, state=vec, alice=a, bob=b)
+            for vec, a, b in zip(psi, alice, bob)]
 
 
 def seesaw_search(game: Game, dim: int, restarts: int, seed: int, iters: int,
-                  restart, certify, seeds):
+                  restart, restart_bytes: int, certify, seeds):
     """Driver shared by the see-saw lower-bound searches.
 
-    The candidates are ``seeds()`` followed by restart r =
-    ``restart(game, dim, generator(seed, stream=r), iters)`` for each r,
-    where ``iters`` caps the restart's see-saw rounds.  Every candidate is
-    certified as ``game_value(game, certify(candidate))``; the largest
-    value wins, ties going to the earliest candidate.  Returns
-    ``(value, candidate)``.
+    The candidates are ``seeds()`` followed by restarts 0 .. restarts - 1.
+    Restarts run in chunks of as many as fit in ``moments.CHUNK_BYTES`` at
+    ``restart_bytes`` each (at least one): a chunk from r to s is
+    ``restart(game, dim, [generator(seed, stream=r), ..., generator(seed,
+    stream=s - 1)], iters)``, a list of one candidate per generator, where
+    ``iters`` caps the see-saw rounds.  Every candidate is certified as
+    ``game_value(game, certify(candidate))`` as it arrives, and only the
+    best is kept, so memory stays flat in ``restarts``; the largest value
+    wins, ties going to the earliest candidate.  Returns ``(value,
+    candidate)``.
     """
     if dim < 1:
         raise ValidationError("dimension must be >= 1")
     if restarts < 0 or iters < 1:
         raise ValidationError("restarts must be >= 0 and iters >= 1")
-    candidates = seeds() + [restart(game, dim, generator(seed, stream=r), iters)
-                            for r in range(restarts)]
-    if not candidates:
-        raise ValidationError("no candidates: need restarts >= 1 or a seed candidate")
-    best_value, best = -np.inf, candidates[0]
-    for candidate in candidates:
+    chunk = max(1, moments.CHUNK_BYTES // restart_bytes)
+
+    def candidates():
+        yield from seeds()
+        for start in range(0, restarts, chunk):
+            streams = range(start, min(start + chunk, restarts))
+            yield from restart(game, dim, [generator(seed, stream=r) for r in streams], iters)
+
+    best_value, best = -np.inf, None
+    for candidate in candidates():
         value = game_value(game, certify(candidate))
-        if value > best_value:
+        if best is None or value > best_value:
             best_value, best = value, candidate
+    if best is None:
+        raise ValidationError("no candidates: need restarts >= 1 or a seed candidate")
     return best_value, best
 
 
@@ -530,7 +576,7 @@ def entangled_lower_bound(game: Game, dim: int, restarts: int, seed: int,
         _, argmax = classical_value(game)
         return [embed_deterministic(argmax, game.k, game.n, dim)]
 
-    return seesaw_search(game, dim, restarts, seed, iters, _seesaw,
+    return seesaw_search(game, dim, restarts, seed, iters, _seesaw, _seesaw_bytes(game, dim),
                          quantum_correlation, seeds)
 
 

@@ -11,11 +11,11 @@ over matrix algebras only and attainment there is not guaranteed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import moments
 from .classical import SEED_ENUMERATION_CAP
 from .errors import CapExceededError, DefectTooLargeError, Report, ValidationError
 from .game import Game, Strategy
@@ -88,26 +88,45 @@ def random_tracial_family(k: int, n: int, d: int, seed: int) -> TracialPVMFamily
 
 def _best_scalar_assignment(game: Game) -> tuple[float, tuple[int, ...]] | None:
     """Exact best deterministic synchronous strategy (both players use the
-    same answer function), or None when enumeration is too large."""
+    same answer function), or None when enumeration is too large.
+
+    The assignments are scored in lexicographic chunks of an (m, k) answer
+    table, each value summing V[x, y, A[x], A[y]] in (x, y) order; the
+    first maximum wins, so ties go to the lexicographically smallest."""
     k, n = game.k, game.n
     if n ** k > SEED_ENUMERATION_CAP:
         return None
+    v = payoff(game)
+    place = n ** np.arange(k - 1, -1, -1)
+    chunk = max(1, moments.CHUNK_BYTES // (8 * (2 * k + 3)))   # two int64 rows, three floats
     best = (-np.inf, (1,) * k)
-    for assignment in itertools.product(range(1, n + 1), repeat=k):
-        value = 0.0
+    for start in range(0, n ** k, chunk):
+        answers = np.arange(start, min(start + chunk, n ** k))[:, None] // place % n
+        values = np.zeros(len(answers))
         for x in range(k):
             for y in range(k):
-                value += game.pi[x, y] * game.wins[x, y, assignment[x] - 1, assignment[y] - 1]
-        if value > best[0]:
-            best = (value, assignment)
+                values += v[x, y, answers[:, x], answers[:, y]]
+        top = int(np.argmax(values))
+        if values[top] > best[0]:
+            best = (float(values[top]), tuple(int(a) + 1 for a in answers[top]))
     return best
 
 
-def _sync_seesaw(game: Game, d: int, rng: np.random.Generator,
-                 iters: int) -> TracialPVMFamily:
-    """One restart from random block PVMs: round-robin best responses of
-    each family against the trace objective with the others held fixed.
-    It stops once a round gains at most 1e-12, or after ``iters`` rounds.
+def _sync_seesaw_bytes(game: Game, d: int) -> int:
+    """Bytes one restart of :func:`_sync_seesaw` holds at most: six (k, n,
+    d, d) stacks' worth (its families, their live copy, one question's
+    weights and best-response temporaries)."""
+    return 16 * 6 * game.k * game.n * d * d
+
+
+def _sync_seesaw(game: Game, d: int, rngs: list[np.random.Generator],
+                 iters: int) -> list[TracialPVMFamily]:
+    """One restart per generator in ``rngs``, each from random block PVMs,
+    all run as one stacked pass: each round is a round-robin over the
+    questions, each question one best response over the stack against the
+    trace objective with the other families held fixed.  A restart leaves
+    ``live`` once a round gains at most 1e-12, which freezes it as it would
+    have stopped alone; all stop after ``iters`` rounds.
 
     Since tr(P^2) = tr(P), the same-question terms are linear too: family
     x scores tr(f^x_a) V[x, x, a, a] / d, so ranks may change."""
@@ -118,17 +137,22 @@ def _sync_seesaw(game: Game, d: int, rng: np.random.Generator,
     coupling[np.arange(k), np.arange(k)] = 0.0
     # same[x, a] = (V[x, x, a, a] / d) I, the same-question weight.
     same = np.einsum("xxaa,ij->xaij", v, identity(d)) / d
-    f = random_block_families(k, n, d, rng)
-    last = -np.inf
+    families = np.array([random_block_families(k, n, d, rng) for rng in rngs])
+    last = np.full(len(rngs), -np.inf)
+    live = np.arange(len(rngs))
     for _ in range(iters):
+        f = families[live]
         for x in range(k):
-            weights = np.einsum("yab,ybij->aij", coupling[x], f) + same[x]
-            f[x] = best_response(weights, f[x])
-        current = float(np.real(np.einsum("xyab,xaij,ybji->", v, f, f))) / d
-        if current <= last + 1e-12:
+            weights = np.einsum("yab,rybij->raij", coupling[x], f) + same[x]
+            f[:, x] = best_response(weights, f[:, x])
+        current = np.einsum("xyab,rxaij,rybji->r", v, f, f).real / d
+        families[live] = f
+        going = current > last[live] + 1e-12
+        last[live] = current
+        live = live[going]
+        if not live.size:
             break
-        last = current
-    return TracialPVMFamily(families=f)
+    return [TracialPVMFamily(families=f) for f in families]
 
 
 def sync_value_lower_bound(game: Game, dim: int, restarts: int, seed: int,
@@ -149,7 +173,7 @@ def sync_value_lower_bound(game: Game, dim: int, restarts: int, seed: int,
         return [] if best is None else [scalar_family(best[1], game.n, dim)]
 
     return seesaw_search(game, dim, restarts, seed, iters, _sync_seesaw,
-                         tracial_correlation, seeds)
+                         _sync_seesaw_bytes(game, dim), tracial_correlation, seeds)
 
 
 def repair_almost_pvm(mats) -> MeasurementFamily:

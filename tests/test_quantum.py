@@ -1,23 +1,29 @@
 """Measurement theory, strategy correlations, dilation, and the see-saw."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from nlv import moments
 from nlv.classical import DeterministicStrategy, classical_value, det_to_strategy
 from nlv.errors import DimensionMismatchError, ParseError, ValidationError
 from nlv.game import Game, chsh_game, game_value, random_game, validate_strategy
 from nlv.linalg import dagger, frobenius, random_unitary
 from nlv.quantum import (COMMUTING, POVM, PVM, TENSOR, MeasurementFamily,
-                         QuantumStrategySpec, _seesaw, best_response, block_projectors,
+                         QuantumStrategySpec, _game_operator, _seesaw, _seesaw_bytes,
+                         best_response, block_projectors,
                          born_probabilities, chsh_optimal_spec, diagonal_pvm,
                          embed_deterministic,
                          embed_local, entangled_lower_bound, epr_state,
-                         kron, load_spec, naimark_dilate,
-                         quantum_correlation, rotated_basis_pvm, save_spec, tensor,
+                         kron, load_spec, naimark_dilate, payoff,
+                         quantum_correlation, random_block_families, rotated_basis_pvm,
+                         save_spec, seesaw_search, tensor,
                          validate_measurement, validate_spec)
 from nlv.rng import generator
+from nlv.synchronous import (_sync_seesaw, _sync_seesaw_bytes, sync_value_lower_bound,
+                             tracial_correlation)
 
 E1 = np.array([1, 0], dtype=complex)
 E2 = np.array([0, 1], dtype=complex)
@@ -462,6 +468,27 @@ def test_strided_outcomes_and_state_are_accepted():
 
 # -- best_response -----------------------------------------------------------
 
+def reference_best_response(weights, current):
+    """The per-pair loop on one (n, d, d) family: each pair's range from its
+    own eigh, and the split from the occupied columns alone."""
+    out = np.array(current, dtype=np.complex128)
+    n = out.shape[0]
+    for a in range(n):
+        for b in range(a + 1, n):
+            occupied, vectors = np.linalg.eigh(out[a] + out[b])
+            basis = vectors[:, occupied > 0.5]
+            if basis.shape[1] == 0:
+                continue
+            diff = weights[a] - weights[b]
+            gains, rotation = np.linalg.eigh(dagger(basis) @ diff @ basis)
+            split = basis @ rotation
+            positive = gains > 1e-12 * np.linalg.norm(diff)
+            up, down = split[:, positive], split[:, ~positive]
+            out[a] = up @ dagger(up)
+            out[b] = down @ dagger(down)
+    return out
+
+
 def random_weights(n, d, rng):
     g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
     return (g + g.conj().transpose(0, 2, 1)) / 2
@@ -500,12 +527,148 @@ def test_best_response_stays_a_pvm_over_60_rounds():
     assert validate_measurement(fam, tol=1e-12).ok
 
 
+def ranked_family(u, ranks):
+    """PVM whose outcome a projects onto the next ranks[a] columns of u."""
+    bounds = np.cumsum([0] + list(ranks))
+    return np.array([u[:, lo:hi] @ dagger(u[:, lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+
+
+@pytest.mark.parametrize("n, d, profiles", [
+    (4, 2, [(1, 1, 0, 0), (2, 0, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)]),
+    (3, 3, [(1, 1, 1), (3, 0, 0), (0, 2, 1), (2, 0, 1), (0, 0, 3)]),
+    (2, 3, [(1, 2), (3, 0), (0, 3), (2, 1)]),
+])
+def test_stacked_best_response_matches_per_pair_loop(n, d, profiles):
+    # Pairs of every rank from 0 to d sit in one stack.  The last family
+    # holds everything in outcome 0, and its weights keep it there, so all
+    # its later pairs are empty pairs and must stay exactly zero.
+    rng = generator(40 + n + d)
+    profiles = profiles + [(d,) + (0,) * (n - 1)]
+    current = np.array([ranked_family(random_unitary(d, rng), ranks) for ranks in profiles])
+    weights = np.array([random_weights(n, d, rng) for _ in profiles])
+    weights[-1, 0] += 100 * np.eye(d)
+    stacked = best_response(weights[None], current[None])[0]
+    for w, family, got in zip(weights, current, stacked):
+        assert np.max(np.abs(got - reference_best_response(w, family))) <= 1e-12
+    assert np.all(stacked[-1, 1:] == 0)
+
+
+# -- batched see-saw against the serial reference ----------------------------
+
+def reference_seesaw(game, dim, rng, iters):
+    """One restart run alone, with one best response per question: the
+    serial see-saw the batched one must reproduce."""
+    k, n = game.k, game.n
+    v = payoff(game)
+    alice = random_block_families(k, n, dim, rng)
+    bob = random_block_families(k, n, dim, rng)
+    last = -np.inf
+    op = _game_operator(v, alice, bob)
+    for _ in range(iters):
+        psi = np.linalg.eigh(op)[1][:, -1]
+        mat = psi.reshape(dim, dim)
+        weights = np.einsum("xyab,ij,ybkj,lk->xail", v, mat, bob, mat.conj())
+        alice = np.array([reference_best_response(weights[x], alice[x]) for x in range(k)])
+        weights = np.einsum("xyab,ij,xaik,kl->yblj", v, mat.conj(), alice, mat)
+        bob = np.array([reference_best_response(weights[y], bob[y]) for y in range(k)])
+        op = _game_operator(v, alice, bob)
+        current = float(np.real(np.vdot(psi, op @ psi)))
+        if current <= last + 1e-12:
+            break
+        last = current
+    return QuantumStrategySpec(flavor=TENSOR, state=psi, alice=alice, bob=bob)
+
+
+# (k, n, dim): n = 3 and 4, n > dim, and dim = 1 all occur.
+SEARCH_SHAPES = [(k, n, dim) for k, n in ((2, 2), (3, 2), (2, 3), (3, 3), (2, 4))
+                 for dim in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("k, n, dim", SEARCH_SHAPES)
+def test_batched_seesaw_matches_serial_reference(k, n, dim):
+    for seed in range(4):
+        g = random_game(k, n, seed)
+        batched = _seesaw(g, dim, [generator(seed, stream=r) for r in range(3)], 60)
+        for r, spec in enumerate(batched):
+            serial = reference_seesaw(g, dim, generator(seed, stream=r), 60)
+            assert game_value(g, quantum_correlation(spec)) == pytest.approx(
+                game_value(g, quantum_correlation(serial)), abs=1e-12)
+
+
 def test_lower_bound_search_output_is_pvm_to_rounding():
     g = random_game(3, 3, seed=4)
-    for r in range(2):
-        spec = _seesaw(g, 3, generator(1, stream=r), 60)
+    for spec in _seesaw(g, 3, [generator(1, stream=r) for r in range(2)], 60):
         assert spec.measurement == PVM
         assert validate_spec(spec, tol=1e-12).ok
+
+
+# -- restart chunks ----------------------------------------------------------
+
+SEARCHES = {"entangled": (_seesaw, _seesaw_bytes, quantum_correlation),
+            "sync": (_sync_seesaw, _sync_seesaw_bytes, tracial_correlation)}
+
+
+def search_candidates(search, game, dim, restarts, iters):
+    """Every restart candidate of one search, in order, and the number of
+    restarts in each chunk."""
+    restart, restart_bytes, certify = SEARCHES[search]
+    candidates, chunks = [], []
+
+    def run_chunk(game, dim, rngs, iters):
+        chunks.append(len(rngs))
+        return restart(game, dim, rngs, iters)
+
+    def record(candidate):
+        candidates.append(candidate)
+        return certify(candidate)
+
+    seesaw_search(game, dim, restarts, 5, iters, run_chunk, restart_bytes(game, dim), record,
+                  lambda: [])
+    return candidates, chunks
+
+
+def candidate_arrays(candidate):
+    if isinstance(candidate, QuantumStrategySpec):
+        return candidate.state, candidate.alice, candidate.bob
+    return (candidate.families,)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("search", sorted(SEARCHES))
+@pytest.mark.parametrize("k, n, dim", [(2, 2, 2), (2, 3, 2), (3, 2, 3), (2, 4, 3), (3, 3, 3)])
+def test_chunked_restarts_are_bit_identical_to_one_chunk(monkeypatch, chunk, search, k, n, dim):
+    # On (2, 4, 3) (sync) and (3, 3, 3) (entangled) some restarts stop short
+    # of a fixed point while others go on, so a restart that ran past the
+    # round where it stops alone would change its bits.
+    g = random_game(k, n, seed=k + n + dim)
+    whole, chunks = search_candidates(search, g, dim, 7, 60)
+    assert chunks == [7]
+    monkeypatch.setattr(moments, "CHUNK_BYTES", chunk * SEARCHES[search][1](g, dim))
+    parts, chunks = search_candidates(search, g, dim, 7, 60)
+    assert chunks == [chunk] * (7 // chunk) + [7 % chunk] * (7 % chunk > 0)
+    assert len(parts) == len(whole) == 7
+    for got, want in zip(parts, whole):
+        for a, b in zip(candidate_arrays(got), candidate_arrays(want)):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("search, dim", [("entangled", 8), ("sync", 32)])
+def test_many_restart_peak_stays_within_chunk_budget(monkeypatch, search, dim):
+    # All 48 restarts at once would hold several times the budget; chunks
+    # keep the traced peak under it plus one restart's working set.
+    g = chsh_game()
+    restart_bytes = SEARCHES[search][1](g, dim)
+    monkeypatch.setattr(moments, "CHUNK_BYTES", 2 << 20)
+    assert 48 * restart_bytes > 4 * (moments.CHUNK_BYTES + restart_bytes)
+    search_fn = entangled_lower_bound if search == "entangled" else sync_value_lower_bound
+    search_fn(g, dim=dim, restarts=1, seed=0, iters=1)   # one-time lazy set-up, untraced
+    tracemalloc.start()
+    try:
+        search_fn(g, dim=dim, restarts=48, seed=0, iters=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < moments.CHUNK_BYTES + restart_bytes
 
 
 # -- entangled_lower_bound ---------------------------------------------------

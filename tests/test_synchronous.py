@@ -6,28 +6,59 @@ import itertools
 import numpy as np
 import pytest
 
+from nlv import moments
 from nlv.classical import DeterministicStrategy, det_to_strategy, is_synchronous
 from nlv.errors import DefectTooLargeError, ValidationError
 from nlv.game import Game, chsh_game, game_value, random_game, validate_strategy
-from nlv.linalg import dagger, frobenius, random_unitary
-from nlv.quantum import PVM, MeasurementFamily, block_projectors, validate_measurement
+from nlv.linalg import dagger, frobenius, identity, random_unitary
+from nlv.quantum import (PVM, MeasurementFamily, block_projectors, payoff,
+                         random_block_families, validate_measurement)
 from nlv.rng import generator
-from nlv.synchronous import (TracialPVMFamily, _sync_seesaw, random_tracial_family,
-                             repair_almost_pvm, scalar_family,
+from nlv.synchronous import (TracialPVMFamily, _best_scalar_assignment, _sync_seesaw,
+                             random_tracial_family, repair_almost_pvm, scalar_family,
                              sync_value_lower_bound, tracial_correlation,
                              validate_family)
+from test_quantum import SEARCH_SHAPES, reference_best_response
 
 
 def oracle_best_scalar(game):
-    """Enumerate every common answer function and score it directly."""
-    best = -1.0
+    """Enumerate every common answer function in lexicographic order and
+    score it directly; the first best one wins.  Returns (value,
+    assignment)."""
+    best = (-np.inf, None)
     for assignment in itertools.product(range(1, game.n + 1), repeat=game.k):
         value = 0.0
         for x in range(game.k):
             for y in range(game.k):
                 value += game.pi[x, y] * game.wins[x, y, assignment[x] - 1, assignment[y] - 1]
-        best = max(best, value)
+        if value > best[0]:
+            best = (value, assignment)
     return best
+
+
+def tie_game(k, n, seed):
+    """Dyadic pi and 0/1 predicate: many assignments score exactly alike."""
+    rng = generator(seed)
+    return Game(k=k, n=n, pi=np.full((k, k), 1.0 / (k * k)),
+                wins=(rng.random((k, k, n, n)) < 0.5).astype(float))
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 5])
+@pytest.mark.parametrize("game", [chsh_game()]
+                         + [random_game(k, n, seed) for k, n, seed in
+                            ((1, 3, 0), (2, 2, 1), (4, 3, 2), (6, 2, 3), (5, 4, 4))]
+                         + [tie_game(k, n, seed) for k, n, seed in
+                            ((2, 2, 5), (4, 2, 6), (5, 3, 7), (7, 2, 8))]
+                         + [Game(k=3, n=2, pi=np.full((3, 3), 1 / 9), wins=np.ones((3, 3, 2, 2)))])
+def test_best_scalar_assignment_matches_itertools_reference(monkeypatch, game, chunk):
+    # Bit-identical values and the same lexicographically first argmax, also
+    # when the assignments are scored in chunks of 1 or 5.
+    if chunk is not None:
+        monkeypatch.setattr(moments, "CHUNK_BYTES", chunk * 8 * (2 * game.k + 3))
+    value, assignment = _best_scalar_assignment(game)
+    want_value, want_assignment = oracle_best_scalar(game)
+    assert value == want_value
+    assert assignment == want_assignment
 
 
 def test_scalar_family_reproduces_deterministic_sync_strategy():
@@ -87,7 +118,7 @@ def test_tracial_correlations_synchronous_symmetric_consistent():
 def test_sync_lower_bound_chsh_dim1():
     value, fam = sync_value_lower_bound(chsh_game(), dim=1, restarts=2, seed=0, iters=10)
     assert value == pytest.approx(0.75, abs=1e-12)
-    assert value == pytest.approx(oracle_best_scalar(chsh_game()), abs=1e-12)
+    assert value == pytest.approx(oracle_best_scalar(chsh_game())[0], abs=1e-12)
     s = tracial_correlation(fam)
     # same-question answers agree, so the (2,2) disagree round is lost
     assert s.p[1, 1, 0, 1] == pytest.approx(0.0, abs=1e-12)
@@ -104,7 +135,7 @@ def test_sync_lower_bound_dominates_scalar_seed():
     for seed in range(6):
         g = random_game(2, 2, seed=seed)
         value, fam = sync_value_lower_bound(g, dim=2, restarts=1, seed=seed, iters=8)
-        assert value >= oracle_best_scalar(g) - 1e-9
+        assert value >= oracle_best_scalar(g)[0] - 1e-9
         assert value <= 1.0 + 1e-9
         # self-certification
         assert game_value(g, tracial_correlation(fam)) == pytest.approx(value, abs=1e-9)
@@ -121,14 +152,45 @@ def test_sync_lower_bound_changes_ranks_and_stays_exact():
     # leave the near-equal block profile.
     g = random_game(2, 2, seed=0)
     values = []
-    for r in range(2):
-        fam = _sync_seesaw(g, 3, generator(0, stream=r), 60)
+    for fam in _sync_seesaw(g, 3, [generator(0, stream=r) for r in range(2)], 60):
         ranks = [[round(float(np.trace(m).real)) for m in f] for f in fam.families]
         assert any(rank != [2, 1] for rank in ranks)
         assert validate_family(fam, tol=1e-12).ok
         values.append(game_value(g, tracial_correlation(fam)))
     value, _ = sync_value_lower_bound(g, dim=3, restarts=2, seed=0, iters=60)
     assert value == pytest.approx(max(values), abs=1e-12)
+
+
+def reference_sync_seesaw(game, d, rng, iters):
+    """One restart run alone, with one best response per question: the
+    serial synchronous see-saw the batched one must reproduce."""
+    k, n = game.k, game.n
+    v = payoff(game)
+    coupling = (v + v.transpose(1, 0, 3, 2)) / d
+    coupling[np.arange(k), np.arange(k)] = 0.0
+    same = np.einsum("xxaa,ij->xaij", v, identity(d)) / d
+    f = random_block_families(k, n, d, rng)
+    last = -np.inf
+    for _ in range(iters):
+        for x in range(k):
+            weights = np.einsum("yab,ybij->aij", coupling[x], f) + same[x]
+            f[x] = reference_best_response(weights, f[x])
+        current = float(np.real(np.einsum("xyab,xaij,ybji->", v, f, f))) / d
+        if current <= last + 1e-12:
+            break
+        last = current
+    return TracialPVMFamily(families=f)
+
+
+@pytest.mark.parametrize("k, n, dim", SEARCH_SHAPES)
+def test_batched_sync_seesaw_matches_serial_reference(k, n, dim):
+    for seed in range(4):
+        g = random_game(k, n, seed)
+        batched = _sync_seesaw(g, dim, [generator(seed, stream=r) for r in range(3)], 60)
+        for r, fam in enumerate(batched):
+            serial = reference_sync_seesaw(g, dim, generator(seed, stream=r), 60)
+            assert game_value(g, tracial_correlation(fam)) == pytest.approx(
+                game_value(g, tracial_correlation(serial)), abs=1e-12)
 
 
 def test_sync_lower_bound_rejects_bad_parameters():
