@@ -7,13 +7,13 @@ deterministic ones and can never beat that maximum.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import moments
 from .errors import CapExceededError, ValidationError
-from .game import DIST_TOL, Game, Strategy
+from .game import DIST_TOL, Game, Strategy, payoff
 
 ENUMERATION_CAP = 10_000_000
 SEED_ENUMERATION_CAP = 1_000_000   # n^k at most this many to seed the see-saw searches
@@ -52,57 +52,78 @@ def det_to_strategy(d: DeterministicStrategy, k: int, n: int) -> Strategy:
     return Strategy(k=k, n=n, p=p)
 
 
+def _first_best(k: int, n: int, row_bytes: int, score) -> tuple[float, np.ndarray]:
+    """First maximum of ``score`` over the n^k answer functions [n]^k, the
+    package's one enumeration of them: ``score`` maps an (m, k) table of
+    0-based answer rows to (m,) values, and sees lexicographic chunks of
+    ``moments.CHUNK_BYTES // row_bytes`` rows (at least one), ``row_bytes``
+    being what scoring a row holds.  Ties go to the smallest row."""
+    place = n ** np.arange(k - 1, -1, -1)
+    chunk = max(1, moments.CHUNK_BYTES // row_bytes)
+    best_value, best = -np.inf, None
+    for start in range(0, n ** k, chunk):
+        answers = np.arange(start, min(start + chunk, n ** k))[:, None] // place % n
+        values = score(answers)
+        top = int(np.argmax(values))
+        if values[top] > best_value:
+            best_value, best = float(values[top]), answers[top]
+    return best_value, best
+
+
 def classical_value(game: Game, cap: int = ENUMERATION_CAP) -> tuple[float, DeterministicStrategy]:
     """Exact maximum winning probability over deterministic strategies.
 
-    Equivalent to scanning all n^(2k) pairs of answer functions with Bob's
-    function varying fastest: for each Alice function the best Bob reply
-    decomposes question by question, so Bob's side is maximized in closed
-    form.  Ties are broken toward the lexicographically smallest
-    (alice, bob) pair.  The cost is one step per Alice function, so this
-    raises when n^k exceeds ``cap``; at that size use random restarts over
-    deterministic strategies and report the best value found as a labeled
-    lower bound.
+    Bob's best reply decomposes question by question, so only Alice's n^k
+    functions are scanned, in chunks scored as T[m, y, b] = sum_x V[x, y,
+    A[m, x], b] with Bob taking the first best b for each y.  Ties go to
+    the lexicographically smallest (alice, bob) pair, as in a scan of all
+    n^(2k) pairs with Bob's function varying fastest.  Raises when n^k
+    exceeds ``cap``; past it, sampled strategies give only a lower bound.
     """
     k, n = game.k, game.n
-    total = n ** k
-    if total > cap:
+    if n ** k > cap:
         raise CapExceededError(
-            f"{n}^{k} = {total} Alice answer functions exceeds cap {cap}; "
+            f"{n}^{k} = {n ** k} Alice answer functions exceeds cap {cap}; "
             "sample random deterministic strategies instead and report a lower bound")
+    # w[x, a, y, b] = V[x, y, a, b]: what Alice answering a to x adds to T.
+    w = payoff(game).transpose(0, 2, 1, 3)
+
+    def score(answers):
+        table = w[0, answers[:, 0]]
+        for x in range(1, k):
+            table += w[x, answers[:, x]]
+        return table.max(axis=-1).sum(axis=-1)
+
+    # Per row: two int64 answer rows, T and one gathered term, Bob's maxima, the value.
+    _, alice = _first_best(k, n, 8 * (2 * k * n + 3 * k + 1), score)
     questions = np.arange(k)
-    best_value = -np.inf
-    best_alice: tuple[int, ...] = ()
-    best_bob: tuple[int, ...] = ()
-    for alice in itertools.product(range(n), repeat=k):
-        picked = game.wins[questions, :, np.asarray(alice), :]   # [x, y, b]
-        bob_scores = np.einsum("xy,xyb->yb", game.pi, picked)
-        bob = np.argmax(bob_scores, axis=1)                      # first max = smallest b
-        value = float(bob_scores[questions, bob].sum())
-        if value > best_value:
-            best_value = value
-            best_alice = alice
-            best_bob = tuple(int(b) for b in bob)
-    argmax = DeterministicStrategy(
-        alice=tuple(a + 1 for a in best_alice),
-        bob=tuple(b + 1 for b in best_bob))
-    return best_value, argmax
+    bob_scores = np.einsum("xy,xyb->yb", game.pi, game.wins[questions, :, alice, :])
+    bob = np.argmax(bob_scores, axis=1)                      # first max = smallest b
+    value = float(bob_scores[questions, bob].sum())
+    return value, DeterministicStrategy(alice=tuple(alice + 1), bob=tuple(bob + 1))
+
+
+def check_mixture(mixture: list[tuple[float, DeterministicStrategy]], k: int, n: int) -> np.ndarray:
+    """The weights of a mixture of deterministic strategies, which must be
+    nonempty, finite and nonnegative with mass within DIST_TOL of 1, after
+    checking every member's answers against k questions and n answers."""
+    if not mixture:
+        raise ValidationError("mixture must contain at least one strategy")
+    weights = np.array([w for w, _ in mixture], dtype=np.float64)
+    if not np.all(np.isfinite(weights) & (weights >= 0)):
+        raise ValidationError("mixture weights must be finite and nonnegative")
+    if abs(float(weights.sum()) - 1.0) > DIST_TOL:
+        raise ValidationError(f"mixture weights sum to {weights.sum():.6g} != 1")
+    for _, det in mixture:
+        check_answer_range(det, k, n)
+    return weights
 
 
 def sample_local(mixture: list[tuple[float, DeterministicStrategy]], k: int, n: int) -> Strategy:
     """Convex combination of deterministic strategies (a local strategy:
     both players deterministically follow a shared random label)."""
-    if not mixture:
-        raise ValidationError("mixture must contain at least one strategy")
-    weights = np.array([w for w, _ in mixture], dtype=np.float64)
-    if np.any(weights < 0):
-        raise ValidationError("mixture weights must be nonnegative")
-    mass = float(weights.sum())
-    if abs(mass - 1.0) > DIST_TOL:
-        raise ValidationError(f"mixture weights sum to {mass:.6g} != 1")
-    p = np.zeros((k, k, n, n))
-    for weight, det in mixture:
-        p += weight * det_to_strategy(det, k, n).p
+    check_mixture(mixture, k, n)
+    p = sum(weight * det_to_strategy(det, k, n).p for weight, det in mixture)
     return Strategy(k=k, n=n, p=p)
 
 

@@ -19,7 +19,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .classical import classical_value
+from .classical import ENUMERATION_CAP, classical_value
 from .errors import NlvError
 from .game import chsh_game, game_value, load_game, load_strategy
 from .linalg import interleave
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("classical", help="exact classical value by enumeration")
     p.add_argument("--game", required=True)
-    p.add_argument("--cap", type=_positive_int, default=10_000_000)
+    p.add_argument("--cap", type=_positive_int, default=ENUMERATION_CAP)
 
     p = add_parser("quantum-lb", help="see-saw lower bound on the entangled value")
     p.add_argument("--game", required=True)

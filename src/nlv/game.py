@@ -152,6 +152,12 @@ def game_value(game: Game, strategy: Strategy) -> float:
     return float(np.einsum("xy,xyab,xyab->", game.pi, game.wins, strategy.p))
 
 
+def payoff(game: Game) -> np.ndarray:
+    """V[x, y, a, b] = pi(x, y) D(x, y, a, b): the weight of each answer
+    pair, over which every game-weighted trace is one contraction."""
+    return game.pi[:, :, None, None] * game.wins
+
+
 def random_game(k: int, n: int, seed: int) -> Game:
     """Test-corpus generator: pi from a flat Dirichlet, predicate entries
     independent fair coins.  Deterministic in ``seed``."""

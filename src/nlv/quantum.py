@@ -22,10 +22,10 @@ import numpy as np
 
 from . import moments
 from .classical import (SEED_ENUMERATION_CAP, DeterministicStrategy, check_answer_range,
-                        classical_value)
+                        check_mixture, classical_value)
 from .errors import (CapExceededError, DimensionMismatchError, ParseError, Report,
                      ValidationError, read_count, read_field, read_object)
-from .game import Game, Strategy, game_value
+from .game import Game, Strategy, game_value, payoff
 from .linalg import (as_complex, dagger, deinterleave, frobenius, identity, interleave, kron,
                      psd_sqrt, random_unitary)
 from .rng import generator
@@ -331,17 +331,7 @@ def embed_local(mixture: list[tuple[float, DeterministicStrategy]], k: int,
     the result is exactly the mixed (local) strategy, exhibiting that
     every local strategy is a quantum one.
     """
-    if not mixture:
-        raise ValidationError("mixture must contain at least one strategy")
-    weights = np.array([w for w, _ in mixture], dtype=np.float64)
-    if np.any(weights < 0) or abs(float(weights.sum()) - 1.0) > 1e-12:
-        raise ValidationError("mixture weights must be nonnegative and sum to 1")
-    for _, det in mixture:
-        check_answer_range(det, k, n)
-    m = len(mixture)
-    state = np.zeros(m * m, dtype=np.complex128)
-    for label, weight in enumerate(weights):
-        state[label * m + label] = np.sqrt(weight)
+    state = np.diag(np.sqrt(check_mixture(mixture, k, n))).ravel()
     # Row x of each answer array: every mixture member's answer to question x.
     return QuantumStrategySpec(
         flavor=TENSOR, state=state,
@@ -457,12 +447,6 @@ def best_response(weights: np.ndarray, current: np.ndarray) -> np.ndarray:
     return out
 
 
-def payoff(game: Game) -> np.ndarray:
-    """V[x, y, a, b] = pi(x, y) D(x, y, a, b): the weight of each answer
-    pair, over which every game-weighted trace is one contraction."""
-    return game.pi[:, :, None, None] * game.wins
-
-
 def _game_operator(v: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
     """sum over x, y, a, b of V[x, y, a, b] kron(A[x, a], B[y, b]) for
     (..., k, n, d, d) family stacks A and B: one operator per stack entry."""
@@ -520,7 +504,8 @@ def seesaw_search(game: Game, dim: int, restarts: int, seed: int, iters: int,
                   restart, restart_bytes: int, certify, seeds):
     """Driver shared by the see-saw lower-bound searches.
 
-    The candidates are ``seeds()`` followed by restarts 0 .. restarts - 1.
+    The candidates are ``seeds()``, asked for only when n^k <=
+    ``SEED_ENUMERATION_CAP``, followed by restarts 0 .. restarts - 1.
     Restarts run in chunks of as many as fit in ``moments.CHUNK_BYTES`` at
     ``restart_bytes`` each (at least one): a chunk from r to s is
     ``restart(game, dim, [generator(seed, stream=r), ..., generator(seed,
@@ -538,7 +523,8 @@ def seesaw_search(game: Game, dim: int, restarts: int, seed: int, iters: int,
     chunk = max(1, moments.CHUNK_BYTES // restart_bytes)
 
     def candidates():
-        yield from seeds()
+        if game.n ** game.k <= SEED_ENUMERATION_CAP:
+            yield from seeds()
         for start in range(0, restarts, chunk):
             streams = range(start, min(start + chunk, restarts))
             yield from restart(game, dim, [generator(seed, stream=r) for r in streams], iters)
@@ -569,15 +555,9 @@ def entangled_lower_bound(game: Game, dim: int, restarts: int, seed: int,
     if dim * dim > MAX_STATE_DIM:
         raise CapExceededError(
             f"dim^2 = {dim * dim} exceeds the entangled search cap {MAX_STATE_DIM}")
-
-    def seeds() -> list[QuantumStrategySpec]:
-        if game.n ** game.k > SEED_ENUMERATION_CAP:
-            return []
-        _, argmax = classical_value(game)
-        return [embed_deterministic(argmax, game.k, game.n, dim)]
-
-    return seesaw_search(game, dim, restarts, seed, iters, _seesaw, _seesaw_bytes(game, dim),
-                         quantum_correlation, seeds)
+    return seesaw_search(
+        game, dim, restarts, seed, iters, _seesaw, _seesaw_bytes(game, dim), quantum_correlation,
+        lambda: [embed_deterministic(classical_value(game)[1], game.k, game.n, dim)])
 
 
 # ---------------------------------------------------------------------------

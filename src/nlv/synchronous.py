@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import moments
-from .classical import SEED_ENUMERATION_CAP
+from .classical import _first_best
 from .errors import CapExceededError, DefectTooLargeError, Report, ValidationError
-from .game import Game, Strategy
+from .game import Game, Strategy, payoff
 from .linalg import dagger, frobenius, identity
-from .quantum import (POVM, PVM, MeasurementFamily, best_response, diagonal_pvm, payoff,
+from .quantum import (POVM, PVM, MeasurementFamily, best_response, diagonal_pvm,
                       random_block_families, seesaw_search, stack_families, validate_stack)
 from .rng import generator
 
@@ -86,30 +85,23 @@ def random_tracial_family(k: int, n: int, d: int, seed: int) -> TracialPVMFamily
     return TracialPVMFamily(families=random_block_families(k, n, d, generator(seed)))
 
 
-def _best_scalar_assignment(game: Game) -> tuple[float, tuple[int, ...]] | None:
+def _best_scalar_assignment(game: Game) -> tuple[float, tuple[int, ...]]:
     """Exact best deterministic synchronous strategy (both players use the
-    same answer function), or None when enumeration is too large.
-
-    The assignments are scored in lexicographic chunks of an (m, k) answer
-    table, each value summing V[x, y, A[x], A[y]] in (x, y) order; the
-    first maximum wins, so ties go to the lexicographically smallest."""
-    k, n = game.k, game.n
-    if n ** k > SEED_ENUMERATION_CAP:
-        return None
+    same answer function A) as ``(value, A)``, scoring each A by summing
+    V[x, y, A[x], A[y]] in (x, y) order; ties go to the smallest A."""
+    k = game.k
     v = payoff(game)
-    place = n ** np.arange(k - 1, -1, -1)
-    chunk = max(1, moments.CHUNK_BYTES // (8 * (2 * k + 3)))   # two int64 rows, three floats
-    best = (-np.inf, (1,) * k)
-    for start in range(0, n ** k, chunk):
-        answers = np.arange(start, min(start + chunk, n ** k))[:, None] // place % n
+
+    def score(answers):
         values = np.zeros(len(answers))
         for x in range(k):
             for y in range(k):
                 values += v[x, y, answers[:, x], answers[:, y]]
-        top = int(np.argmax(values))
-        if values[top] > best[0]:
-            best = (float(values[top]), tuple(int(a) + 1 for a in answers[top]))
-    return best
+        return values
+
+    # Per row: two int64 answer rows and three floats.
+    value, best = _first_best(k, game.n, 8 * (2 * k + 3), score)
+    return value, tuple(int(a) + 1 for a in best)
 
 
 def _sync_seesaw_bytes(game: Game, d: int) -> int:
@@ -167,13 +159,9 @@ def sync_value_lower_bound(game: Game, dim: int, restarts: int, seed: int,
     """
     if dim > MAX_FAMILY_DIM:
         raise CapExceededError(f"dim = {dim} exceeds the synchronous search cap {MAX_FAMILY_DIM}")
-
-    def seeds() -> list[TracialPVMFamily]:
-        best = _best_scalar_assignment(game)
-        return [] if best is None else [scalar_family(best[1], game.n, dim)]
-
-    return seesaw_search(game, dim, restarts, seed, iters, _sync_seesaw,
-                         _sync_seesaw_bytes(game, dim), tracial_correlation, seeds)
+    return seesaw_search(
+        game, dim, restarts, seed, iters, _sync_seesaw, _sync_seesaw_bytes(game, dim),
+        tracial_correlation, lambda: [scalar_family(_best_scalar_assignment(game)[1], game.n, dim)])
 
 
 def repair_almost_pvm(mats) -> MeasurementFamily:

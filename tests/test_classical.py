@@ -10,10 +10,13 @@ import itertools
 import numpy as np
 import pytest
 
+from nlv import moments
 from nlv.classical import (DeterministicStrategy, classical_value, det_to_strategy,
                            is_synchronous, sample_local)
 from nlv.errors import CapExceededError, ValidationError
 from nlv.game import Game, chsh_game, game_value, random_game, validate_strategy
+from nlv.quantum import embed_local
+from test_synchronous import tie_game
 
 
 def oracle_classical_value(game):
@@ -73,14 +76,29 @@ def test_classical_value_always_win():
     assert argmax == DeterministicStrategy(alice=(1, 1), bob=(1, 1))
 
 
-@pytest.mark.parametrize("k,n,seed", [(2, 2, 3), (3, 2, 1), (2, 3, 5), (3, 3, 8)])
-def test_classical_value_matches_oracle(k, n, seed):
-    g = random_game(k, n, seed=seed)
-    value, argmax = classical_value(g)
-    oracle_value, oracle_alice, oracle_bob = oracle_classical_value(g)
+@pytest.mark.parametrize("game", [
+    *(pytest.param(random_game(k, n, seed), id=f"{k}-{n}-{seed}")
+      for k, n, seed in ((2, 2, 3), (3, 2, 1), (2, 3, 5), (3, 3, 8))),
+    pytest.param(chsh_game(), id="chsh"),
+    *(pytest.param(tie_game(k, n, seed), id=f"tie-{k}-{n}-{seed}")
+      for k, n, seed in ((2, 2, 5), (4, 2, 6), (3, 3, 9))),
+    pytest.param(Game(k=3, n=2, pi=np.full((3, 3), 1 / 9), wins=np.ones((3, 3, 2, 2))),
+                 id="all-win-3-2")])
+def test_classical_value_matches_oracle(monkeypatch, game):
+    # The oracle's argmax exactly, and the same (value, argmax) whether
+    # Alice's functions are scored in one chunk or in chunks of 1 or 5.
+    results = []
+    for chunk in (None, 1, 5):
+        if chunk is not None:
+            # The scan's bytes per row: two int64 rows and 2kn + k + 1 floats.
+            row_bytes = 8 * (2 * game.k * game.n + 3 * game.k + 1)
+            monkeypatch.setattr(moments, "CHUNK_BYTES", chunk * row_bytes)
+        results.append(classical_value(game))
+    value, argmax = results[0]
+    oracle_value, oracle_alice, oracle_bob = oracle_classical_value(game)
     assert value == pytest.approx(oracle_value, abs=1e-12)
-    assert argmax.alice == oracle_alice
-    assert argmax.bob == oracle_bob
+    assert argmax == DeterministicStrategy(alice=oracle_alice, bob=oracle_bob)
+    assert results[1] == results[0] and results[2] == results[0]
 
 
 def test_classical_value_agrees_with_value_functional():
@@ -140,11 +158,18 @@ def test_sample_local_value_below_classical():
 
 
 def test_sample_local_weight_validation():
+    # sample_local and embed_local share one mixture check.
     d = DeterministicStrategy(alice=(1,), bob=(1,))
-    with pytest.raises(ValidationError, match="sum to"):
-        sample_local([(0.5, d)], 1, 1)
-    with pytest.raises(ValidationError, match="nonnegative"):
-        sample_local([(-0.5, d), (1.5, d)], 1, 1)
+    for build in (sample_local, embed_local):
+        with pytest.raises(ValidationError, match="at least one"):
+            build([], 1, 1)
+        with pytest.raises(ValidationError, match="sum to"):
+            build([(0.5, d)], 1, 1)
+        with pytest.raises(ValidationError, match="nonnegative"):
+            build([(-0.5, d), (1.5, d)], 1, 1)
+        for weight in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="finite"):
+                build([(weight, d)], 1, 1)
 
 
 def test_is_synchronous_matching_functions():

@@ -9,9 +9,9 @@ magnitude below that.
 import numpy as np
 import pytest
 
-from nlv.game import random_game
+from nlv.game import payoff, random_game
 from nlv.linalg import dagger, identity, kron
-from nlv.quantum import (COMMUTING, TENSOR, QuantumStrategySpec, _game_operator, payoff,
+from nlv.quantum import (COMMUTING, TENSOR, QuantumStrategySpec, _game_operator,
                          quantum_correlation, random_block_families)
 from nlv.rng import generator
 from nlv.synchronous import random_tracial_family, tracial_correlation

@@ -9,7 +9,7 @@ import pytest
 from nlv import moments
 from nlv.classical import DeterministicStrategy, classical_value, det_to_strategy
 from nlv.errors import DimensionMismatchError, ParseError, ValidationError
-from nlv.game import Game, chsh_game, game_value, random_game, validate_strategy
+from nlv.game import Game, chsh_game, game_value, payoff, random_game, validate_strategy
 from nlv.linalg import dagger, frobenius, random_unitary
 from nlv.quantum import (COMMUTING, POVM, PVM, TENSOR, MeasurementFamily,
                          QuantumStrategySpec, _game_operator, _seesaw, _seesaw_bytes,
@@ -17,7 +17,7 @@ from nlv.quantum import (COMMUTING, POVM, PVM, TENSOR, MeasurementFamily,
                          born_probabilities, chsh_optimal_spec, diagonal_pvm,
                          embed_deterministic,
                          embed_local, entangled_lower_bound, epr_state,
-                         kron, load_spec, naimark_dilate, payoff,
+                         kron, load_spec, naimark_dilate,
                          quantum_correlation, random_block_families, rotated_basis_pvm,
                          save_spec, seesaw_search, tensor,
                          validate_measurement, validate_spec)

@@ -9,10 +9,10 @@ import pytest
 from nlv import moments
 from nlv.classical import DeterministicStrategy, det_to_strategy, is_synchronous
 from nlv.errors import DefectTooLargeError, ValidationError
-from nlv.game import Game, chsh_game, game_value, random_game, validate_strategy
+from nlv.game import Game, chsh_game, game_value, payoff, random_game, validate_strategy
 from nlv.linalg import dagger, frobenius, identity, random_unitary
-from nlv.quantum import (PVM, MeasurementFamily, block_projectors, payoff,
-                         random_block_families, validate_measurement)
+from nlv.quantum import (PVM, MeasurementFamily, block_projectors, random_block_families,
+                         validate_measurement)
 from nlv.rng import generator
 from nlv.synchronous import (TracialPVMFamily, _best_scalar_assignment, _sync_seesaw,
                              random_tracial_family, repair_almost_pvm, scalar_family,
