@@ -207,14 +207,14 @@ def _run_moments(args):
         mats = load_matrices(Path(args.matrices).read_text())
         if len(mats) != args.n:
             raise NlvError(f"matrix file holds {len(mats)} matrices, --n is {args.n}")
-        vec = moment_map(mats, args.d)
-        return {"count": int(vec.values.size), "values": interleave(vec.values)}
+        values = moment_map(mats, args.d)
+        return {"count": values.size, "values": interleave(values)}
     if args.moments_command == "cloud":
         cloud = sample_moment_cloud(args.n, args.d, args.p, args.count, args.seed)
-        lines = [",".join(map(repr, interleave(vec.values))) for vec in cloud]
+        lines = [",".join(map(repr, interleave(row))) for row in cloud]
         Path(args.out).write_text("\n".join(lines) + ("\n" if lines else ""))
         return {"rows": len(cloud),
-                "moments_per_row": int(cloud[0].values.size) if cloud else 0,
+                "moments_per_row": cloud.shape[1] if len(cloud) else 0,
                 "csv_file": args.out}
     report = density_check(args.n, args.d, args.p1, args.p2, args.eps,
                            (args.count1, args.count2), args.seed)

@@ -81,40 +81,12 @@ def enumerate_monomials(n: int, d: int) -> list[Monomial]:
     return words
 
 
-@dataclass(frozen=True, eq=False)
-class MomentVector:
-    """Normalized traces of the enumerated words, in enumeration order.
-    Entries of a contraction tuple always lie in the closed unit disk."""
-
-    n: int
-    d: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.complex128)
-        expected = monomial_count(self.n, self.d)
-        if values.shape != (expected,):
-            raise ValidationError(
-                f"moment vector needs {expected} entries for n={self.n}, d={self.d}, "
-                f"got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("moment vector has non-finite entries")
-        top = float(np.max(np.abs(values))) if values.size else 0.0
-        if top > 1.0 + CONTRACTION_TOL:
-            raise ValidationError(f"moment modulus {top:.6g} exceeds 1")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def __eq__(self, other):
-        return (isinstance(other, MomentVector) and self.n == other.n
-                and self.d == other.d and np.array_equal(self.values, other.values))
-
-
 def _moments(tuples: np.ndarray, d: int) -> np.ndarray:
     """Normalized traces of every word of length 1..d on each tuple of a
-    ``(count, n, p, p)`` stack, as a ``(count, L)`` array in enumeration
-    order.
+    ``(count, n, p, p)`` stack, as a read-only ``(count, L)`` complex128
+    array in enumeration order, checked once: every entry finite and of
+    modulus at most ``(1 + CONTRACTION_TOL) ** d``, the bound that the
+    contraction check implies for a word of length at most d.
 
     Word j of length l is word j // 2n of length l - 1 followed by letter
     j % 2n, so each product is its prefix's product times one letter: one
@@ -146,11 +118,20 @@ def _moments(tuples: np.ndarray, d: int) -> np.ndarray:
                 if length < d:
                     longer.append(product)
         products = longer
-    return np.stack(traces, axis=1) / p
+    values = np.stack(traces, axis=1) / p
+    top = float(np.max(np.abs(values), initial=0.0))   # NaN and inf reach the max
+    bound = (1.0 + CONTRACTION_TOL) ** d
+    if not math.isfinite(top):
+        raise ValidationError("moments have non-finite entries")
+    if top > bound:
+        raise ValidationError(f"moment modulus {top:.9g} exceeds {bound:.9g}")
+    values.setflags(write=False)
+    return values
 
 
-def moment_map(matrices, d: int) -> MomentVector:
-    """Moment vector of a tuple of contractions.
+def moment_map(matrices, d: int) -> np.ndarray:
+    """Moment vector of a tuple of contractions, a read-only ``(L,)``
+    complex128 array.
 
     Each matrix must have operator norm at most 1 (within 1e-9); the check
     runs up front and names the offending index.  Entry i is the normalized
@@ -165,8 +146,7 @@ def moment_map(matrices, d: int) -> MomentVector:
     for i, mat in enumerate(mats):
         if mat.shape != (p, p):
             raise ValidationError(f"matrix {i + 1} is not {p} x {p}")
-    values = _moments(np.stack(mats)[None], d)
-    return MomentVector(n=len(mats), d=d, values=values[0])
+    return _moments(np.stack(mats)[None], d)[0]
 
 
 def load_matrices(text: str) -> list[np.ndarray]:
@@ -208,9 +188,10 @@ def _chunk_size(n: int, d: int, p: int) -> int:
     return max(1, CHUNK_BYTES // _tuple_bytes(n, d, p))
 
 
-def sample_moment_cloud(n: int, d: int, p: int, count: int, seed: int) -> list[MomentVector]:
+def sample_moment_cloud(n: int, d: int, p: int, count: int, seed: int) -> np.ndarray:
     """Moment vectors of ``count`` random contraction tuples at matrix
-    dimension ``p``, evaluated in batched passes of ``_chunk_size`` tuples,
+    dimension ``p``, as the rows of a read-only ``(count, L)`` complex128
+    array, evaluated in batched passes of ``_chunk_size`` tuples,
     so peak memory stays near ``CHUNK_BYTES`` whatever ``count`` and ``p``.
     The stream is keyed by (seed, p), so equal seeds and dimensions
     reproduce the same cloud regardless of the other parameters."""
@@ -225,17 +206,18 @@ def sample_moment_cloud(n: int, d: int, p: int, count: int, seed: int) -> list[M
             f"cloud of {count} vectors x {length} moments exceeds cap {CLOUD_CAP}")
     rng = generator(seed, stream=p)
     chunk = _chunk_size(n, d, p)
-    cloud = []
+    cloud = np.empty((count, length), dtype=np.complex128)
     for start in range(0, count, chunk):
-        values = _moments(_draw_contractions(min(chunk, count - start), n, p, rng), d)
-        cloud.extend(MomentVector(n=n, d=d, values=row) for row in values)
+        stop = min(start + chunk, count)
+        cloud[start:stop] = _moments(_draw_contractions(stop - start, n, p, rng), d)
+    cloud.setflags(write=False)
     return cloud
 
 
-def cloud_distance(a: MomentVector, b: MomentVector) -> float:
-    """Coordinate-wise sup of complex modulus, the metric of the ambient
-    polydisk."""
-    return float(np.max(np.abs(a.values - b.values))) if a.values.size else 0.0
+def cloud_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Coordinate-wise sup of complex modulus between two moment vectors,
+    the metric of the ambient polydisk."""
+    return float(np.max(np.abs(a - b), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -268,20 +250,12 @@ def density_check(n: int, d: int, p_small: int, p_large: int, eps: float,
     started = time.perf_counter()
     small = sample_moment_cloud(n, d, p_small, counts[0], seed)
     large = sample_moment_cloud(n, d, p_large, counts[1], seed)
-    if not small or not large:
+    if not len(small) or not len(large):
         raise ValidationError("both clouds must be nonempty")
-    small_stack = np.stack([v.values for v in small])
-    covered = 0
-    max_gap = 0.0
-    for vec in large:
-        gaps = np.max(np.abs(small_stack - vec.values[None, :]), axis=1)
-        nearest = float(np.min(gaps))
-        if nearest <= eps:
-            covered += 1
-        max_gap = max(max_gap, nearest)
+    nearest = np.array([np.max(np.abs(small - row), axis=1).min() for row in large])
     return DensityReport(
         n=n, d=d, p_small=p_small, p_large=p_large, eps=eps,
         counts=(counts[0], counts[1]), seed=seed,
-        covered_fraction=covered / len(large),
-        max_gap=max_gap,
+        covered_fraction=int(np.count_nonzero(nearest <= eps)) / len(large),
+        max_gap=float(nearest.max()),
         runtime_seconds=time.perf_counter() - started)

@@ -14,7 +14,7 @@ from nlv import moments
 from nlv.classical import (DeterministicStrategy, classical_value, det_to_strategy,
                            is_synchronous, sample_local)
 from nlv.errors import CapExceededError, ValidationError
-from nlv.game import Game, chsh_game, game_value, random_game, validate_strategy
+from nlv.game import Game, Strategy, chsh_game, game_value, random_game, validate_strategy
 from nlv.quantum import embed_local
 from test_synchronous import tie_game
 
@@ -180,3 +180,13 @@ def test_is_synchronous_matching_functions():
 def test_is_synchronous_detects_mismatch():
     d = DeterministicStrategy(alice=(1, 2), bob=(2, 2))
     assert not is_synchronous(det_to_strategy(d, 2, 2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_is_synchronous_counts_non_finite_off_diagonal_mass_as_violation(bad):
+    assert not is_synchronous(Strategy(k=1, n=2, p=[[[[1.0, bad], [0.0, 0.0]]]]))
+    # Only the diagonal question blocks count: the x != y block may hold anything.
+    p = np.zeros((2, 2, 2, 2))
+    p[0, 0, 0, 0] = p[1, 1, 1, 1] = 1.0
+    p[0, 1, 0, 1] = bad
+    assert is_synchronous(Strategy(k=2, n=2, p=p))

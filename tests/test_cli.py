@@ -1,5 +1,6 @@
 """Dispatcher behavior: exit codes, JSON schemas, reproducibility."""
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -148,6 +149,24 @@ def test_moments_cloud_csv(tmp_path, capsys):
     rows = out.read_text().strip().split("\n")
     assert len(rows) == 4
     assert all(len(row.split(",")) == 4 for row in rows)  # interleaved re/im
+
+
+def test_moments_cloud_csv_bytes_are_pinned(tmp_path, capsys):
+    # Rows are shortest-repr Python floats; numpy scalar reprs would change them.
+    out = tmp_path / "cloud.csv"
+    run_json(capsys, ["moments", "cloud", "--n", "1", "--d", "2", "--p", "2",
+                      "--count", "5", "--seed", "3", "--out", str(out)])
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "c32892e22d99596fe7c731ea4e1541e10116944df47ff6ccc7cc3d728fc199a6"
+
+
+def test_moments_map_admits_contraction_within_tolerance(tmp_path, capsys):
+    # 1.0000000005 passes the operator-norm check, so its cube must be admitted.
+    path = tmp_path / "mats.json"
+    path.write_text('{"dim": 1, "matrices": [[1.0000000005, 0.0]]}')
+    payload = run_json(capsys, ["moments", "map", "--n", "1", "--d", "3",
+                                "--matrices", str(path)])
+    assert payload["count"] == 14
 
 
 def test_moments_density(capsys):

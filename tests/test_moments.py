@@ -10,7 +10,7 @@ import pytest
 from nlv import moments
 from nlv.errors import CapExceededError, ValidationError
 from nlv.linalg import dagger, ginibre, random_unitary
-from nlv.moments import (Monomial, MomentVector, cloud_distance, density_check,
+from nlv.moments import (Monomial, cloud_distance, density_check,
                          enumerate_monomials, moment_map, monomial_count,
                          random_contractions, sample_moment_cloud)
 from nlv.rng import generator
@@ -50,12 +50,12 @@ def test_monomial_star_is_involution():
 
 def test_moment_map_identity_tuple():
     vec = moment_map([np.eye(3, dtype=complex)], 2)
-    assert np.allclose(vec.values, 1.0, atol=1e-15)
+    assert np.allclose(vec, 1.0, atol=1e-15)
 
 
 def test_moment_map_diag_golden_vector():
     vec = moment_map([np.diag([1.0, -1.0]).astype(complex)], 2)
-    assert np.allclose(vec.values, [0, 0, 1, 1, 1, 1], atol=1e-15)
+    assert np.allclose(vec, [0, 0, 1, 1, 1, 1], atol=1e-15)
 
 
 def test_moment_map_rejects_expansion():
@@ -74,7 +74,25 @@ def test_moment_map_rejects_bad_shapes():
 
 def test_moment_vector_rejects_non_finite():
     with pytest.raises(ValidationError, match="non-finite"):
-        MomentVector(n=1, d=1, values=[np.nan, 0.0])
+        moment_map([np.array([[np.nan, 0.0], [0.0, 0.5]])], 1)
+
+
+def test_moment_map_admits_every_accepted_contraction():
+    # (1 + 5e-10) I passes the operator-norm check, so its words of length
+    # 3 have modulus (1 + 5e-10)^3 > 1 + 1e-9 and must still be admitted.
+    vec = moment_map([(1 + 5e-10) * np.eye(2)], 3)
+    lengths = [len(w.letters) for w in enumerate_monomials(1, 3)]
+    assert np.allclose(vec, [(1 + 5e-10) ** l for l in lengths], rtol=1e-15, atol=0)
+    assert np.max(np.abs(vec)) > 1 + moments.CONTRACTION_TOL
+
+
+def test_moment_data_are_read_only_complex_arrays():
+    vec = moment_map([np.diag([1.0, -1.0])], 2)
+    cloud = sample_moment_cloud(2, 2, 2, count=5, seed=3)
+    assert (vec.shape, cloud.shape) == ((6,), (5, 20))
+    for arr in (vec, cloud):
+        assert arr.dtype == np.complex128
+        assert not arr.flags.writeable
 
 
 def test_moment_entries_stay_in_unit_disk():
@@ -82,7 +100,7 @@ def test_moment_entries_stay_in_unit_disk():
         rng = generator(seed)
         mats = random_contractions(2, 3, rng)
         vec = moment_map(mats, 3)
-        assert np.max(np.abs(vec.values)) <= 1.0 + 1e-9
+        assert np.max(np.abs(vec)) <= 1.0 + 1e-9
 
 
 def test_conjugate_symmetry():
@@ -95,7 +113,7 @@ def test_conjugate_symmetry():
         index = {w.letters: i for i, w in enumerate(words)}
         for i, w in enumerate(words):
             j = index[w.star().letters]
-            assert abs(vec.values[j] - np.conj(vec.values[i])) < 1e-9
+            assert abs(vec[j] - np.conj(vec[i])) < 1e-9
 
 
 def test_unitary_conjugation_invariance():
@@ -106,7 +124,7 @@ def test_unitary_conjugation_invariance():
         rotated = [u @ m @ u.conj().T for m in mats]
         a = moment_map(mats, 2)
         b = moment_map(rotated, 2)
-        assert np.max(np.abs(a.values - b.values)) < 1e-9
+        assert np.max(np.abs(a - b)) < 1e-9
 
 
 def test_direct_sum_invariance():
@@ -116,7 +134,7 @@ def test_direct_sum_invariance():
         doubled = [np.block([[m, np.zeros_like(m)], [np.zeros_like(m), m]]) for m in mats]
         a = moment_map(mats, 3)
         b = moment_map(doubled, 3)
-        assert np.max(np.abs(a.values - b.values)) < 1e-12
+        assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_scalar_cloud_is_power_pattern():
@@ -124,21 +142,21 @@ def test_scalar_cloud_is_power_pattern():
     cloud = sample_moment_cloud(1, 3, 1, count=20, seed=5)
     words = enumerate_monomials(1, 3)
     for vec in cloud:
-        scalar = vec.values[0]
+        scalar = vec[0]
         assert abs(scalar) <= 1 + 1e-12
-        for w, value in zip(words, vec.values):
+        for w, value in zip(words, vec):
             plain = sum(1 for _, star in w.letters if not star)
             starred = len(w.letters) - plain
             assert abs(value - scalar ** plain * np.conj(scalar) ** starred) < 1e-12
 
 
 def test_cloud_empty_and_deterministic():
-    assert sample_moment_cloud(1, 1, 2, count=0, seed=3) == []
+    assert sample_moment_cloud(1, 1, 2, count=0, seed=3).shape == (0, 2)
     a = sample_moment_cloud(2, 2, 2, count=5, seed=3)
     b = sample_moment_cloud(2, 2, 2, count=5, seed=3)
-    assert all(x == y for x, y in zip(a, b))
+    assert np.array_equal(a, b)
     c = sample_moment_cloud(2, 2, 2, count=5, seed=4)
-    assert any(x != y for x, y in zip(a, c))
+    assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
 
 def test_cloud_cap():
@@ -184,7 +202,7 @@ def test_density_rejects_bad_order():
 def test_cloud_distance_sup_norm():
     a = sample_moment_cloud(1, 1, 1, count=1, seed=1)[0]
     b = sample_moment_cloud(1, 1, 1, count=1, seed=2)[0]
-    assert cloud_distance(a, b) == pytest.approx(float(np.max(np.abs(a.values - b.values))))
+    assert cloud_distance(a, b) == pytest.approx(float(np.max(np.abs(a - b))))
     assert cloud_distance(a, a) == 0.0
 
 
@@ -232,7 +250,7 @@ def test_batched_cloud_is_bit_identical_to_per_tuple_form(n, d, p, count):
     reference = reference_cloud(n, d, p, count, seed=3)
     assert len(cloud) == len(reference) == count
     for vec, ref in zip(cloud, reference):
-        assert np.array_equal(vec.values, ref.values)
+        assert np.array_equal(vec, ref)
 
 
 @pytest.mark.parametrize("n, d, p, count", CLOUD_SHAPES)
@@ -242,7 +260,7 @@ def test_one_tuple_case_matches_per_matrix_loops(n, d, p, count):
         mats = random_contractions(n, p, rng)
         ref = reference_contractions(n, p, ref_rng)
         assert all(np.array_equal(a, b) for a, b in zip(mats, ref))
-        assert np.array_equal(moment_map(mats, d).values, reference_moments(ref, d))
+        assert np.array_equal(moment_map(mats, d), reference_moments(ref, d))
 
 
 @pytest.mark.parametrize("n, d, p_small, p_large, eps, counts, seed",
@@ -250,8 +268,8 @@ def test_one_tuple_case_matches_per_matrix_loops(n, d, p, count):
                           (2, 3, 1, 3, 0.5, (30, 1), 4)])
 def test_density_report_matches_reference_clouds(n, d, p_small, p_large, eps, counts, seed):
     report = density_check(n, d, p_small, p_large, eps, counts, seed)
-    small = np.stack([v.values for v in reference_cloud(n, d, p_small, counts[0], seed)])
-    nearest = [float(np.min(np.max(np.abs(small - v.values[None, :]), axis=1)))
+    small = np.stack(reference_cloud(n, d, p_small, counts[0], seed))
+    nearest = [float(np.min(np.max(np.abs(small - v[None, :]), axis=1)))
                for v in reference_cloud(n, d, p_large, counts[1], seed)]
     expected = dataclasses.replace(
         report, covered_fraction=sum(g <= eps for g in nearest) / counts[1],
@@ -289,7 +307,7 @@ def test_chunked_cloud_is_bit_identical_to_per_tuple_form(monkeypatch, chunk, n,
     reference = reference_cloud(n, d, p, count, seed=3)
     assert len(cloud) == count
     for vec, ref in zip(cloud, reference):
-        assert np.array_equal(vec.values, ref.values)
+        assert np.array_equal(vec, ref)
 
 
 @pytest.mark.parametrize("n, d, p, count", [(1, 1, 64, 400), (2, 2, 32, 600)])
