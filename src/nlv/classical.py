@@ -13,7 +13,7 @@ import numpy as np
 
 from . import moments
 from .errors import CapExceededError, ValidationError
-from .game import DIST_TOL, Game, Strategy, payoff
+from .game import COMPUTED_TOL, DIST_TOL, Game, Strategy, payoff
 
 ENUMERATION_CAP = 10_000_000
 SEED_ENUMERATION_CAP = 1_000_000   # n^k at most this many to seed the see-saw searches
@@ -56,13 +56,12 @@ def _first_best(k: int, n: int, row_bytes: int, score) -> tuple[float, np.ndarra
     """First maximum of ``score`` over the n^k answer functions [n]^k, the
     package's one enumeration of them: ``score`` maps an (m, k) table of
     0-based answer rows to (m,) values, and sees lexicographic chunks of
-    ``moments.CHUNK_BYTES // row_bytes`` rows (at least one), ``row_bytes``
-    being what scoring a row holds.  Ties go to the smallest row."""
+    :func:`moments.chunks` of ``row_bytes`` each, ``row_bytes`` being what
+    scoring a row holds.  Ties go to the smallest row."""
     place = n ** np.arange(k - 1, -1, -1)
-    chunk = max(1, moments.CHUNK_BYTES // row_bytes)
     best_value, best = -np.inf, None
-    for start in range(0, n ** k, chunk):
-        answers = np.arange(start, min(start + chunk, n ** k))[:, None] // place % n
+    for part in moments.chunks(n ** k, row_bytes):
+        answers = np.arange(part.start, part.stop)[:, None] // place % n
         values = score(answers)
         top = int(np.argmax(values))
         if values[top] > best_value:
@@ -127,10 +126,10 @@ def sample_local(mixture: list[tuple[float, DeterministicStrategy]], k: int, n: 
     return Strategy(k=k, n=n, p=p)
 
 
-def is_synchronous(strategy: Strategy, tol: float = 1e-9) -> bool:
-    """True iff equal questions always get equal answers: the off-diagonal
-    answer mass p(a, b | x, x) with a != b is finite and never exceeds
-    ``tol``; NaN and inf count as violations."""
-    x = np.arange(strategy.k)
-    off = strategy.p[x, x][:, ~np.eye(strategy.n, dtype=bool)]   # (k, n(n-1))
-    return bool(np.all(np.isfinite(off) & (off <= tol)))
+def is_synchronous(strategy: Strategy, tol: float = COMPUTED_TOL) -> bool:
+    """True iff equal questions always get equal answers: each block p(., . |
+    x, x) is finite, with off-diagonal mass (a != b) at most ``tol``; NaN
+    and inf are violations.  Blocks with x != y are not inspected."""
+    same = np.diagonal(strategy.p)                       # [a, b, x] = p(a, b | x, x)
+    off = same[~np.eye(strategy.n, dtype=bool)]          # (n(n-1), k)
+    return bool(np.all(np.isfinite(same)) and np.all(off <= tol))

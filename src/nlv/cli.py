@@ -136,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _params(args, skip=("json", "subcommand", "moments_command", "tm_command")):
+def _params(args):
+    skip = ("json", "subcommand", "moments_command", "tm_command")
     return {key: value for key, value in sorted(vars(args).items()) if key not in skip}
 
 
@@ -270,23 +271,21 @@ _HANDLERS = {
 }
 
 
-def _emit(result: dict, manifest: dict, as_json: bool, out=None) -> None:
-    out = out if out is not None else sys.stdout
+def _emit(result: dict, manifest: dict, as_json: bool) -> None:
     if as_json:
         payload = dict(result)
         payload["manifest"] = manifest
-        print(json.dumps(payload, sort_keys=True, indent=2), file=out)
+        print(json.dumps(payload, sort_keys=True, indent=2))
         return
     for key, value in result.items():
         if isinstance(value, list) and key == "trace":
-            print(f"{key}:", file=out)
+            print(f"{key}:")
             for line in value:
-                print(f"  {line}", file=out)
+                print(f"  {line}")
         else:
-            print(f"{key}: {value}", file=out)
+            print(f"{key}: {value}")
     print(f"[{manifest['subcommand']} v{manifest['version']} "
-          f"params={manifest['parameters']} runtime={manifest['runtime_seconds']:.3f}s]",
-          file=out)
+          f"params={manifest['parameters']} runtime={manifest['runtime_seconds']:.3f}s]")
 
 
 def dispatch(argv) -> int:

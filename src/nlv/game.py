@@ -23,12 +23,12 @@ from .errors import (CapExceededError, DimensionMismatchError, ParseError, Repor
 from .rng import generator
 
 DIST_TOL = 1e-12       # distributions supplied in files
-COMPUTED_TOL = 1e-9    # tensors produced by floating-point pipelines
+COMPUTED_TOL = 1e-9    # the one rounding tolerance for computed tensors, states and families
 MAX_GAME_ENTRIES = 10_000_000   # k^2 n^2 predicate entries a game file may declare (~80 MB)
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
     arr.setflags(write=False)
     return arr
 
@@ -115,8 +115,8 @@ def validate_game(game: Game) -> Report:
     return Report(ok=not violations, violations=tuple(violations), worst=worst)
 
 
-def validate_strategy(strategy: Strategy, tol: float = COMPUTED_TOL) -> Report:
-    """Check that a strategy tensor is a conditional probability."""
+def validate_strategy(strategy: Strategy) -> Report:
+    """Check that a strategy tensor is a conditional probability within COMPUTED_TOL."""
     if not np.all(np.isfinite(strategy.p)):
         return Report(ok=False, violations=("strategy has non-finite entries",), worst=np.inf)
     violations = []
@@ -124,17 +124,17 @@ def validate_strategy(strategy: Strategy, tol: float = COMPUTED_TOL) -> Report:
     p = strategy.p
     low = float(np.min(p))
     high = float(np.max(p))
-    if low < -tol:
+    if low < -COMPUTED_TOL:
         idx = np.unravel_index(int(np.argmin(p)), p.shape)
         worst = max(worst, -low)
         violations.append(f"entry p{[i + 1 for i in idx]} = {low:.6g} below 0")
-    if high > 1.0 + tol:
+    if high > 1.0 + COMPUTED_TOL:
         idx = np.unravel_index(int(np.argmax(p)), p.shape)
         worst = max(worst, high - 1.0)
         violations.append(f"entry p{[i + 1 for i in idx]} = {high:.6g} above 1")
     sums = p.sum(axis=(2, 3))
     residual = np.abs(sums - 1.0)
-    if np.max(residual) > tol:
+    if np.max(residual) > COMPUTED_TOL:
         idx = np.unravel_index(int(np.argmax(residual)), residual.shape)
         worst = max(worst, float(np.max(residual)))
         violations.append(

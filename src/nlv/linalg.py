@@ -48,32 +48,31 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=np.complex128)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; (kron(A, B)) @ kron(u, v) == kron(A @ u, B @ v)."""
-    return np.kron(a, b)
-
-
-def psd_sqrt(h: np.ndarray, indefinite_tol: float = 1e-8) -> np.ndarray:
+def psd_sqrt(h: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
-    Eigenvalues in [-indefinite_tol, 0) are clamped to zero; anything more
-    negative is a genuinely indefinite input and is rejected.
+    Eigenvalues in [-1e-8, 0) are clamped to zero; anything more negative
+    is a genuinely indefinite input and is rejected.
     """
     w, v = np.linalg.eigh(as_complex(h))
-    if w[0] < -indefinite_tol:
+    if w[0] < -1e-8:
         raise ValidationError(f"matrix is indefinite: eigenvalue {w[0]:.3e} < 0")
     root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
     return 0.5 * (root + dagger(root))
 
 
-def ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Complex Ginibre matrix: iid standard complex Gaussian entries."""
-    return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+def ginibre(shape, rng: np.random.Generator) -> np.ndarray:
+    """Complex Ginibre matrices of a ``(..., d, d)`` shape (an int d means
+    one d x d matrix): iid standard complex Gaussian entries, drawn as the
+    stream of sequential per-matrix draws, each real part then imaginary."""
+    shape = (shape, shape) if isinstance(shape, int) else tuple(shape)
+    z = rng.standard_normal(shape[:-2] + (2,) + shape[-2:])
+    return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2.0)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar random unitary: the QR factor Q of a Ginibre matrix with R's
     diagonal phases folded in, which is the unitary Gram-Schmidt gives."""
-    q, r = np.linalg.qr(ginibre(dim, rng))
+    q, r = np.linalg.qr(ginibre((dim, dim), rng))
     phases = np.diagonal(r)
     return q * (phases / np.abs(phases))

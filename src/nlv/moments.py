@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapExceededError, ValidationError, read_count, read_field, read_object
-from .linalg import as_complex, dagger, deinterleave
+from .linalg import as_complex, dagger, deinterleave, ginibre
 from .rng import generator
 
 WORD_CAP = 1_000_000
@@ -161,11 +160,8 @@ def load_matrices(text: str) -> list[np.ndarray]:
 
 def _draw_contractions(count: int, n: int, p: int, rng: np.random.Generator) -> np.ndarray:
     """``(count, n, p, p)`` stack of complex Ginibre matrices, each divided
-    by its computed operator norm when that norm exceeds 1.  One draw
-    consumes the stream in the order of ``count`` sequential
-    per-matrix draws."""
-    z = rng.standard_normal((count, n, 2, p, p))
-    g = (z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0)
+    by its computed operator norm when that norm exceeds 1."""
+    g = ginibre((count, n, p, p), rng)
     norm = np.linalg.norm(g, 2, axis=(-2, -1))[..., None, None]
     return np.divide(g, norm, out=g, where=norm > 1.0)
 
@@ -183,15 +179,19 @@ def _tuple_bytes(n: int, d: int, p: int) -> int:
     return (4 * n + monomial_count(n, d - 1)) * 16 * p * p
 
 
-def _chunk_size(n: int, d: int, p: int) -> int:
-    """Tuples per batched pass: as many as fit in ``CHUNK_BYTES``."""
-    return max(1, CHUNK_BYTES // _tuple_bytes(n, d, p))
+def chunks(total: int, item_bytes: int):
+    """Consecutive ranges covering ``range(total)`` in order, each of as many
+    items of ``item_bytes`` as fit in ``CHUNK_BYTES`` (at least one): the
+    package's one walk under that budget."""
+    size = max(1, CHUNK_BYTES // item_bytes)
+    for start in range(0, total, size):
+        yield range(start, min(start + size, total))
 
 
 def sample_moment_cloud(n: int, d: int, p: int, count: int, seed: int) -> np.ndarray:
     """Moment vectors of ``count`` random contraction tuples at matrix
     dimension ``p``, as the rows of a read-only ``(count, L)`` complex128
-    array, evaluated in batched passes of ``_chunk_size`` tuples,
+    array, evaluated in batched passes over :func:`chunks` of the tuples,
     so peak memory stays near ``CHUNK_BYTES`` whatever ``count`` and ``p``.
     The stream is keyed by (seed, p), so equal seeds and dimensions
     reproduce the same cloud regardless of the other parameters."""
@@ -205,19 +205,11 @@ def sample_moment_cloud(n: int, d: int, p: int, count: int, seed: int) -> np.nda
         raise CapExceededError(
             f"cloud of {count} vectors x {length} moments exceeds cap {CLOUD_CAP}")
     rng = generator(seed, stream=p)
-    chunk = _chunk_size(n, d, p)
     cloud = np.empty((count, length), dtype=np.complex128)
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        cloud[start:stop] = _moments(_draw_contractions(stop - start, n, p, rng), d)
+    for part in chunks(count, _tuple_bytes(n, d, p)):
+        cloud[part.start:part.stop] = _moments(_draw_contractions(len(part), n, p, rng), d)
     cloud.setflags(write=False)
     return cloud
-
-
-def cloud_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Coordinate-wise sup of complex modulus between two moment vectors,
-    the metric of the ambient polydisk."""
-    return float(np.max(np.abs(a - b), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -234,7 +226,6 @@ class DensityReport:
     seed: int
     covered_fraction: float
     max_gap: float
-    runtime_seconds: float
     note: str = field(default="empirical estimate from finite samples, not a certificate")
 
 
@@ -247,7 +238,6 @@ def density_check(n: int, d: int, p_small: int, p_large: int, eps: float,
         raise ValidationError("p_small must be <= p_large")
     if not (math.isfinite(eps) and eps >= 0):
         raise ValidationError(f"eps must be finite and >= 0, got {eps!r}")
-    started = time.perf_counter()
     small = sample_moment_cloud(n, d, p_small, counts[0], seed)
     large = sample_moment_cloud(n, d, p_large, counts[1], seed)
     if not len(small) or not len(large):
@@ -257,5 +247,4 @@ def density_check(n: int, d: int, p_small: int, p_large: int, eps: float,
         n=n, d=d, p_small=p_small, p_large=p_large, eps=eps,
         counts=(counts[0], counts[1]), seed=seed,
         covered_fraction=int(np.count_nonzero(nearest <= eps)) / len(large),
-        max_gap=float(nearest.max()),
-        runtime_seconds=time.perf_counter() - started)
+        max_gap=float(nearest.max()))

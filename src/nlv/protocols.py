@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import identity, kron
+from .linalg import identity
 from .quantum import (PAULI_X, PAULI_Z, PVM, MeasurementFamily, born_probabilities,
                       check_state, collapse_state, epr_state, rotated_basis_pvm)
 from .rng import SplitMix64, derive_seed
@@ -47,7 +47,7 @@ def _encoding_operator(msg: TwoBitMessage) -> np.ndarray:
         (2, 1): PAULI_Z,
         (2, 2): PAULI_Z @ PAULI_X,
     }
-    return kron(table[(msg.first, msg.second)], eye)
+    return np.kron(table[(msg.first, msg.second)], eye)
 
 
 def bell_basis() -> tuple[np.ndarray, ...]:
@@ -113,9 +113,9 @@ def epr_correlation_demo(trials: int, seed: int, basis: str = "coordinate") -> E
     local = _local_pvm(basis)
     eye = identity(2)
     alice_family = MeasurementFamily(
-        outcomes=tuple(kron(mat, eye) for mat in local.outcomes), flavor=PVM)
+        outcomes=tuple(np.kron(mat, eye) for mat in local.outcomes), flavor=PVM)
     bob_family = MeasurementFamily(
-        outcomes=tuple(kron(eye, mat) for mat in local.outcomes), flavor=PVM)
+        outcomes=tuple(np.kron(eye, mat) for mat in local.outcomes), flavor=PVM)
     shared = epr_state()
     alice_probs = born_probabilities(alice_family, shared)
     # Both collapses and Bob's conditional distributions are trial-independent.

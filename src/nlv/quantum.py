@@ -1,7 +1,7 @@
 """Measurement theory and quantum strategies for nonlocal games.
 
-Covers POVM/PVM validation, Born-rule outcome probabilities, Kronecker
-products, tensor-product and commuting-operator strategy specifications and
+Covers POVM/PVM validation, Born-rule outcome probabilities,
+tensor-product and commuting-operator strategy specifications and
 their correlation tensors, the square-root dilation of a POVM to a PVM on a
 larger space, the fixed optimal two-qubit strategy for the agree/disagree
 game, and a see-saw lower-bound search for the entangled value at a fixed
@@ -25,12 +25,11 @@ from .classical import (SEED_ENUMERATION_CAP, DeterministicStrategy, check_answe
                         check_mixture, classical_value)
 from .errors import (CapExceededError, DimensionMismatchError, ParseError, Report,
                      ValidationError, read_count, read_field, read_object)
-from .game import Game, Strategy, game_value, payoff
-from .linalg import (as_complex, dagger, deinterleave, frobenius, identity, interleave, kron,
-                     psd_sqrt, random_unitary)
+from .game import COMPUTED_TOL, Game, Strategy, game_value, payoff
+from .linalg import (as_complex, dagger, deinterleave, frobenius, identity, interleave, psd_sqrt,
+                     random_unitary)
 from .rng import generator
 
-MEASUREMENT_TOL = 1e-9
 MAX_STATE_DIM = 1024   # d^2 for the entangled search: its game operator is d^2 x d^2
 
 POVM = "povm"
@@ -42,18 +41,13 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of matrices or state vectors."""
-    return kron(as_complex(a), as_complex(b))
-
-
-def check_state(state, tol: float = MEASUREMENT_TOL) -> np.ndarray:
+def check_state(state) -> np.ndarray:
     """Coerce to a complex vector and require unit Euclidean norm."""
     vec = as_complex(state)
     if vec.ndim != 1:
         raise ValidationError(f"state must be a vector, got shape {vec.shape}")
     norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > COMPUTED_TOL:
         raise ValidationError(f"state norm {norm:.9g} != 1")
     return vec
 
@@ -128,7 +122,7 @@ _DEFECTS = (("not self-adjoint: residual", 1.0), ("not positive: eigenvalue", -1
 
 
 def validate_stack(stack: np.ndarray, measurement: str, label: str,
-                   tol: float = MEASUREMENT_TOL) -> Report:
+                   tol: float = COMPUTED_TOL) -> Report:
     """Check every family of a (k, n, d, d) stack in one batched pass.
 
     POVM: every element self-adjoint with smallest eigenvalue >= -tol, and
@@ -158,7 +152,7 @@ def validate_stack(stack: np.ndarray, measurement: str, label: str,
     return Report(ok=not violations, violations=tuple(violations), worst=worst)
 
 
-def validate_measurement(family: MeasurementFamily, tol: float = MEASUREMENT_TOL) -> Report:
+def validate_measurement(family: MeasurementFamily, tol: float = COMPUTED_TOL) -> Report:
     """Check the flavor-specific invariants of one family (see
     :func:`validate_stack`), reporting the worst violation."""
     return validate_stack(family.outcomes[None], family.flavor, "", tol)
@@ -173,7 +167,7 @@ def born_probabilities(family: MeasurementFamily, state) -> np.ndarray:
             f"state dim {vec.shape[0]} != measurement dim {family.dim}")
     values = np.einsum("i,aij,j->a", vec.conj(), family.outcomes, vec)
     residual = float(np.max(np.abs(values.imag)))
-    if residual > MEASUREMENT_TOL:
+    if residual > COMPUTED_TOL:
         raise ValidationError(f"outcome probabilities not real: residual {residual:.3g}")
     return values.real
 
@@ -244,7 +238,7 @@ class QuantumStrategySpec:
         return self.alice.shape[-1], self.bob.shape[-1]
 
 
-def validate_spec(spec: QuantumStrategySpec, tol: float = MEASUREMENT_TOL) -> Report:
+def validate_spec(spec: QuantumStrategySpec, tol: float = COMPUTED_TOL) -> Report:
     """Validate state, each player's families in one batched pass (see
     :func:`validate_stack`), and (for commuting flavor) that every Alice
     element commutes with every Bob element in Frobenius norm."""
@@ -287,7 +281,7 @@ def quantum_correlation(spec: QuantumStrategySpec) -> Strategy:
         vec = spec.state
         p = np.einsum("i,xaik,ybkj,j->xyab", vec.conj(), alice, bob, vec)
     worst_imag = float(np.max(np.abs(p.imag)))
-    if worst_imag > MEASUREMENT_TOL:
+    if worst_imag > COMPUTED_TOL:
         raise ValidationError(f"correlation has imaginary residual {worst_imag:.3g}")
     return Strategy(k=spec.k, n=spec.n, p=p.real)
 
@@ -347,12 +341,12 @@ def naimark_dilate(family: MeasurementFamily) -> tuple[MeasurementFamily, np.nda
     the outcome slots.  Then <Q_a V s, V s> equals the original outcome
     probability <P_a s, s> for every state s.
     """
-    validate_measurement(family, tol=MEASUREMENT_TOL).raise_if_failed("POVM")
+    validate_measurement(family).raise_if_failed("POVM")
     dim, n = family.dim, family.n_outcomes
     # V = sum_a kron(sqrt(P_a), e_a): row i*n + a of V is row i of sqrt(P_a).
     isometry = np.stack([psd_sqrt(mat) for mat in family.outcomes], axis=1).reshape(dim * n, dim)
     residual = float(np.max(np.abs(dagger(isometry) @ isometry - identity(dim))))
-    if residual > MEASUREMENT_TOL:
+    if residual > COMPUTED_TOL:
         raise ValidationError(f"dilation isometry residual {residual:.3g}")
     # Outcome a projects onto the slots kron(e_i, e_a): coordinate i*n + a.
     return MeasurementFamily(outcomes=diagonal_pvm(np.arange(dim * n) % n + 1, n),
@@ -506,11 +500,11 @@ def seesaw_search(game: Game, dim: int, restarts: int, seed: int, iters: int,
 
     The candidates are ``seeds()``, asked for only when n^k <=
     ``SEED_ENUMERATION_CAP``, followed by restarts 0 .. restarts - 1.
-    Restarts run in chunks of as many as fit in ``moments.CHUNK_BYTES`` at
-    ``restart_bytes`` each (at least one): a chunk from r to s is
-    ``restart(game, dim, [generator(seed, stream=r), ..., generator(seed,
-    stream=s - 1)], iters)``, a list of one candidate per generator, where
-    ``iters`` caps the see-saw rounds.  Every candidate is certified as
+    Restarts run in :func:`moments.chunks` of ``restart_bytes`` each: the
+    chunk range(r, s) is ``restart(game, dim, [generator(seed, stream=r),
+    ..., generator(seed, stream=s - 1)], iters)``, a list of one candidate
+    per generator, where ``iters`` caps the see-saw rounds.  Every candidate
+    is certified as
     ``game_value(game, certify(candidate))`` as it arrives, and only the
     best is kept, so memory stays flat in ``restarts``; the largest value
     wins, ties going to the earliest candidate.  Returns ``(value,
@@ -520,13 +514,11 @@ def seesaw_search(game: Game, dim: int, restarts: int, seed: int, iters: int,
         raise ValidationError("dimension must be >= 1")
     if restarts < 0 or iters < 1:
         raise ValidationError("restarts must be >= 0 and iters >= 1")
-    chunk = max(1, moments.CHUNK_BYTES // restart_bytes)
 
     def candidates():
         if game.n ** game.k <= SEED_ENUMERATION_CAP:
             yield from seeds()
-        for start in range(0, restarts, chunk):
-            streams = range(start, min(start + chunk, restarts))
+        for streams in moments.chunks(restarts, restart_bytes):
             yield from restart(game, dim, [generator(seed, stream=r) for r in streams], iters)
 
     best_value, best = -np.inf, None

@@ -17,7 +17,7 @@ import numpy as np
 
 from .classical import _first_best
 from .errors import CapExceededError, DefectTooLargeError, Report, ValidationError
-from .game import Game, Strategy, payoff
+from .game import COMPUTED_TOL, Game, Strategy, payoff
 from .linalg import dagger, frobenius, identity
 from .quantum import (POVM, PVM, MeasurementFamily, best_response, diagonal_pvm,
                       random_block_families, seesaw_search, stack_families, validate_stack)
@@ -51,7 +51,7 @@ class TracialPVMFamily:
         return self.families.shape[1]
 
 
-def validate_family(family: TracialPVMFamily, tol: float = 1e-9) -> Report:
+def validate_family(family: TracialPVMFamily, tol: float = COMPUTED_TOL) -> Report:
     """Check every family as a PVM in one batched pass."""
     return validate_stack(family.families, PVM, "family {}: ", tol)
 
@@ -67,7 +67,7 @@ def tracial_correlation(family: TracialPVMFamily) -> Strategy:
     f = family.families
     p = np.einsum("xaij,ybji->xyab", f, f) / family.d
     worst_imag = float(np.max(np.abs(p.imag)))
-    if worst_imag > 1e-9:
+    if worst_imag > COMPUTED_TOL:
         raise ValidationError(f"trace correlation has imaginary residual {worst_imag:.3g}")
     return Strategy(k=family.k, n=family.n, p=p.real)
 

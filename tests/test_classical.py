@@ -190,3 +190,7 @@ def test_is_synchronous_counts_non_finite_off_diagonal_mass_as_violation(bad):
     p[0, 0, 0, 0] = p[1, 1, 1, 1] = 1.0
     p[0, 1, 0, 1] = bad
     assert is_synchronous(Strategy(k=2, n=2, p=p))
+
+
+def test_is_synchronous_counts_non_finite_diagonal_mass_as_violation():
+    assert is_synchronous(Strategy(k=1, n=2, p=[[[[np.nan, 0], [0, 0]]]])) is False

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from nlv.game import payoff, random_game
-from nlv.linalg import dagger, identity, kron
+from nlv.linalg import dagger, identity
 from nlv.quantum import (COMMUTING, TENSOR, QuantumStrategySpec, _game_operator,
                          quantum_correlation, random_block_families)
 from nlv.rng import generator
@@ -62,7 +62,7 @@ def ref_game_operator(game, alice, bob):
             for a in range(game.n):
                 for b in range(game.n):
                     weight = game.pi[x, y] * game.wins[x, y, a, b]
-                    op += weight * kron(alice[x, a], bob[y, b])
+                    op += weight * np.kron(alice[x, a], bob[y, b])
     return op
 
 
@@ -73,7 +73,7 @@ def random_state(dim, rng):
 
 def lift(families, left, right):
     """Families acting on the middle factor of eye(left) kron . kron eye(right)."""
-    return np.array([[kron(kron(identity(left), m), identity(right)) for m in fam]
+    return np.array([[np.kron(np.kron(identity(left), m), identity(right)) for m in fam]
                      for fam in families])
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nlv.errors import ValidationError
-from nlv.linalg import as_complex, dagger, frobenius, kron, psd_sqrt, random_unitary
+from nlv.linalg import as_complex, dagger, frobenius, ginibre, psd_sqrt, random_unitary
 from nlv.rng import generator
 
 
@@ -31,13 +31,11 @@ def test_random_unitary_is_unitary_and_seeded():
     assert np.allclose(dagger(u1) @ u1, np.eye(6), atol=1e-12)
 
 
-def test_kron_mixed_product():
-    rng = np.random.default_rng(9)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    assert np.allclose(kron(a, b) @ kron(u, v), kron(a @ u, b @ v), atol=1e-12)
+@pytest.mark.parametrize("m, d", [(1, 1), (4, 3), (3, 5)])
+def test_stacked_ginibre_is_the_sequential_draws(m, d):
+    stacked = ginibre((m, d, d), generator(17))
+    rng = generator(17)
+    assert np.array_equal(stacked, np.array([ginibre((d, d), rng) for _ in range(m)]))
 
 
 def test_frobenius():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nlv.errors import ValidationError
-from nlv.linalg import kron
 from nlv.protocols import (MESSAGES, TwoBitMessage, bell_basis,
                            bell_measurement, epr_correlation_demo,
                            superdense_decode, superdense_encode)
@@ -26,20 +25,20 @@ def test_message_validation():
 
 
 def test_encode_11_is_shared_state():
-    expected = (kron(E1, E1) + kron(E2, E2)) / SQRT2
+    expected = (np.kron(E1, E1) + np.kron(E2, E2)) / SQRT2
     assert np.allclose(superdense_encode(TwoBitMessage(1, 1)), expected, atol=1e-15)
 
 
 def test_encode_22_is_singlet():
-    expected = (kron(E1, E2) - kron(E2, E1)) / SQRT2
+    expected = (np.kron(E1, E2) - np.kron(E2, E1)) / SQRT2
     assert np.allclose(superdense_encode(TwoBitMessage(2, 2)), expected, atol=1e-15)
 
 
 def test_encode_12_and_21():
     assert np.allclose(superdense_encode(TwoBitMessage(1, 2)),
-                       (kron(E2, E1) + kron(E1, E2)) / SQRT2, atol=1e-15)
+                       (np.kron(E2, E1) + np.kron(E1, E2)) / SQRT2, atol=1e-15)
     assert np.allclose(superdense_encode(TwoBitMessage(2, 1)),
-                       (kron(E1, E1) - kron(E2, E2)) / SQRT2, atol=1e-15)
+                       (np.kron(E1, E1) - np.kron(E2, E2)) / SQRT2, atol=1e-15)
 
 
 def test_encodings_pairwise_orthogonal():

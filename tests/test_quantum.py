@@ -17,9 +17,9 @@ from nlv.quantum import (COMMUTING, POVM, PVM, TENSOR, MeasurementFamily,
                          born_probabilities, chsh_optimal_spec, diagonal_pvm,
                          embed_deterministic,
                          embed_local, entangled_lower_bound, epr_state,
-                         kron, load_spec, naimark_dilate,
+                         load_spec, naimark_dilate,
                          quantum_correlation, random_block_families, rotated_basis_pvm,
-                         save_spec, seesaw_search, tensor,
+                         save_spec, seesaw_search,
                          validate_measurement, validate_spec)
 from nlv.rng import generator
 from nlv.synchronous import (_sync_seesaw, _sync_seesaw_bytes, sync_value_lower_bound,
@@ -179,25 +179,11 @@ def test_born_dimension_mismatch():
 
 # -- tensor ------------------------------------------------------------------
 
-def test_tensor_identity():
-    assert np.array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-
 def test_tensor_bitflip_on_epr():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
-    flipped = tensor(x, np.eye(2)) @ epr_state()
-    expected = (kron(E2, E1) + kron(E1, E2)) / np.sqrt(2)
+    flipped = np.kron(x, np.eye(2)) @ epr_state()
+    expected = (np.kron(E2, E1) + np.kron(E1, E2)) / np.sqrt(2)
     assert np.allclose(flipped, expected, atol=1e-15)
-
-
-def test_tensor_mixed_product_random():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert np.allclose(tensor(a, b) @ kron(u, v), kron(a @ u, b @ v), atol=1e-12)
 
 
 # -- quantum_correlation -----------------------------------------------------
@@ -247,8 +233,8 @@ def test_tensor_spec_reexpressed_as_commuting():
     d_a, d_b = spec.dims
     eye_a = np.eye(d_a, dtype=complex)
     eye_b = np.eye(d_b, dtype=complex)
-    alice = np.array([[kron(m, eye_b) for m in fam] for fam in spec.alice])
-    bob = np.array([[kron(eye_a, m) for m in fam] for fam in spec.bob])
+    alice = np.array([[np.kron(m, eye_b) for m in fam] for fam in spec.alice])
+    bob = np.array([[np.kron(eye_a, m) for m in fam] for fam in spec.bob])
     commuting = QuantumStrategySpec(flavor=COMMUTING, state=spec.state, alice=alice, bob=bob)
     report = validate_spec(commuting)
     assert report.ok
@@ -741,8 +727,8 @@ def test_spec_file_round_trip_tensor():
 def test_spec_file_round_trip_commuting():
     base = chsh_optimal_spec()
     d_a, d_b = base.dims
-    alice = np.array([[kron(m, np.eye(d_b, dtype=complex)) for m in fam] for fam in base.alice])
-    bob = np.array([[kron(np.eye(d_a, dtype=complex), m) for m in fam] for fam in base.bob])
+    alice = np.array([[np.kron(m, np.eye(d_b, dtype=complex)) for m in fam] for fam in base.alice])
+    bob = np.array([[np.kron(np.eye(d_a, dtype=complex), m) for m in fam] for fam in base.bob])
     spec_round_trips(QuantumStrategySpec(flavor=COMMUTING, state=base.state,
                                          alice=alice, bob=bob))
 
