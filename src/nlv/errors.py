@@ -6,7 +6,7 @@ starts with the file kind, e.g. ``game file: ...``."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,14 +43,17 @@ class MachineHaltedError(NlvError):
 class Report:
     """Result of a report-style validation check.
 
-    ``ok`` is True iff no invariant is violated.  ``violations`` holds one
-    human-readable line per failed check, naming the offending index.
-    ``worst`` is the largest violation magnitude seen (0.0 when clean).
+    ``violations`` holds one human-readable line per failed check, naming
+    the offending index, and ``ok`` is True iff there are none.  ``worst``
+    is the largest violation magnitude seen (0.0 when clean).
     """
 
-    ok: bool
-    violations: tuple[str, ...] = field(default=())
+    violations: tuple[str, ...] = ()
     worst: float = 0.0
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     def raise_if_failed(self, what: str) -> None:
         if not self.ok:

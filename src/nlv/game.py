@@ -93,7 +93,7 @@ class Strategy:
 def validate_game(game: Game) -> Report:
     """Check the numeric invariants of a game, reporting every violation."""
     if not (np.all(np.isfinite(game.pi)) and np.all(np.isfinite(game.wins))):
-        return Report(ok=False, violations=("game has non-finite entries",), worst=np.inf)
+        return Report(violations=("game has non-finite entries",), worst=np.inf)
     violations = []
     worst = 0.0
     if np.any(game.pi < 0):
@@ -112,13 +112,13 @@ def validate_game(game: Game) -> Report:
         violations.append(
             "non-boolean predicate entry "
             f"D[{idx[0] + 1}][{idx[1] + 1}][{idx[2] + 1}][{idx[3] + 1}] = {game.wins[idx]:.6g}")
-    return Report(ok=not violations, violations=tuple(violations), worst=worst)
+    return Report(violations=tuple(violations), worst=worst)
 
 
 def validate_strategy(strategy: Strategy) -> Report:
     """Check that a strategy tensor is a conditional probability within COMPUTED_TOL."""
     if not np.all(np.isfinite(strategy.p)):
-        return Report(ok=False, violations=("strategy has non-finite entries",), worst=np.inf)
+        return Report(violations=("strategy has non-finite entries",), worst=np.inf)
     violations = []
     worst = 0.0
     p = strategy.p
@@ -140,7 +140,7 @@ def validate_strategy(strategy: Strategy) -> Report:
         violations.append(
             f"answers for questions ({idx[0] + 1}, {idx[1] + 1}) sum to "
             f"{sums[idx]:.9g} != 1")
-    return Report(ok=not violations, violations=tuple(violations), worst=worst)
+    return Report(violations=tuple(violations), worst=worst)
 
 
 def game_value(game: Game, strategy: Strategy) -> float:

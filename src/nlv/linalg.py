@@ -62,17 +62,18 @@ def psd_sqrt(h: np.ndarray) -> np.ndarray:
 
 
 def ginibre(shape, rng: np.random.Generator) -> np.ndarray:
-    """Complex Ginibre matrices of a ``(..., d, d)`` shape (an int d means
-    one d x d matrix): iid standard complex Gaussian entries, drawn as the
-    stream of sequential per-matrix draws, each real part then imaginary."""
-    shape = (shape, shape) if isinstance(shape, int) else tuple(shape)
-    z = rng.standard_normal(shape[:-2] + (2,) + shape[-2:])
+    """Complex Ginibre matrices of a ``(..., d, d)`` shape: iid standard
+    complex Gaussian entries, drawn as the stream of sequential per-matrix
+    draws, each real part then imaginary."""
+    z = rng.standard_normal((*shape[:-2], 2, *shape[-2:]))
     return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2.0)
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar random unitary: the QR factor Q of a Ginibre matrix with R's
-    diagonal phases folded in, which is the unitary Gram-Schmidt gives."""
-    q, r = np.linalg.qr(ginibre((dim, dim), rng))
-    phases = np.diagonal(r)
-    return q * (phases / np.abs(phases))
+def random_unitary(shape, rng: np.random.Generator) -> np.ndarray:
+    """Haar random unitaries of a ``(..., d, d)`` shape: the QR factor Q of
+    each :func:`ginibre` matrix with R's diagonal phases folded in, which is
+    the unitary Gram-Schmidt gives.  One stacked QR, equal to a QR per
+    matrix in draw order."""
+    q, r = np.linalg.qr(ginibre(shape, rng))
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[..., None, :]

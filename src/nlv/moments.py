@@ -158,19 +158,14 @@ def load_matrices(text: str) -> list[np.ndarray]:
             for i, values in enumerate(read_field(obj, "matrices", list, where))]
 
 
-def _draw_contractions(count: int, n: int, p: int, rng: np.random.Generator) -> np.ndarray:
-    """``(count, n, p, p)`` stack of complex Ginibre matrices, each divided
-    by its computed operator norm when that norm exceeds 1."""
-    g = ginibre((count, n, p, p), rng)
+def random_contractions(shape, rng: np.random.Generator) -> np.ndarray:
+    """Complex :func:`~nlv.linalg.ginibre` matrices of a ``(..., p, p)``
+    shape, each divided by its computed operator norm when that norm
+    exceeds 1, so every matrix lies in the unit ball without collapsing
+    interior samples onto its boundary."""
+    g = ginibre(shape, rng)
     norm = np.linalg.norm(g, 2, axis=(-2, -1))[..., None, None]
     return np.divide(g, norm, out=g, where=norm > 1.0)
-
-
-def random_contractions(n: int, p: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """n independent complex Ginibre matrices, each divided by its computed
-    operator norm when that norm exceeds 1, so the tuple lies in the unit
-    ball without collapsing interior samples onto its boundary."""
-    return list(_draw_contractions(1, n, p, rng)[0])
 
 
 def _tuple_bytes(n: int, d: int, p: int) -> int:
@@ -207,7 +202,7 @@ def sample_moment_cloud(n: int, d: int, p: int, count: int, seed: int) -> np.nda
     rng = generator(seed, stream=p)
     cloud = np.empty((count, length), dtype=np.complex128)
     for part in chunks(count, _tuple_bytes(n, d, p)):
-        cloud[part.start:part.stop] = _moments(_draw_contractions(len(part), n, p, rng), d)
+        cloud[part.start:part.stop] = _moments(random_contractions((len(part), n, p, p), rng), d)
     cloud.setflags(write=False)
     return cloud
 

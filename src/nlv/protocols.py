@@ -19,7 +19,7 @@ from .errors import ValidationError
 from .linalg import identity
 from .quantum import (PAULI_X, PAULI_Z, PVM, MeasurementFamily, born_probabilities,
                       check_state, collapse_state, epr_state, rotated_basis_pvm)
-from .rng import SplitMix64, derive_seed
+from .rng import derive_seed, uniforms
 
 MESSAGES = ((1, 1), (1, 2), (2, 1), (2, 2))
 
@@ -124,14 +124,10 @@ def epr_correlation_demo(trials: int, seed: int, basis: str = "coordinate") -> E
         collapsed = collapse_state(alice_family, outcome, shared)
         bob_probs = born_probabilities(bob_family, collapsed)
         deterministic_match.append(bob_probs[outcome] >= 1.0 - 1e-12)
-    sampler = SplitMix64(derive_seed(seed, 0))
-    counts = [0, 0]
-    agreements = 0
-    for _ in range(trials):
-        outcome = 0 if sampler.uniform() < alice_probs[0] else 1
-        counts[outcome] += 1
-        if deterministic_match[outcome]:
-            agreements += 1
+    # Alice sees outcome 0 where a trial's uniform is below its probability.
+    counts = np.bincount(uniforms(derive_seed(seed, 0), trials) >= alice_probs[0],
+                         minlength=2).tolist()
+    agreements = sum(c for c, match in zip(counts, deterministic_match) if match)
     return EprStats(
         trials=trials,
         basis=basis,

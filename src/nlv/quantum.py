@@ -31,6 +31,7 @@ from .linalg import (as_complex, dagger, deinterleave, frobenius, identity, inte
 from .rng import generator
 
 MAX_STATE_DIM = 1024   # d^2 for the entangled search: its game operator is d^2 x d^2
+MAX_RESTART_BYTES = 512 << 20   # bytes one see-saw restart may hold, see seesaw_search
 
 POVM = "povm"
 PVM = "pvm"
@@ -149,7 +150,7 @@ def validate_stack(stack: np.ndarray, measurement: str, label: str,
         if completeness[x] > tol:
             worst = max(worst, float(completeness[x]))
             violations.append(f"{prefix}completeness residual {completeness[x]:.3g}")
-    return Report(ok=not violations, violations=tuple(violations), worst=worst)
+    return Report(violations=tuple(violations), worst=worst)
 
 
 def validate_measurement(family: MeasurementFamily, tol: float = COMPUTED_TOL) -> Report:
@@ -262,7 +263,7 @@ def validate_spec(spec: QuantumStrategySpec, tol: float = COMPUTED_TOL) -> Repor
             violations.append(
                 f"commutation violation at (x={x + 1}, a={a + 1}, "
                 f"y={y + 1}, b={b + 1}): residual {residual[x, a, y, b]:.3g}")
-    return Report(ok=not violations, violations=tuple(violations), worst=worst)
+    return Report(violations=tuple(violations), worst=worst)
 
 
 def quantum_correlation(spec: QuantumStrategySpec) -> Strategy:
@@ -383,17 +384,14 @@ def chsh_optimal_spec() -> QuantumStrategySpec:
 # See-saw lower bound search
 # ---------------------------------------------------------------------------
 
-def block_projectors(u: np.ndarray, n: int) -> np.ndarray:
-    """(n, d, d) stack whose outcome a projects onto the span of u's
-    columns in block a of a near-equal split: the first d % n blocks get
-    one column more, and blocks are empty (zero projections) when n > d."""
-    return np.array([cols @ dagger(cols) for cols in np.array_split(u, n, axis=1)])
-
-
 def random_block_families(k: int, n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     """The searches' random start: a (k, n, dim, dim) stack whose family x
-    is :func:`block_projectors` of the x-th Haar unitary drawn from ``rng``."""
-    return np.array([block_projectors(random_unitary(dim, rng), n) for _ in range(k)])
+    projects onto the columns of the x-th Haar unitary drawn from ``rng``
+    in the blocks of a near-equal split, outcome a taking block a: the
+    first dim % n blocks get one column more, and blocks are empty (zero
+    projections) when n > dim."""
+    u = random_unitary((k, dim, dim), rng)
+    return np.stack([cols @ dagger(cols) for cols in np.array_split(u, n, axis=-1)], axis=1)
 
 
 def best_response(weights: np.ndarray, current: np.ndarray) -> np.ndarray:
@@ -467,8 +465,8 @@ def _seesaw(game: Game, dim: int, rngs: list[np.random.Generator],
     after ``iters`` rounds."""
     k, n = game.k, game.n
     v = payoff(game)
-    starts = np.array([[random_block_families(k, n, dim, rng) for _ in "ab"] for rng in rngs])
-    alice, bob = starts[:, 0], starts[:, 1]
+    starts = np.array([random_block_families(2 * k, n, dim, rng) for rng in rngs])
+    alice, bob = starts[:, :k], starts[:, k:]
     psi = np.empty((len(rngs), dim * dim), dtype=np.complex128)
     last = np.full(len(rngs), -np.inf)
     live = np.arange(len(rngs))
@@ -508,12 +506,16 @@ def seesaw_search(game: Game, dim: int, restarts: int, seed: int, iters: int,
     ``game_value(game, certify(candidate))`` as it arrives, and only the
     best is kept, so memory stays flat in ``restarts``; the largest value
     wins, ties going to the earliest candidate.  Returns ``(value,
-    candidate)``.
+    candidate)``.  Restarts are refused, before any candidate is made, when
+    one would hold more than ``MAX_RESTART_BYTES``.
     """
     if dim < 1:
         raise ValidationError("dimension must be >= 1")
     if restarts < 0 or iters < 1:
         raise ValidationError("restarts must be >= 0 and iters >= 1")
+    if restarts and restart_bytes > MAX_RESTART_BYTES:
+        raise CapExceededError(f"one restart at dim = {dim} needs {restart_bytes} bytes "
+                               f"exceeding cap {MAX_RESTART_BYTES}")
 
     def candidates():
         if game.n ** game.k <= SEED_ENUMERATION_CAP:

@@ -4,7 +4,8 @@ Every stochastic routine in the package draws from a generator that is
 derived from a user-supplied integer seed through a fixed splitmix-style
 sequence, so identical seeds give identical runs on any platform.  Gaussian
 and Dirichlet variates come from numpy's PCG64 seeded with splitmix output;
-the tiny SplitMix64 class is used directly where only uniforms are needed.
+where only uniforms are needed, :func:`uniforms` gives the splitmix64
+counter's outputs directly, as one array.
 """
 
 from __future__ import annotations
@@ -15,32 +16,25 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
-def _mix(z: int) -> int:
+def _mix(z):
+    """splitmix64's output mix of a 64-bit int, or of each entry of a
+    uint64 array (array ops wrap modulo 2^64 as the masks do)."""
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
     return z ^ (z >> 31)
 
 
-class SplitMix64:
-    """Counter-based 64-bit generator (splitmix64)."""
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_uint64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        return _mix(self._state)
-
-    def uniform(self) -> float:
-        """Uniform float in [0, 1) with 53 bits of the counter output."""
-        return (self.next_uint64() >> 11) * (1.0 / (1 << 53))
+def uniforms(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` outputs of the splitmix64 counter keyed by
+    ``seed``, each as a uniform float in [0, 1) from its top 53 bits."""
+    steps = np.arange(1, count + 1, dtype=np.uint64)
+    return (_mix(steps * _GAMMA + (seed & _MASK64)) >> 11) * (1.0 / (1 << 53))
 
 
 def derive_seed(seed: int, stream: int) -> int:
-    """Seed for substream ``stream`` of the run keyed by ``seed``."""
-    mixer = SplitMix64(seed)
-    mixer.next_uint64()
-    return (mixer.next_uint64() ^ _mix((stream + 1) * _GAMMA & _MASK64)) & _MASK64
+    """Seed for substream ``stream`` of the run keyed by ``seed``: the
+    counter's second output keyed by ``seed``, mixed with ``stream``."""
+    return _mix((seed + 2 * _GAMMA) & _MASK64) ^ _mix((stream + 1) * _GAMMA & _MASK64)
 
 
 def generator(seed: int, stream: int = 0) -> np.random.Generator:

@@ -21,7 +21,6 @@ from .game import COMPUTED_TOL, Game, Strategy, payoff
 from .linalg import dagger, frobenius, identity
 from .quantum import (POVM, PVM, MeasurementFamily, best_response, diagonal_pvm,
                       random_block_families, seesaw_search, stack_families, validate_stack)
-from .rng import generator
 
 REPAIR_DEFECT_CAP = 0.1
 MAX_FAMILY_DIM = 1024  # d for the synchronous search: each best response is a d x d eigh
@@ -77,12 +76,6 @@ def scalar_family(assignment: tuple[int, ...], n: int, d: int) -> TracialPVMFami
     with certainty (the identity sits on that outcome, zero elsewhere)."""
     return TracialPVMFamily(
         families=diagonal_pvm(np.repeat(np.array(assignment)[:, None], d, axis=1), n))
-
-
-def random_tracial_family(k: int, n: int, d: int, seed: int) -> TracialPVMFamily:
-    """Test-corpus generator: each question family conjugates the near-equal
-    coordinate block PVM by an independent random unitary."""
-    return TracialPVMFamily(families=random_block_families(k, n, d, generator(seed)))
 
 
 def _best_scalar_assignment(game: Game) -> tuple[float, tuple[int, ...]]:

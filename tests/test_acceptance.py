@@ -19,9 +19,9 @@ from nlv.linalg import random_unitary
 from nlv.moments import enumerate_monomials, moment_map, monomial_count, random_contractions
 from nlv.protocols import MESSAGES, TwoBitMessage, epr_correlation_demo, superdense_decode, superdense_encode
 from nlv.quantum import (born_probabilities, chsh_optimal_spec, entangled_lower_bound,
-                         naimark_dilate, quantum_correlation)
+                         naimark_dilate, quantum_correlation, random_block_families)
 from nlv.rng import generator
-from nlv.synchronous import random_tracial_family, tracial_correlation, validate_family
+from nlv.synchronous import TracialPVMFamily, tracial_correlation, validate_family
 from nlv.tm import BudgetExceeded, Configuration, Halted, load_machine, run, step
 
 DATA = Path(__file__).parent / "data"
@@ -126,7 +126,7 @@ def test_criterion_08_synchronous_suite():
         k = int(rng.integers(1, 4))
         n = int(rng.integers(2, 4))
         d = int(rng.integers(1, 5))
-        family = random_tracial_family(k, n, d, seed=case)
+        family = TracialPVMFamily(families=random_block_families(k, n, d, generator(case)))
         ok = validate_family(family).ok
         s = tracial_correlation(family)
         ok = ok and validate_strategy(s).ok and is_synchronous(s, tol=1e-9)
@@ -148,9 +148,9 @@ def test_criterion_09_moments_suite():
         rng = generator(seed)
         n = 1 + seed % 2
         p = 2 + seed % 3
-        mats = random_contractions(n, p, rng)
+        mats = random_contractions((n, p, p), rng)
         vec = moment_map(mats, 2)
-        u = random_unitary(p, rng)
+        u = random_unitary((p, p), rng)
         rotated = moment_map([u @ m @ u.conj().T for m in mats], 2)
         ok = ok and bool(np.max(np.abs(vec - rotated)) <= 1e-9)
         doubled = moment_map(

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from nlv import data_path
 from nlv.cli import build_parser, dispatch
 from nlv.errors import NlvError
+from nlv.game import random_game, save_game
 from nlv.quantum import chsh_optimal_spec, load_spec, save_spec
 
 CHSH = str(data_path("chsh.json"))
@@ -389,6 +390,17 @@ def test_oversized_game_is_refused_before_allocation(tmp_path, capsys):
 ], ids=["quantum-lb", "sync-lb", "moments-cloud", "moments-density", "moments-tuple"])
 def test_oversized_dimension_is_refused_before_allocation(capsys, argv, cap):
     assert cap in domain_error_line(capsys, argv)
+
+
+def test_restart_past_byte_cap_is_refused_before_allocation(tmp_path, capsys):
+    # One sync-lb restart of a k = 100, n = 2 game at d = 512 holds
+    # 96 k n d^2 bytes = 4.7 GiB, though d is within the dimension cap.
+    game = tmp_path / "wide.json"
+    game.write_text(save_game(random_game(100, 2, 0)))
+    argv = ["sync-lb", "--game", str(game), "--dim", "512", "--restarts", "1", "--seed", "0",
+            "--family-out", str(tmp_path / "never-written.json")]
+    assert "needs 5033164800 bytes exceeding cap" in domain_error_line(capsys, argv)
+    assert not (tmp_path / "never-written.json").exists()
 
 
 # One position of a bundled file gets one of these: wrong types, empty and

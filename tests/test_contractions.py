@@ -14,7 +14,7 @@ from nlv.linalg import dagger, identity
 from nlv.quantum import (COMMUTING, TENSOR, QuantumStrategySpec, _game_operator,
                          quantum_correlation, random_block_families)
 from nlv.rng import generator
-from nlv.synchronous import random_tracial_family, tracial_correlation
+from nlv.synchronous import TracialPVMFamily, tracial_correlation
 
 TOL = 1e-12
 SHAPES = [(1, 2, 1, 3), (2, 2, 2, 2), (2, 3, 3, 2), (3, 2, 2, 4), (3, 3, 4, 3)]
@@ -98,7 +98,7 @@ def test_commuting_correlation_matches_loops(k, n, d_a, d_b):
 
 @pytest.mark.parametrize("k, n, d", [(1, 2, 1), (2, 2, 3), (3, 3, 2), (3, 2, 4)])
 def test_tracial_correlation_matches_loops(k, n, d):
-    family = random_tracial_family(k, n, d, seed=11 * k + n + d)
+    family = TracialPVMFamily(families=random_block_families(k, n, d, generator(11 * k + n + d)))
     assert np.max(np.abs(tracial_correlation(family).p
                          - ref_tracial_correlation(family))) <= TOL
 

@@ -5,7 +5,11 @@ import pytest
 
 from nlv.errors import ValidationError
 from nlv.linalg import as_complex, dagger, frobenius, ginibre, psd_sqrt, random_unitary
-from nlv.rng import generator
+from nlv.moments import random_contractions
+from nlv.quantum import random_block_families
+from nlv.rng import generator, uniforms
+from test_moments import reference_contractions
+from test_rng import looped_uniforms
 
 
 def test_psd_sqrt_squares_back():
@@ -25,17 +29,59 @@ def test_psd_sqrt_rejects_indefinite():
 
 
 def test_random_unitary_is_unitary_and_seeded():
-    u1 = random_unitary(6, generator(42))
-    u2 = random_unitary(6, generator(42))
+    u1 = random_unitary((6, 6), generator(42))
+    u2 = random_unitary((6, 6), generator(42))
     assert np.array_equal(u1, u2)
     assert np.allclose(dagger(u1) @ u1, np.eye(6), atol=1e-12)
 
 
-@pytest.mark.parametrize("m, d", [(1, 1), (4, 3), (3, 5)])
-def test_stacked_ginibre_is_the_sequential_draws(m, d):
-    stacked = ginibre((m, d, d), generator(17))
-    rng = generator(17)
-    assert np.array_equal(stacked, np.array([ginibre((d, d), rng) for _ in range(m)]))
+def per_matrix_unitaries(m, d, rng):
+    """m Haar unitaries, one Ginibre draw and one QR each, R's diagonal
+    phases folded into Q."""
+    out = []
+    for _ in range(m):
+        q, r = np.linalg.qr(ginibre((d, d), rng))
+        phases = np.diagonal(r)
+        out.append(q * (phases / np.abs(phases)))
+    return np.array(out)
+
+
+def looped_block_families(k, n, d, rng):
+    """k block PVMs, each from its own unitary draw with one product per
+    column block."""
+    def block_projectors(u):
+        return np.array([cols @ dagger(cols) for cols in np.array_split(u, n, axis=1)])
+    return np.array([block_projectors(random_unitary((d, d), rng)) for _ in range(k)])
+
+
+# Each stacked draw beside its per-item reference; both get the same
+# arguments and a fresh generator(17), which the uniforms ignore.
+STACKED_DRAWS = {
+    "ginibre": (lambda m, d, rng: ginibre((m, d, d), rng),
+                lambda m, d, rng: np.array([ginibre((d, d), rng) for _ in range(m)])),
+    "unitary": (lambda m, d, rng: random_unitary((m, d, d), rng), per_matrix_unitaries),
+    "blocks": (random_block_families, looped_block_families),
+    "contractions": (lambda c, n, p, rng: random_contractions((c, n, p, p), rng),
+                     lambda c, n, p, rng: np.array([reference_contractions(n, p, rng)
+                                                    for _ in range(c)])),
+    "uniforms": (lambda seed, count, rng: uniforms(seed, count),
+                 lambda seed, count, rng: looped_uniforms(seed, count)),
+}
+
+
+@pytest.mark.parametrize("draw, args", [
+    pytest.param(draw, args, id="-".join(map(str, (draw,) + args)))
+    for draw, args in [("ginibre", (1, 1)), ("ginibre", (4, 3)), ("ginibre", (3, 5)),
+                       ("unitary", (1, 1)), ("unitary", (4, 3)), ("unitary", (3, 5)),
+                       ("blocks", (1, 2, 1)), ("blocks", (3, 3, 2)), ("blocks", (2, 5, 3)),
+                       ("blocks", (4, 2, 5)), ("blocks", (2, 3, 7)),
+                       ("contractions", (1, 1, 1)), ("contractions", (3, 2, 4)),
+                       ("contractions", (5, 1, 3)),
+                       ("uniforms", (0, 1000)), ("uniforms", (-7, 1000)),
+                       ("uniforms", (2 ** 64 - 1, 1000))]])
+def test_stacked_draw_is_the_per_item_draws(draw, args):
+    stacked, per_item = STACKED_DRAWS[draw]
+    assert np.array_equal(stacked(*args, generator(17)), per_item(*args, generator(17)))
 
 
 def test_frobenius():

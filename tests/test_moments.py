@@ -98,7 +98,7 @@ def test_moment_data_are_read_only_complex_arrays():
 def test_moment_entries_stay_in_unit_disk():
     for seed in range(10):
         rng = generator(seed)
-        mats = random_contractions(2, 3, rng)
+        mats = random_contractions((2, 3, 3), rng)
         vec = moment_map(mats, 3)
         assert np.max(np.abs(vec)) <= 1.0 + 1e-9
 
@@ -107,7 +107,7 @@ def test_conjugate_symmetry():
     # the trace of the adjoint word is the conjugate of the original
     for seed in range(10):
         rng = generator(seed)
-        mats = random_contractions(2, 3, rng)
+        mats = random_contractions((2, 3, 3), rng)
         words = enumerate_monomials(2, 2)
         vec = moment_map(mats, 2)
         index = {w.letters: i for i, w in enumerate(words)}
@@ -119,8 +119,8 @@ def test_conjugate_symmetry():
 def test_unitary_conjugation_invariance():
     for seed in range(10):
         rng = generator(seed)
-        mats = random_contractions(2, 4, rng)
-        u = random_unitary(4, rng)
+        mats = random_contractions((2, 4, 4), rng)
+        u = random_unitary((4, 4), rng)
         rotated = [u @ m @ u.conj().T for m in mats]
         a = moment_map(mats, 2)
         b = moment_map(rotated, 2)
@@ -130,7 +130,7 @@ def test_unitary_conjugation_invariance():
 def test_direct_sum_invariance():
     for seed in range(10):
         rng = generator(seed)
-        mats = random_contractions(1, 3, rng)
+        mats = random_contractions((1, 3, 3), rng)
         doubled = [np.block([[m, np.zeros_like(m)], [np.zeros_like(m), m]]) for m in mats]
         a = moment_map(mats, 3)
         b = moment_map(doubled, 3)
@@ -214,7 +214,7 @@ def reference_contractions(n, p, rng):
     unit ball when its norm exceeds 1."""
     out = []
     for _ in range(n):
-        g = ginibre(p, rng)
+        g = ginibre((p, p), rng)
         norm = np.linalg.norm(g, 2)
         out.append(g / norm if norm > 1.0 else g)
     return out
@@ -240,7 +240,7 @@ def reference_moments(mats, d):
 
 def reference_cloud(n, d, p, count, seed):
     rng = generator(seed, stream=p)
-    return [moment_map(random_contractions(n, p, rng), d) for _ in range(count)]
+    return [moment_map(random_contractions((n, p, p), rng), d) for _ in range(count)]
 
 
 CLOUD_SHAPES = [(1, 1, 2, 0), (2, 2, 2, 1), (1, 3, 1, 20), (2, 1, 3, 15), (2, 3, 3, 40),
@@ -260,7 +260,7 @@ def test_batched_cloud_is_bit_identical_to_per_tuple_form(n, d, p, count):
 def test_one_tuple_case_matches_per_matrix_loops(n, d, p, count):
     rng, ref_rng = generator(5, stream=p), generator(5, stream=p)
     for _ in range(max(count, 1)):
-        mats = random_contractions(n, p, rng)
+        mats = random_contractions((n, p, p), rng)
         ref = reference_contractions(n, p, ref_rng)
         assert all(np.array_equal(a, b) for a, b in zip(mats, ref))
         assert np.array_equal(moment_map(mats, d), reference_moments(ref, d))

@@ -8,8 +8,7 @@ from nlv.protocols import (MESSAGES, TwoBitMessage, bell_basis,
                            bell_measurement, epr_correlation_demo,
                            superdense_decode, superdense_encode)
 from nlv.quantum import (PVM, MeasurementFamily, born_probabilities, collapse_state,
-                         block_projectors, epr_state)
-from nlv.linalg import random_unitary
+                         epr_state, random_block_families)
 from nlv.rng import generator
 
 E1 = np.array([1, 0], dtype=complex)
@@ -110,7 +109,7 @@ def test_collapse_then_remeasure_repeats_outcome():
     for seed in range(25):
         dim = int(rng.integers(2, 6))
         n = int(rng.integers(2, min(dim, 4) + 1))
-        fam = MeasurementFamily(outcomes=block_projectors(random_unitary(dim, generator(seed)), n),
+        fam = MeasurementFamily(outcomes=random_block_families(1, n, dim, generator(seed))[0],
                                 flavor=PVM)
         vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         vec /= np.linalg.norm(vec)

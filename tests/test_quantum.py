@@ -8,12 +8,12 @@ import pytest
 
 from nlv import moments
 from nlv.classical import DeterministicStrategy, classical_value, det_to_strategy
-from nlv.errors import DimensionMismatchError, ParseError, ValidationError
+from nlv.errors import CapExceededError, DimensionMismatchError, ParseError, ValidationError
 from nlv.game import Game, chsh_game, game_value, payoff, random_game, validate_strategy
 from nlv.linalg import dagger, frobenius, random_unitary
-from nlv.quantum import (COMMUTING, POVM, PVM, TENSOR, MeasurementFamily,
+from nlv.quantum import (COMMUTING, MAX_RESTART_BYTES, POVM, PVM, TENSOR, MeasurementFamily,
                          QuantumStrategySpec, _game_operator, _seesaw, _seesaw_bytes,
-                         best_response, block_projectors,
+                         best_response,
                          born_probabilities, chsh_optimal_spec, diagonal_pvm,
                          embed_deterministic,
                          embed_local, entangled_lower_bound, epr_state,
@@ -432,22 +432,20 @@ def test_naimark_rejects_invalid_povm():
 
 def test_block_projectors_near_equal_ranks():
     for d, n, ranks in [(5, 2, [3, 2]), (4, 2, [2, 2]), (2, 3, [1, 1, 0]), (1, 2, [1, 0])]:
-        blocks = block_projectors(np.eye(d, dtype=complex), n)
+        blocks = random_block_families(1, n, d, generator(d))[0]
         assert [round(float(np.trace(p).real)) for p in blocks] == ranks
 
 
 def test_block_projectors_handles_empty_blocks():
-    u = random_unitary(2, generator(5))
-    fam = MeasurementFamily(outcomes=block_projectors(u, 3), flavor=PVM)
+    fam = MeasurementFamily(outcomes=random_block_families(1, 3, 2, generator(5))[0], flavor=PVM)
     assert validate_measurement(fam).ok
     assert np.allclose(fam.outcomes[2], 0.0)
 
 
 def test_strided_outcomes_and_state_are_accepted():
-    fam = MeasurementFamily(outcomes=block_projectors(random_unitary(2, generator(3)), 2),
-                            flavor=PVM)
+    fam = MeasurementFamily(outcomes=random_block_families(1, 2, 2, generator(3))[0], flavor=PVM)
     transposed = MeasurementFamily(outcomes=tuple(m.T for m in fam.outcomes), flavor=PVM)
-    state = random_unitary(4, generator(4))[:, 0]
+    state = random_unitary((4, 4), generator(4))[:, 0]
     spec = QuantumStrategySpec(flavor=TENSOR, state=state, alice=(transposed,), bob=(fam,))
     assert validate_strategy(quantum_correlation(spec)).ok
 
@@ -489,7 +487,7 @@ def test_best_response_two_outcomes_is_global_optimum(d):
     rng = generator(d)
     for _ in range(5):
         w = random_weights(2, d, rng)
-        current = block_projectors(random_unitary(d, rng), 2)
+        current = random_block_families(1, 2, d, rng)[0]
         gains = np.linalg.eigvalsh(w[0] - w[1])
         optimum = np.trace(w[1]).real + gains[gains > 0].sum()
         assert score(w, best_response(w, current)) == pytest.approx(optimum, abs=1e-10)
@@ -500,13 +498,13 @@ def test_best_response_three_outcomes_never_decreases(d):
     rng = generator(10 + d)
     for _ in range(20):
         w = random_weights(3, d, rng)
-        current = block_projectors(random_unitary(d, rng), 3)
+        current = random_block_families(1, 3, d, rng)[0]
         assert score(w, best_response(w, current)) >= score(w, current) - 1e-12
 
 
 def test_best_response_stays_a_pvm_over_60_rounds():
     rng = generator(21)
-    projections = block_projectors(random_unitary(5, rng), 3)
+    projections = random_block_families(1, 3, 5, rng)[0]
     for _ in range(60):
         projections = best_response(random_weights(3, 5, rng), projections)
     fam = MeasurementFamily(outcomes=projections, flavor=PVM)
@@ -530,7 +528,7 @@ def test_stacked_best_response_matches_per_pair_loop(n, d, profiles):
     # its later pairs are empty pairs and must stay exactly zero.
     rng = generator(40 + n + d)
     profiles = profiles + [(d,) + (0,) * (n - 1)]
-    current = np.array([ranked_family(random_unitary(d, rng), ranks) for ranks in profiles])
+    current = np.array([ranked_family(random_unitary((d, d), rng), ranks) for ranks in profiles])
     weights = np.array([random_weights(n, d, rng) for _ in profiles])
     weights[-1, 0] += 100 * np.eye(d)
     stacked = best_response(weights[None], current[None])[0]
@@ -655,6 +653,18 @@ def test_many_restart_peak_stays_within_chunk_budget(monkeypatch, search, dim):
     finally:
         tracemalloc.stop()
     assert peak < moments.CHUNK_BYTES + restart_bytes
+
+
+def test_restart_over_byte_cap_is_refused_before_any_candidate():
+    def never(*args):
+        raise AssertionError("a candidate was made")
+
+    with pytest.raises(CapExceededError, match="exceeding cap"):
+        seesaw_search(chsh_game(), 2, 1, 0, 1, never, MAX_RESTART_BYTES + 1, never, never)
+    # With no restarts asked for, the cap does not apply to the seeds.
+    value, _ = seesaw_search(chsh_game(), 2, 0, 0, 1, never, MAX_RESTART_BYTES + 1,
+                             quantum_correlation, lambda: [chsh_optimal_spec()])
+    assert value == pytest.approx(np.cos(np.pi / 8) ** 2)
 
 
 # -- entangled_lower_bound ---------------------------------------------------

@@ -10,12 +10,11 @@ from nlv import moments
 from nlv.classical import DeterministicStrategy, det_to_strategy, is_synchronous
 from nlv.errors import DefectTooLargeError, ValidationError
 from nlv.game import Game, chsh_game, game_value, payoff, random_game, validate_strategy
-from nlv.linalg import dagger, frobenius, identity, random_unitary
-from nlv.quantum import (PVM, MeasurementFamily, block_projectors, random_block_families,
-                         validate_measurement)
+from nlv.linalg import dagger, frobenius, identity
+from nlv.quantum import PVM, MeasurementFamily, random_block_families, validate_measurement
 from nlv.rng import generator
 from nlv.synchronous import (TracialPVMFamily, _best_scalar_assignment, _sync_seesaw,
-                             random_tracial_family, repair_almost_pvm, scalar_family,
+                             repair_almost_pvm, scalar_family,
                              sync_value_lower_bound, tracial_correlation,
                              validate_family)
 from test_quantum import SEARCH_SHAPES, reference_best_response
@@ -100,7 +99,7 @@ def test_tracial_correlations_synchronous_symmetric_consistent():
         k = int(rng.integers(1, 4))
         n = int(rng.integers(2, 4))
         d = int(rng.integers(1, 5))
-        fam = random_tracial_family(k, n, d, seed=seed)
+        fam = TracialPVMFamily(families=random_block_families(k, n, d, generator(seed)))
         assert validate_family(fam).ok
         s = tracial_correlation(fam)
         assert validate_strategy(s).ok
@@ -201,7 +200,7 @@ def test_sync_lower_bound_rejects_bad_parameters():
 # -- repair_almost_pvm -------------------------------------------------------
 
 def exact_random_pvm(d, n, seed):
-    return MeasurementFamily(outcomes=block_projectors(random_unitary(d, generator(seed)), n),
+    return MeasurementFamily(outcomes=random_block_families(1, n, d, generator(seed))[0],
                              flavor=PVM)
 
 
