@@ -145,17 +145,32 @@ def validate_strategy(strategy: Strategy) -> Report:
 
 def game_value(game: Game, strategy: Strategy) -> float:
     """Expected winning probability of ``strategy`` on ``game``:
-    sum over (x, y) of pi(x, y) times the predicate-weighted answer mass."""
+    sum over (x, y) of pi(x, y) times the predicate-weighted answer mass.
+    The one-tensor case of :func:`correlation_values`."""
     if game.k != strategy.k or game.n != strategy.n:
         raise DimensionMismatchError(
             f"game is ({game.k}, {game.n}) but strategy is ({strategy.k}, {strategy.n})")
-    return float(np.einsum("xy,xyab,xyab->", game.pi, game.wins, strategy.p))
+    return float(correlation_values(game, strategy.p[None])[0])
+
+
+def correlation_values(game: Game, p: np.ndarray) -> np.ndarray:
+    """Value of each correlation tensor of an (R, k, k, n, n) stack: the sum
+    of payoff * p over each tensor's entries in row-major order, so a
+    tensor scores the same bits alone as in any stack."""
+    return (payoff(game) * p).reshape(len(p), -1).sum(axis=-1)
 
 
 def payoff(game: Game) -> np.ndarray:
     """V[x, y, a, b] = pi(x, y) D(x, y, a, b): the weight of each answer
-    pair, over which every game-weighted trace is one contraction."""
+    pair."""
     return game.pi[:, :, None, None] * game.wins
+
+
+def payoff_matrix(game: Game) -> np.ndarray:
+    """The payoff as one (kn, kn) matrix V[(x, a), (y, b)], through which
+    every game-weighted trace of the searches is a two-operand product."""
+    kn = game.k * game.n
+    return payoff(game).transpose(0, 2, 1, 3).reshape(kn, kn)
 
 
 def random_game(k: int, n: int, seed: int) -> Game:

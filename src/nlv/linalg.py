@@ -69,11 +69,13 @@ def ginibre(shape, rng: np.random.Generator) -> np.ndarray:
     return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2.0)
 
 
-def random_unitary(shape, rng: np.random.Generator) -> np.ndarray:
-    """Haar random unitaries of a ``(..., d, d)`` shape: the QR factor Q of
-    each :func:`ginibre` matrix with R's diagonal phases folded in, which is
-    the unitary Gram-Schmidt gives.  One stacked QR, equal to a QR per
-    matrix in draw order."""
-    q, r = np.linalg.qr(ginibre(shape, rng))
+def random_unitary(shape, rngs) -> np.ndarray:
+    """Haar random unitaries: for each generator in ``rngs``, in order, a
+    :func:`ginibre` draw of the ``(..., d, d)`` shape, stacked on a new
+    first axis; each matrix then becomes the QR factor Q with R's diagonal
+    phases folded in, which is the unitary Gram-Schmidt gives.  One stacked
+    QR over every generator's matrices, equal to a QR per matrix in draw
+    order."""
+    q, r = np.linalg.qr(np.array([ginibre(shape, rng) for rng in rngs]))
     phases = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (phases / np.abs(phases))[..., None, :]

@@ -25,7 +25,7 @@ from .classical import (SEED_ENUMERATION_CAP, DeterministicStrategy, check_answe
                         check_mixture, classical_value)
 from .errors import (CapExceededError, DimensionMismatchError, ParseError, Report,
                      ValidationError, read_count, read_field, read_object)
-from .game import COMPUTED_TOL, Game, Strategy, game_value, payoff
+from .game import COMPUTED_TOL, Game, Strategy, correlation_values, payoff_matrix
 from .linalg import (as_complex, dagger, deinterleave, frobenius, identity, interleave, psd_sqrt,
                      random_unitary)
 from .rng import generator
@@ -122,7 +122,7 @@ _DEFECTS = (("not self-adjoint: residual", 1.0), ("not positive: eigenvalue", -1
             ("not idempotent: residual", 1.0))
 
 
-def validate_stack(stack: np.ndarray, measurement: str, label: str,
+def validate_stack(stack: np.ndarray, measurement: str, label,
                    tol: float = COMPUTED_TOL) -> Report:
     """Check every family of a (k, n, d, d) stack in one batched pass.
 
@@ -130,18 +130,20 @@ def validate_stack(stack: np.ndarray, measurement: str, label: str,
     each family's elements sum to the identity within tol.  PVM:
     additionally each element squares to itself within tol (which forces
     pairwise orthogonality).  Violations are listed by family, then
-    outcome, with family x's lines prefixed by ``label.format(x + 1)``.
+    outcome, with family x's lines prefixed by ``label(x)`` (x 0-based).
     """
-    sizes = [np.max(np.abs(stack - dagger(stack)), axis=(-2, -1)),
-             -np.linalg.eigvalsh(stack)[..., 0]]
+    def residual(mats):   # largest entry size of each matrix
+        return np.abs(mats).reshape(mats.shape[:-2] + (-1,)).max(axis=-1)
+
+    sizes = [residual(stack - dagger(stack)), -np.linalg.eigvalsh(stack)[..., 0]]
     if measurement == PVM:
-        sizes.append(np.max(np.abs(stack @ stack - stack), axis=(-2, -1)))
+        sizes.append(residual(stack @ stack - stack))
     sizes = np.stack(sizes, axis=-1)                       # [family, outcome, check]
-    completeness = np.max(np.abs(stack.sum(axis=1) - identity(stack.shape[-1])), axis=(-2, -1))
+    completeness = residual(stack.sum(axis=1) - identity(stack.shape[-1]))
     failed = sizes > tol
     violations, worst = [], 0.0
     for x in np.flatnonzero(failed.any(axis=(1, 2)) | (completeness > tol)):
-        prefix = label.format(x + 1)
+        prefix = label(x)
         for i, c in np.argwhere(failed[x]):
             what, sign = _DEFECTS[c]
             size = float(sizes[x, i, c])
@@ -156,7 +158,7 @@ def validate_stack(stack: np.ndarray, measurement: str, label: str,
 def validate_measurement(family: MeasurementFamily, tol: float = COMPUTED_TOL) -> Report:
     """Check the flavor-specific invariants of one family (see
     :func:`validate_stack`), reporting the worst violation."""
-    return validate_stack(family.outcomes[None], family.flavor, "", tol)
+    return validate_stack(family.outcomes[None], family.flavor, lambda x: "", tol)
 
 
 def born_probabilities(family: MeasurementFamily, state) -> np.ndarray:
@@ -239,20 +241,46 @@ class QuantumStrategySpec:
         return self.alice.shape[-1], self.bob.shape[-1]
 
 
+def _validate_rows(names, stacks, measurement: str, tol: float, states=None) -> Report:
+    """Check R candidates at once: each ``(player, stack)`` of ``stacks``
+    holds their (R, k, n, d, d) families, validated as one (R·k, n, d, d)
+    pass of :func:`validate_stack`, and ``states``, if given, holds their
+    (R, D) state vectors, each of unit norm.  Row r's lines start with
+    ``names[r]`` and then ``player``; every entry must be finite (see
+    :func:`_check_finite`)."""
+    violations = []
+    worst = 0.0
+    if states is not None:
+        norms = np.linalg.norm(states, axis=-1)
+        for r in np.flatnonzero(np.abs(norms - 1.0) > tol):
+            worst = max(worst, abs(float(norms[r]) - 1.0))
+            violations.append(f"{names[r]}state norm {norms[r]:.9g} != 1")
+    for player, stack in stacks:
+        k = stack.shape[1]
+        report = validate_stack(stack.reshape(-1, *stack.shape[2:]), measurement,
+                                lambda f: f"{names[f // k]}{player}family {f % k + 1}: ", tol)
+        violations.extend(report.violations)
+        worst = max(worst, report.worst)
+    return Report(violations=tuple(violations), worst=worst)
+
+
+def _check_finite(names, *chunk) -> None:
+    """Refuse a chunk with a non-finite entry, naming its first such row;
+    the validators assume finite input, as every constructor ensures."""
+    finite = np.logical_and.reduce([np.isfinite(arr).reshape(len(arr), -1).all(axis=1)
+                                    for arr in chunk])
+    if not finite.all():
+        raise ValidationError(f"{names[np.argmin(finite)]}non-finite entries")
+
+
 def validate_spec(spec: QuantumStrategySpec, tol: float = COMPUTED_TOL) -> Report:
     """Validate state, each player's families in one batched pass (see
     :func:`validate_stack`), and (for commuting flavor) that every Alice
     element commutes with every Bob element in Frobenius norm."""
-    violations = []
-    worst = 0.0
-    norm = float(np.linalg.norm(spec.state))
-    if abs(norm - 1.0) > tol:
-        worst = max(worst, abs(norm - 1.0))
-        violations.append(f"state norm {norm:.9g} != 1")
-    for player, stack in (("alice", spec.alice), ("bob", spec.bob)):
-        report = validate_stack(stack, spec.measurement, player + " family {}: ", tol)
-        violations.extend(report.violations)
-        worst = max(worst, report.worst)
+    report = _validate_rows([""], (("alice ", spec.alice[None]), ("bob ", spec.bob[None])),
+                            spec.measurement, tol, spec.state[None])
+    violations = list(report.violations)
+    worst = report.worst
     if spec.flavor == COMMUTING:
         # residual[x, a, y, b]: Frobenius norm of [A^x_a, B^y_b].
         alice = spec.alice[:, :, None, None]
@@ -266,25 +294,53 @@ def validate_spec(spec: QuantumStrategySpec, tol: float = COMPUTED_TOL) -> Repor
     return Report(violations=tuple(violations), worst=worst)
 
 
+def _gram(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """G[r, (x, a), (y, b)] = sum over m of L[r, x, a, m] R[r, y, b, m] for
+    (R, k, n, m) factor stacks: one (kn, m) by (m, kn) product per row."""
+    rows, k, n, m = left.shape
+    return left.reshape(rows, k * n, m) @ np.swapaxes(right.reshape(rows, k * n, m), -1, -2)
+
+
+def correlations(left: np.ndarray, right: np.ndarray, names) -> np.ndarray:
+    """The (R, k, k, n, n) real correlation tensors p[r, x, y, a, b] =
+    G[r, (x, a), (y, b)], the :func:`_gram` product of (R, k, n, m) factor
+    stacks.  Row r's imaginary residual must stay within COMPUTED_TOL, or
+    the error starts with ``names[r]``."""
+    rows, k, n, _ = left.shape
+    p = _gram(left, right).reshape(rows, k, n, k, n).swapaxes(2, 3)
+    residual = np.max(np.abs(p.imag), axis=(1, 2, 3, 4))
+    for r in np.flatnonzero(residual > COMPUTED_TOL):
+        raise ValidationError(f"{names[r]}correlation has imaginary residual {residual[r]:.3g}")
+    return np.ascontiguousarray(p.real)
+
+
+def _tensor_correlations(states: np.ndarray, alice: np.ndarray, bob: np.ndarray,
+                         names) -> np.ndarray:
+    """Correlations of R tensor-flavor candidates, as :func:`correlations`:
+    <psi| A kron B |psi> is the entrywise product of M^dagger A M and B,
+    where M is psi as a (d_a, d_b) matrix."""
+    mat = states.reshape(len(states), 1, 1, alice.shape[-1], bob.shape[-1])
+    reduced = dagger(mat) @ alice @ mat
+    return correlations(reduced.reshape(reduced.shape[:3] + (-1,)),
+                        bob.reshape(bob.shape[:3] + (-1,)), names)
+
+
 def quantum_correlation(spec: QuantumStrategySpec) -> Strategy:
     """Correlation tensor of a strategy specification.
 
     Tensor flavor: p(a, b | x, y) is the expectation of (Alice_a kron
     Bob_b) in the shared state; commuting flavor: the expectation of the
-    operator product Alice_a Bob_b.
+    operator product Alice_a Bob_b.  The one-row case of the kernel that
+    certifies the see-saw's chunks.
     """
     validate_spec(spec).raise_if_failed("strategy spec")
-    alice, bob = spec.alice, spec.bob
     if spec.flavor == TENSOR:
-        psi = spec.state.reshape(spec.dims)
-        p = np.einsum("im,xaik,ybmj,kj->xyab", psi.conj(), alice, bob, psi)
+        p = _tensor_correlations(spec.state[None], spec.alice[None], spec.bob[None], [""])
     else:
-        vec = spec.state
-        p = np.einsum("i,xaik,ybkj,j->xyab", vec.conj(), alice, bob, vec)
-    worst_imag = float(np.max(np.abs(p.imag)))
-    if worst_imag > COMPUTED_TOL:
-        raise ValidationError(f"correlation has imaginary residual {worst_imag:.3g}")
-    return Strategy(k=spec.k, n=spec.n, p=p.real)
+        # <v| A B |v> = (v^dagger A) . (B v)
+        p = correlations((spec.state.conj() @ spec.alice)[None], (spec.bob @ spec.state)[None],
+                         [""])
+    return Strategy(k=spec.k, n=spec.n, p=p[0])
 
 
 def diagonal_pvm(answers, n: int) -> np.ndarray:
@@ -299,20 +355,28 @@ def diagonal_pvm(answers, n: int) -> np.ndarray:
     return chosen[..., None] * identity(answers.shape[-1])
 
 
+def answer_pvms(answers, n: int, dim: int) -> np.ndarray:
+    """The (k, n, dim, dim) stack whose family x puts the identity on the
+    1-based outcome answers[x] and 0 elsewhere."""
+    return diagonal_pvm(np.repeat(np.array(answers)[:, None], dim, axis=1), n)
+
+
+def _embedded(d: DeterministicStrategy, k: int, n: int, dim: int):
+    """The state and both players' families of :func:`embed_deterministic`."""
+    check_answer_range(d, k, n)
+    state = np.zeros(dim * dim, dtype=np.complex128)
+    state[0] = 1.0
+    return state, answer_pvms(d.alice, n, dim), answer_pvms(d.bob, n, dim)
+
+
 def embed_deterministic(d: DeterministicStrategy, k: int, n: int,
                         dim: int = 1) -> QuantumStrategySpec:
     """Deterministic strategy as a tensor spec of local dimension ``dim``:
     each question's family puts the identity on the chosen answer and 0
     elsewhere, and the state is the first product basis vector.  At
     dim > 1 this places the strategy in a (dim, dim) search space."""
-    check_answer_range(d, k, n)
-    state = np.zeros(dim * dim, dtype=np.complex128)
-    state[0] = 1.0
-    return QuantumStrategySpec(
-        flavor=TENSOR,
-        state=state,
-        alice=diagonal_pvm(np.repeat(np.array(d.alice)[:, None], dim, axis=1), n),
-        bob=diagonal_pvm(np.repeat(np.array(d.bob)[:, None], dim, axis=1), n))
+    state, alice, bob = _embedded(d, k, n, dim)
+    return QuantumStrategySpec(flavor=TENSOR, state=state, alice=alice, bob=bob)
 
 
 def embed_local(mixture: list[tuple[float, DeterministicStrategy]], k: int,
@@ -384,14 +448,15 @@ def chsh_optimal_spec() -> QuantumStrategySpec:
 # See-saw lower bound search
 # ---------------------------------------------------------------------------
 
-def random_block_families(k: int, n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """The searches' random start: a (k, n, dim, dim) stack whose family x
-    projects onto the columns of the x-th Haar unitary drawn from ``rng``
-    in the blocks of a near-equal split, outcome a taking block a: the
-    first dim % n blocks get one column more, and blocks are empty (zero
-    projections) when n > dim."""
-    u = random_unitary((k, dim, dim), rng)
-    return np.stack([cols @ dagger(cols) for cols in np.array_split(u, n, axis=-1)], axis=1)
+def random_block_families(k: int, n: int, dim: int, rngs) -> np.ndarray:
+    """The searches' random starts: an (R, k, n, dim, dim) stack with one
+    row per generator in ``rngs``, whose family x projects onto the columns
+    of the x-th Haar unitary that row's generator draws, in the blocks of a
+    near-equal split, outcome a taking block a: the first dim % n blocks get
+    one column more, and blocks are empty (zero projections) when n > dim.
+    One :func:`~nlv.linalg.random_unitary` call covers every row."""
+    u = random_unitary((k, dim, dim), rngs)
+    return np.stack([cols @ dagger(cols) for cols in np.array_split(u, n, axis=-1)], axis=-3)
 
 
 def best_response(weights: np.ndarray, current: np.ndarray) -> np.ndarray:
@@ -439,75 +504,117 @@ def best_response(weights: np.ndarray, current: np.ndarray) -> np.ndarray:
     return out
 
 
-def _game_operator(v: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
-    """sum over x, y, a, b of V[x, y, a, b] kron(A[x, a], B[y, b]) for
-    (..., k, n, d, d) family stacks A and B: one operator per stack entry."""
-    dim = alice.shape[-1] * bob.shape[-1]
-    op = np.einsum("xyab,...xaij,...ybkl->...ikjl", v, alice, bob)
-    return op.reshape(op.shape[:-4] + (dim, dim))
+def _weigh(matrix: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """T[..., i] = sum over (y, b) of matrix[i, (y, b)] F[..., y, b] for an
+    (m, kn) matrix and a (..., k, n, d, d) stack F, as a (..., m, d, d)
+    stack: one matmul with the stack flattened to (..., kn, d^2), whose
+    leading axes stay batch axes."""
+    *batch, k, n, d, _ = stack.shape
+    return (matrix @ stack.reshape(*batch, k * n, d * d)).reshape(*batch, -1, d, d)
+
+
+def _weights(mat: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """M T^T M^dagger for each (d, d) matrix T of an (R, m, d, d) stack,
+    with M the row's (d, d) state matrix from an (R, d, d) stack."""
+    mat = mat[:, None]
+    return mat @ np.swapaxes(t, -1, -2) @ dagger(mat)
+
+
+def _game_operator(alice: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum over (x, a) of kron(A[x, a], T[x, a]) for an (..., k, n, d_a, d_a)
+    family stack A and an (..., kn, d_b, d_b) stack T, the payoff-weighted
+    sum of Bob's families: one product over the kn axis per stack entry."""
+    *batch, k, n, d_a, _ = alice.shape
+    d_b = t.shape[-1]
+    flat = alice.reshape(*batch, k * n, d_a * d_a)
+    op = np.swapaxes(flat, -1, -2) @ t.reshape(*batch, k * n, d_b * d_b)
+    return op.reshape(*batch, d_a, d_a, d_b, d_b).swapaxes(-3, -2).reshape(
+        *batch, d_a * d_b, d_a * d_b)
 
 
 def _seesaw_bytes(game: Game, dim: int) -> int:
     """Bytes one restart of :func:`_seesaw` holds at most: three d^2 x d^2
     matrices (a game operator with eigh's copy and eigenvectors of it, or
-    two game operators) and a dozen (k, n, d, d) stacks (both players'
-    families, a player's weights and best-response temporaries)."""
+    two game operators and the product one is built from) and a dozen (k,
+    n, d, d) stacks (both players' families, payoff-weighted stacks, a
+    player's weights and best-response temporaries, and the certification
+    of its row)."""
     return 16 * (3 * dim ** 4 + 12 * game.k * game.n * dim * dim)
 
 
 def _seesaw(game: Game, dim: int, rngs: list[np.random.Generator],
-            iters: int) -> list[QuantumStrategySpec]:
+            iters: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One restart per generator in ``rngs``, each from random block PVMs
-    (Alice's, then Bob's), all run as one stacked pass.  Each round takes
-    the top eigenvector of each game operator as the state, then Alice's
-    and Bob's best responses.  A restart leaves ``live`` once a round gains
-    at most 1e-12, which freezes it as it would have stopped alone; all stop
-    after ``iters`` rounds."""
+    (Alice's, then Bob's), all run as one stacked pass; returns the (R,
+    d^2) states and Alice's and Bob's (R, k, n, d, d) families.  Each round
+    takes the top eigenvector of each game operator as the state, then
+    Alice's and Bob's best responses, whose weights go through the payoff
+    matrix.  A restart leaves ``live`` once a round gains at most 1e-12,
+    which freezes it as it would have stopped alone; all stop after
+    ``iters`` rounds."""
     k, n = game.k, game.n
-    v = payoff(game)
-    starts = np.array([random_block_families(2 * k, n, dim, rng) for rng in rngs])
+    v = payoff_matrix(game).astype(np.complex128)   # spares matmul a cast per call
+    starts = random_block_families(2 * k, n, dim, rngs)
     alice, bob = starts[:, :k], starts[:, k:]
     psi = np.empty((len(rngs), dim * dim), dtype=np.complex128)
     last = np.full(len(rngs), -np.inf)
     live = np.arange(len(rngs))
-    op = _game_operator(v, alice, bob)
+    t = _weigh(v, bob)
+    op = _game_operator(alice, t)
     for _ in range(iters):
         state = np.linalg.eigh(op)[1][..., -1].copy()   # frees the other eigenvectors
         mat = state.reshape(-1, dim, dim)
-        # Alice's weights W[r, x, a] from the fixed Bob families.
-        weights = np.einsum("xyab,rij,rybkj,rlk->rxail", v, mat, bob[live], mat.conj())
-        new_alice = best_response(weights, alice[live])
-        # Bob's weights from Alice's new families.
-        weights = np.einsum("xyab,rij,rxaik,rkl->ryblj", v, mat.conj(), new_alice, mat)
-        new_bob = best_response(weights, bob[live])
-        op = _game_operator(v, new_alice, new_bob)
-        current = np.einsum("ri,rij,rj->r", state.conj(), op, state).real
+        # Alice's weights M T^T M^dagger from the fixed Bob families; Bob's
+        # from Alice's new ones, with M^T in M's place.
+        new_alice = best_response(_weights(mat, t).reshape(-1, k, n, dim, dim), alice[live])
+        weights = _weights(np.swapaxes(mat, -1, -2), _weigh(v.T, new_alice))
+        new_bob = best_response(weights.reshape(-1, k, n, dim, dim), bob[live])
+        t = _weigh(v, new_bob)
+        op = _game_operator(new_alice, t)
+        current = np.einsum("ri,ri->r", state.conj(), (op @ state[..., None])[..., 0]).real
         psi[live], alice[live], bob[live] = state, new_alice, new_bob
         going = current > last[live] + 1e-12
         last[live] = current
-        live, op = live[going], op[going]
+        live, op, t = live[going], op[going], t[going]
         if not live.size:
             break
-    return [QuantumStrategySpec(flavor=TENSOR, state=vec, alice=a, bob=b)
-            for vec, a, b in zip(psi, alice, bob)]
+    return psi, alice, bob
+
+
+def _certify_specs(game: Game, chunk, names) -> np.ndarray:
+    """Value of each row of a chunk of tensor-flavor PVM candidates, from
+    that row's state and families: one validation pass per player and one
+    correlation product over the chunk."""
+    states, alice, bob = chunk
+    _check_finite(names, *chunk)
+    _validate_rows(names, (("alice ", alice), ("bob ", bob)), PVM, COMPUTED_TOL,
+                   states).raise_if_failed("see-saw candidate")
+    return correlation_values(game, _tensor_correlations(states, alice, bob, names))
 
 
 def seesaw_search(game: Game, dim: int, restarts: int, seed: int, iters: int,
                   restart, restart_bytes: int, certify, seeds):
-    """Driver shared by the see-saw lower-bound searches.
+    """Driver shared by the see-saw lower-bound searches: one stacked pass
+    per restart chunk, covering the draw, the climb and the certification.
 
-    The candidates are ``seeds()``, asked for only when n^k <=
-    ``SEED_ENUMERATION_CAP``, followed by restarts 0 .. restarts - 1.
-    Restarts run in :func:`moments.chunks` of ``restart_bytes`` each: the
-    chunk range(r, s) is ``restart(game, dim, [generator(seed, stream=r),
-    ..., generator(seed, stream=s - 1)], iters)``, a list of one candidate
-    per generator, where ``iters`` caps the see-saw rounds.  Every candidate
-    is certified as
-    ``game_value(game, certify(candidate))`` as it arrives, and only the
-    best is kept, so memory stays flat in ``restarts``; the largest value
-    wins, ties going to the earliest candidate.  Returns ``(value,
-    candidate)``.  Restarts are refused, before any candidate is made, when
-    one would hold more than ``MAX_RESTART_BYTES``.
+    A chunk is a tuple of arrays sharing a leading axis of candidates, its
+    rows.  Restarts 0 .. restarts - 1 run in :func:`moments.chunks` of
+    ``restart_bytes`` each: the chunk of range(r, s) is ``restart(game,
+    dim, [generator(seed, stream=r), ..., generator(seed, stream=s - 1)],
+    iters)``, one row per generator, where ``iters`` caps the see-saw
+    rounds.  ``seeds()``, asked for only when n^k <=
+    ``SEED_ENUMERATION_CAP``, gives a one-row chunk (or ``()`` for none)
+    that becomes row 0 of the first chunk, or a chunk alone when there are
+    no restarts.  Each chunk is certified in one pass: ``certify(game,
+    chunk, names)`` returns each row's game value, computed from that row's
+    arrays, and raises a ValidationError naming the row that fails
+    (``names[i]`` is ``"seed: "`` or ``"restart j: "``, j counted from 1).
+    Only the best row is kept, so memory stays flat in ``restarts``; the
+    largest value wins, ties going to the earliest row, so the seed wins
+    ties.  Returns ``(value, row)``, the row as a tuple of arrays, from
+    which the caller builds the winner's object.  Restarts are refused,
+    before any candidate is made, when one would hold more than
+    ``MAX_RESTART_BYTES``.
     """
     if dim < 1:
         raise ValidationError("dimension must be >= 1")
@@ -517,17 +624,24 @@ def seesaw_search(game: Game, dim: int, restarts: int, seed: int, iters: int,
         raise CapExceededError(f"one restart at dim = {dim} needs {restart_bytes} bytes "
                                f"exceeding cap {MAX_RESTART_BYTES}")
 
-    def candidates():
-        if game.n ** game.k <= SEED_ENUMERATION_CAP:
-            yield from seeds()
+    def chunks():
+        front = seeds() if game.n ** game.k <= SEED_ENUMERATION_CAP else ()
+        names = ["seed: "] if front else []
         for streams in moments.chunks(restarts, restart_bytes):
-            yield from restart(game, dim, [generator(seed, stream=r) for r in streams], iters)
+            chunk = restart(game, dim, [generator(seed, stream=r) for r in streams], iters)
+            if front:
+                chunk = tuple(np.concatenate(pair) for pair in zip(front, chunk))
+            yield chunk, names + [f"restart {r + 1}: " for r in streams]
+            front, names = (), []
+        if front:
+            yield front, names
 
     best_value, best = -np.inf, None
-    for candidate in candidates():
-        value = game_value(game, certify(candidate))
-        if best is None or value > best_value:
-            best_value, best = value, candidate
+    for chunk, names in chunks():
+        values = certify(game, chunk, names)
+        i = int(np.argmax(values))
+        if best is None or values[i] > best_value:
+            best_value, best = float(values[i]), tuple(arr[i].copy() for arr in chunk)
     if best is None:
         raise ValidationError("no candidates: need restarts >= 1 or a seed candidate")
     return best_value, best
@@ -549,9 +663,13 @@ def entangled_lower_bound(game: Game, dim: int, restarts: int, seed: int,
     if dim * dim > MAX_STATE_DIM:
         raise CapExceededError(
             f"dim^2 = {dim * dim} exceeds the entangled search cap {MAX_STATE_DIM}")
-    return seesaw_search(
-        game, dim, restarts, seed, iters, _seesaw, _seesaw_bytes(game, dim), quantum_correlation,
-        lambda: [embed_deterministic(classical_value(game)[1], game.k, game.n, dim)])
+
+    def seeds():
+        return tuple(arr[None] for arr in _embedded(classical_value(game)[1], game.k, game.n, dim))
+
+    value, (state, alice, bob) = seesaw_search(
+        game, dim, restarts, seed, iters, _seesaw, _seesaw_bytes(game, dim), _certify_specs, seeds)
+    return value, QuantumStrategySpec(flavor=TENSOR, state=state, alice=alice, bob=bob)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import _first_best
-from .errors import CapExceededError, DefectTooLargeError, Report, ValidationError
-from .game import COMPUTED_TOL, Game, Strategy, payoff
+from .errors import CapExceededError, DefectTooLargeError, Report
+from .game import COMPUTED_TOL, Game, Strategy, correlation_values, payoff, payoff_matrix
 from .linalg import dagger, frobenius, identity
-from .quantum import (POVM, PVM, MeasurementFamily, best_response, diagonal_pvm,
-                      random_block_families, seesaw_search, stack_families, validate_stack)
+from .quantum import (POVM, PVM, MeasurementFamily, _check_finite, _gram, _validate_rows, _weigh,
+                      answer_pvms, best_response, correlations, random_block_families,
+                      seesaw_search, stack_families)
 
 REPAIR_DEFECT_CAP = 0.1
 MAX_FAMILY_DIM = 1024  # d for the synchronous search: each best response is a d x d eigh
@@ -52,7 +53,21 @@ class TracialPVMFamily:
 
 def validate_family(family: TracialPVMFamily, tol: float = COMPUTED_TOL) -> Report:
     """Check every family as a PVM in one batched pass."""
-    return validate_stack(family.families, PVM, "family {}: ", tol)
+    return _validate_rows([""], (("", family.families[None]),), PVM, tol)
+
+
+def _trace_factors(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factor stacks whose Gram product is tr(f^x_a f^y_b) for an (R, k, n,
+    d, d) stack: the trace of a product is the entrywise product of one
+    factor with the other's transpose."""
+    rows, k, n, d, _ = f.shape
+    return f.reshape(rows, k, n, d * d), np.swapaxes(f, -1, -2).reshape(rows, k, n, d * d)
+
+
+def _tracial_correlations(f: np.ndarray, names) -> np.ndarray:
+    """tr(f^x_a f^y_b) / d for each row of an (R, k, n, d, d) stack, as
+    :func:`~nlv.quantum.correlations`."""
+    return correlations(*_trace_factors(f), names) / f.shape[-1]
 
 
 def tracial_correlation(family: TracialPVMFamily) -> Strategy:
@@ -61,21 +76,17 @@ def tracial_correlation(family: TracialPVMFamily) -> Strategy:
     The output is a valid synchronous strategy: orthogonality of the
     projections within one family kills the off-diagonal same-question
     mass, and cyclicity of the trace gives p(a, b | x, y) = p(b, a | y, x).
+    The one-row case of the kernel that certifies the see-saw's chunks.
     """
     validate_family(family).raise_if_failed("tracial PVM family")
-    f = family.families
-    p = np.einsum("xaij,ybji->xyab", f, f) / family.d
-    worst_imag = float(np.max(np.abs(p.imag)))
-    if worst_imag > COMPUTED_TOL:
-        raise ValidationError(f"trace correlation has imaginary residual {worst_imag:.3g}")
-    return Strategy(k=family.k, n=family.n, p=p.real)
+    return Strategy(k=family.k, n=family.n,
+                    p=_tracial_correlations(family.families[None], [""])[0])
 
 
 def scalar_family(assignment: tuple[int, ...], n: int, d: int) -> TracialPVMFamily:
     """Deterministic synchronous family: question x answers assignment[x]
     with certainty (the identity sits on that outcome, zero elsewhere)."""
-    return TracialPVMFamily(
-        families=diagonal_pvm(np.repeat(np.array(assignment)[:, None], d, axis=1), n))
+    return TracialPVMFamily(families=answer_pvms(assignment, n, d))
 
 
 def _best_scalar_assignment(game: Game) -> tuple[float, tuple[int, ...]]:
@@ -99,45 +110,72 @@ def _best_scalar_assignment(game: Game) -> tuple[float, tuple[int, ...]]:
 
 def _sync_seesaw_bytes(game: Game, d: int) -> int:
     """Bytes one restart of :func:`_sync_seesaw` holds at most: six (k, n,
-    d, d) stacks' worth (its families, their live copy, one question's
-    weights and best-response temporaries)."""
+    d, d) stacks' worth (its families, their live copy, a transposed copy
+    for the round score, one question's weights and best-response
+    temporaries, or the certification of its row)."""
     return 16 * 6 * game.k * game.n * d * d
 
 
+def _coupling(game: Game, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The synchronous see-saw's weights: ``coupling[x]`` is question x's
+    (n, kn) block of rows C[(x, a), (y, b)], the weight of tr(f^x_a f^y_b)
+    / d from both orderings (zero for y = x), and ``same[x, a]`` is (V[x,
+    x, a, a] / d) I, the same-question weight."""
+    k, n = game.k, game.n
+    v = payoff(game)
+    coupling = (v + v.transpose(1, 0, 3, 2)) / d
+    coupling[np.arange(k), np.arange(k)] = 0.0
+    same = np.einsum("xxaa,ij->xaij", v, identity(d)) / d
+    return coupling.transpose(0, 2, 1, 3).reshape(k, n, k * n), same
+
+
+def _trace_score(matrix: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """sum over (x, a), (y, b) of matrix[(x, a), (y, b)] Re tr(f^x_a f^y_b)
+    / d for each row of an (R, k, n, d, d) stack: one Gram product."""
+    return (matrix * _gram(*_trace_factors(f)).real).sum(axis=(1, 2)) / f.shape[-1]
+
+
 def _sync_seesaw(game: Game, d: int, rngs: list[np.random.Generator],
-                 iters: int) -> list[TracialPVMFamily]:
+                 iters: int) -> tuple[np.ndarray]:
     """One restart per generator in ``rngs``, each from random block PVMs,
-    all run as one stacked pass: each round is a round-robin over the
-    questions, each question one best response over the stack against the
-    trace objective with the other families held fixed.  A restart leaves
+    all run as one stacked pass; returns the (R, k, n, d, d) families.
+    Each round is a round-robin over the questions, each question one best
+    response over the stack against the trace objective with the other
+    families held fixed, its weights one product of its rows of the
+    coupling matrix with the flattened families.  A restart leaves
     ``live`` once a round gains at most 1e-12, which freezes it as it would
     have stopped alone; all stop after ``iters`` rounds.
 
     Since tr(P^2) = tr(P), the same-question terms are linear too: family
     x scores tr(f^x_a) V[x, x, a, a] / d, so ranks may change."""
     k, n = game.k, game.n
-    v = payoff(game)
-    # coupling[x, y, a, b]: weight of tr(f^x_a f^y_b) from both orderings.
-    coupling = (v + v.transpose(1, 0, 3, 2)) / d
-    coupling[np.arange(k), np.arange(k)] = 0.0
-    # same[x, a] = (V[x, x, a, a] / d) I, the same-question weight.
-    same = np.einsum("xxaa,ij->xaij", v, identity(d)) / d
-    families = np.array([random_block_families(k, n, d, rng) for rng in rngs])
+    coupling, same = _coupling(game, d)
+    score = payoff_matrix(game)
+    families = random_block_families(k, n, d, rngs)
     last = np.full(len(rngs), -np.inf)
     live = np.arange(len(rngs))
     for _ in range(iters):
         f = families[live]
         for x in range(k):
-            weights = np.einsum("yab,rybij->raij", coupling[x], f) + same[x]
-            f[:, x] = best_response(weights, f[:, x])
-        current = np.einsum("xyab,rxaij,rybji->r", v, f, f).real / d
+            f[:, x] = best_response(_weigh(coupling[x], f) + same[x], f[:, x])
+        current = _trace_score(score, f)
         families[live] = f
         going = current > last[live] + 1e-12
         last[live] = current
         live = live[going]
         if not live.size:
             break
-    return [TracialPVMFamily(families=f) for f in families]
+    return (families,)
+
+
+def _certify_families(game: Game, chunk, names) -> np.ndarray:
+    """Value of each row of a chunk of tracial PVM families, from that
+    row's families: one validation pass and one correlation product over
+    the chunk."""
+    (f,) = chunk
+    _check_finite(names, f)
+    _validate_rows(names, (("", f),), PVM, COMPUTED_TOL).raise_if_failed("see-saw candidate")
+    return correlation_values(game, _tracial_correlations(f, names))
 
 
 def sync_value_lower_bound(game: Game, dim: int, restarts: int, seed: int,
@@ -152,9 +190,14 @@ def sync_value_lower_bound(game: Game, dim: int, restarts: int, seed: int,
     """
     if dim > MAX_FAMILY_DIM:
         raise CapExceededError(f"dim = {dim} exceeds the synchronous search cap {MAX_FAMILY_DIM}")
-    return seesaw_search(
+
+    def seeds():
+        return (answer_pvms(_best_scalar_assignment(game)[1], game.n, dim)[None],)
+
+    value, (families,) = seesaw_search(
         game, dim, restarts, seed, iters, _sync_seesaw, _sync_seesaw_bytes(game, dim),
-        tracial_correlation, lambda: [scalar_family(_best_scalar_assignment(game)[1], game.n, dim)])
+        _certify_families, seeds)
+    return value, TracialPVMFamily(families=families)
 
 
 def repair_almost_pvm(mats) -> MeasurementFamily:

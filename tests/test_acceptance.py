@@ -126,7 +126,7 @@ def test_criterion_08_synchronous_suite():
         k = int(rng.integers(1, 4))
         n = int(rng.integers(2, 4))
         d = int(rng.integers(1, 5))
-        family = TracialPVMFamily(families=random_block_families(k, n, d, generator(case)))
+        family = TracialPVMFamily(families=random_block_families(k, n, d, [generator(case)])[0])
         ok = validate_family(family).ok
         s = tracial_correlation(family)
         ok = ok and validate_strategy(s).ok and is_synchronous(s, tol=1e-9)
@@ -150,7 +150,7 @@ def test_criterion_09_moments_suite():
         p = 2 + seed % 3
         mats = random_contractions((n, p, p), rng)
         vec = moment_map(mats, 2)
-        u = random_unitary((p, p), rng)
+        u = random_unitary((p, p), [rng])[0]
         rotated = moment_map([u @ m @ u.conj().T for m in mats], 2)
         ok = ok and bool(np.max(np.abs(vec - rotated)) <= 1e-9)
         doubled = moment_map(

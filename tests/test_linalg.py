@@ -29,8 +29,8 @@ def test_psd_sqrt_rejects_indefinite():
 
 
 def test_random_unitary_is_unitary_and_seeded():
-    u1 = random_unitary((6, 6), generator(42))
-    u2 = random_unitary((6, 6), generator(42))
+    u1 = random_unitary((6, 6), [generator(42)])[0]
+    u2 = random_unitary((6, 6), [generator(42)])[0]
     assert np.array_equal(u1, u2)
     assert np.allclose(dagger(u1) @ u1, np.eye(6), atol=1e-12)
 
@@ -51,7 +51,11 @@ def looped_block_families(k, n, d, rng):
     column block."""
     def block_projectors(u):
         return np.array([cols @ dagger(cols) for cols in np.array_split(u, n, axis=1)])
-    return np.array([block_projectors(random_unitary((d, d), rng)) for _ in range(k)])
+    return np.array([block_projectors(random_unitary((d, d), [rng])[0]) for _ in range(k)])
+
+
+def restart_rngs(count):
+    return [generator(17, stream=r) for r in range(count)]
 
 
 # Each stacked draw beside its per-item reference; both get the same
@@ -59,8 +63,13 @@ def looped_block_families(k, n, d, rng):
 STACKED_DRAWS = {
     "ginibre": (lambda m, d, rng: ginibre((m, d, d), rng),
                 lambda m, d, rng: np.array([ginibre((d, d), rng) for _ in range(m)])),
-    "unitary": (lambda m, d, rng: random_unitary((m, d, d), rng), per_matrix_unitaries),
-    "blocks": (random_block_families, looped_block_families),
+    "unitary": (lambda m, d, rng: random_unitary((m, d, d), [rng])[0], per_matrix_unitaries),
+    "blocks": (lambda k, n, d, rng: random_block_families(k, n, d, [rng])[0],
+               looped_block_families),
+    # A chunk's starts, one row per restart generator, against one draw each.
+    "starts": (lambda r, k, n, d, rng: random_block_families(k, n, d, restart_rngs(r)),
+               lambda r, k, n, d, rng: np.array([random_block_families(k, n, d, [one])[0]
+                                                 for one in restart_rngs(r)])),
     "contractions": (lambda c, n, p, rng: random_contractions((c, n, p, p), rng),
                      lambda c, n, p, rng: np.array([reference_contractions(n, p, rng)
                                                     for _ in range(c)])),
@@ -75,6 +84,8 @@ STACKED_DRAWS = {
                        ("unitary", (1, 1)), ("unitary", (4, 3)), ("unitary", (3, 5)),
                        ("blocks", (1, 2, 1)), ("blocks", (3, 3, 2)), ("blocks", (2, 5, 3)),
                        ("blocks", (4, 2, 5)), ("blocks", (2, 3, 7)),
+                       ("starts", (1, 1, 2, 1)), ("starts", (3, 2, 3, 2)),
+                       ("starts", (4, 4, 2, 3)), ("starts", (2, 3, 3, 5)),
                        ("contractions", (1, 1, 1)), ("contractions", (3, 2, 4)),
                        ("contractions", (5, 1, 3)),
                        ("uniforms", (0, 1000)), ("uniforms", (-7, 1000)),

@@ -120,7 +120,7 @@ def test_unitary_conjugation_invariance():
     for seed in range(10):
         rng = generator(seed)
         mats = random_contractions((2, 4, 4), rng)
-        u = random_unitary((4, 4), rng)
+        u = random_unitary((4, 4), [rng])[0]
         rotated = [u @ m @ u.conj().T for m in mats]
         a = moment_map(mats, 2)
         b = moment_map(rotated, 2)

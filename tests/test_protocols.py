@@ -1,8 +1,11 @@
 """Superdense coding and perfect-correlation demonstrations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from nlv import moments
 from nlv.errors import ValidationError
 from nlv.protocols import (MESSAGES, TwoBitMessage, bell_basis,
                            bell_measurement, epr_correlation_demo,
@@ -95,6 +98,21 @@ def test_epr_deterministic_in_seed():
     assert a == b
 
 
+def test_epr_memory_stays_within_the_chunk_budget():
+    # One draw of 10^7 uniforms would hold ~240 MB; the chunked draw holds
+    # one chunk's, and its counts are the one draw's.
+    epr_correlation_demo(10, seed=0)   # one-time lazy set-up, untraced
+    tracemalloc.start()
+    try:
+        stats = epr_correlation_demo(10 ** 7, seed=12345, basis="horizontal")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < moments.CHUNK_BYTES + (1 << 20)
+    assert stats.agreement_frequency == 1.0
+    assert stats.alice_marginal == (5000735 / 10 ** 7, 4999265 / 10 ** 7)
+
+
 def test_epr_rejects_bad_arguments():
     with pytest.raises(ValidationError):
         epr_correlation_demo(0, seed=1)
@@ -109,7 +127,7 @@ def test_collapse_then_remeasure_repeats_outcome():
     for seed in range(25):
         dim = int(rng.integers(2, 6))
         n = int(rng.integers(2, min(dim, 4) + 1))
-        fam = MeasurementFamily(outcomes=random_block_families(1, n, dim, generator(seed))[0],
+        fam = MeasurementFamily(outcomes=random_block_families(1, n, dim, [generator(seed)])[0][0],
                                 flavor=PVM)
         vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         vec /= np.linalg.norm(vec)

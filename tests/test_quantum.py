@@ -12,7 +12,7 @@ from nlv.errors import CapExceededError, DimensionMismatchError, ParseError, Val
 from nlv.game import Game, chsh_game, game_value, payoff, random_game, validate_strategy
 from nlv.linalg import dagger, frobenius, random_unitary
 from nlv.quantum import (COMMUTING, MAX_RESTART_BYTES, POVM, PVM, TENSOR, MeasurementFamily,
-                         QuantumStrategySpec, _game_operator, _seesaw, _seesaw_bytes,
+                         QuantumStrategySpec, _certify_specs, _seesaw, _seesaw_bytes,
                          best_response,
                          born_probabilities, chsh_optimal_spec, diagonal_pvm,
                          embed_deterministic,
@@ -22,8 +22,9 @@ from nlv.quantum import (COMMUTING, MAX_RESTART_BYTES, POVM, PVM, TENSOR, Measur
                          save_spec, seesaw_search,
                          validate_measurement, validate_spec)
 from nlv.rng import generator
-from nlv.synchronous import (_sync_seesaw, _sync_seesaw_bytes, sync_value_lower_bound,
-                             tracial_correlation)
+from nlv.synchronous import (TracialPVMFamily, _best_scalar_assignment, _certify_families,
+                             _sync_seesaw, _sync_seesaw_bytes, scalar_family,
+                             sync_value_lower_bound, tracial_correlation)
 
 E1 = np.array([1, 0], dtype=complex)
 E2 = np.array([0, 1], dtype=complex)
@@ -432,20 +433,22 @@ def test_naimark_rejects_invalid_povm():
 
 def test_block_projectors_near_equal_ranks():
     for d, n, ranks in [(5, 2, [3, 2]), (4, 2, [2, 2]), (2, 3, [1, 1, 0]), (1, 2, [1, 0])]:
-        blocks = random_block_families(1, n, d, generator(d))[0]
+        blocks = random_block_families(1, n, d, [generator(d)])[0][0]
         assert [round(float(np.trace(p).real)) for p in blocks] == ranks
 
 
 def test_block_projectors_handles_empty_blocks():
-    fam = MeasurementFamily(outcomes=random_block_families(1, 3, 2, generator(5))[0], flavor=PVM)
+    fam = MeasurementFamily(outcomes=random_block_families(1, 3, 2, [generator(5)])[0][0],
+                            flavor=PVM)
     assert validate_measurement(fam).ok
     assert np.allclose(fam.outcomes[2], 0.0)
 
 
 def test_strided_outcomes_and_state_are_accepted():
-    fam = MeasurementFamily(outcomes=random_block_families(1, 2, 2, generator(3))[0], flavor=PVM)
+    fam = MeasurementFamily(outcomes=random_block_families(1, 2, 2, [generator(3)])[0][0],
+                            flavor=PVM)
     transposed = MeasurementFamily(outcomes=tuple(m.T for m in fam.outcomes), flavor=PVM)
-    state = random_unitary((4, 4), generator(4))[:, 0]
+    state = random_unitary((4, 4), [generator(4)])[0][:, 0]
     spec = QuantumStrategySpec(flavor=TENSOR, state=state, alice=(transposed,), bob=(fam,))
     assert validate_strategy(quantum_correlation(spec)).ok
 
@@ -487,7 +490,7 @@ def test_best_response_two_outcomes_is_global_optimum(d):
     rng = generator(d)
     for _ in range(5):
         w = random_weights(2, d, rng)
-        current = random_block_families(1, 2, d, rng)[0]
+        current = random_block_families(1, 2, d, [rng])[0][0]
         gains = np.linalg.eigvalsh(w[0] - w[1])
         optimum = np.trace(w[1]).real + gains[gains > 0].sum()
         assert score(w, best_response(w, current)) == pytest.approx(optimum, abs=1e-10)
@@ -498,13 +501,13 @@ def test_best_response_three_outcomes_never_decreases(d):
     rng = generator(10 + d)
     for _ in range(20):
         w = random_weights(3, d, rng)
-        current = random_block_families(1, 3, d, rng)[0]
+        current = random_block_families(1, 3, d, [rng])[0][0]
         assert score(w, best_response(w, current)) >= score(w, current) - 1e-12
 
 
 def test_best_response_stays_a_pvm_over_60_rounds():
     rng = generator(21)
-    projections = random_block_families(1, 3, 5, rng)[0]
+    projections = random_block_families(1, 3, 5, [rng])[0][0]
     for _ in range(60):
         projections = best_response(random_weights(3, 5, rng), projections)
     fam = MeasurementFamily(outcomes=projections, flavor=PVM)
@@ -528,7 +531,8 @@ def test_stacked_best_response_matches_per_pair_loop(n, d, profiles):
     # its later pairs are empty pairs and must stay exactly zero.
     rng = generator(40 + n + d)
     profiles = profiles + [(d,) + (0,) * (n - 1)]
-    current = np.array([ranked_family(random_unitary((d, d), rng), ranks) for ranks in profiles])
+    current = np.array([ranked_family(random_unitary((d, d), [rng])[0], ranks)
+                        for ranks in profiles])
     weights = np.array([random_weights(n, d, rng) for _ in profiles])
     weights[-1, 0] += 100 * np.eye(d)
     stacked = best_response(weights[None], current[None])[0]
@@ -539,15 +543,21 @@ def test_stacked_best_response_matches_per_pair_loop(n, d, profiles):
 
 # -- batched see-saw against the serial reference ----------------------------
 
+def einsum_game_operator(v, alice, bob):
+    """sum over x, y, a, b of V[x, y, a, b] kron(A[x, a], B[y, b])."""
+    dim = alice.shape[-1] * bob.shape[-1]
+    return np.einsum("xyab,xaij,ybkl->ikjl", v, alice, bob).reshape(dim, dim)
+
+
 def reference_seesaw(game, dim, rng, iters):
     """One restart run alone, with one best response per question: the
     serial see-saw the batched one must reproduce."""
     k, n = game.k, game.n
     v = payoff(game)
-    alice = random_block_families(k, n, dim, rng)
-    bob = random_block_families(k, n, dim, rng)
+    alice = random_block_families(k, n, dim, [rng])[0]
+    bob = random_block_families(k, n, dim, [rng])[0]
     last = -np.inf
-    op = _game_operator(v, alice, bob)
+    op = einsum_game_operator(v, alice, bob)
     for _ in range(iters):
         psi = np.linalg.eigh(op)[1][:, -1]
         mat = psi.reshape(dim, dim)
@@ -555,12 +565,18 @@ def reference_seesaw(game, dim, rng, iters):
         alice = np.array([reference_best_response(weights[x], alice[x]) for x in range(k)])
         weights = np.einsum("xyab,ij,xaik,kl->yblj", v, mat.conj(), alice, mat)
         bob = np.array([reference_best_response(weights[y], bob[y]) for y in range(k)])
-        op = _game_operator(v, alice, bob)
+        op = einsum_game_operator(v, alice, bob)
         current = float(np.real(np.vdot(psi, op @ psi)))
         if current <= last + 1e-12:
             break
         last = current
     return QuantumStrategySpec(flavor=TENSOR, state=psi, alice=alice, bob=bob)
+
+
+def seesaw_specs(chunk):
+    """The specs of the rows of a chunk of the entangled see-saw."""
+    return [QuantumStrategySpec(flavor=TENSOR, state=state, alice=alice, bob=bob)
+            for state, alice, bob in zip(*chunk)]
 
 
 # (k, n, dim): n = 3 and 4, n > dim, and dim = 1 all occur.
@@ -572,7 +588,7 @@ SEARCH_SHAPES = [(k, n, dim) for k, n in ((2, 2), (3, 2), (2, 3), (3, 3), (2, 4)
 def test_batched_seesaw_matches_serial_reference(k, n, dim):
     for seed in range(4):
         g = random_game(k, n, seed)
-        batched = _seesaw(g, dim, [generator(seed, stream=r) for r in range(3)], 60)
+        batched = seesaw_specs(_seesaw(g, dim, [generator(seed, stream=r) for r in range(3)], 60))
         for r, spec in enumerate(batched):
             serial = reference_seesaw(g, dim, generator(seed, stream=r), 60)
             assert game_value(g, quantum_correlation(spec)) == pytest.approx(
@@ -581,40 +597,36 @@ def test_batched_seesaw_matches_serial_reference(k, n, dim):
 
 def test_lower_bound_search_output_is_pvm_to_rounding():
     g = random_game(3, 3, seed=4)
-    for spec in _seesaw(g, 3, [generator(1, stream=r) for r in range(2)], 60):
+    for spec in seesaw_specs(_seesaw(g, 3, [generator(1, stream=r) for r in range(2)], 60)):
         assert spec.measurement == PVM
         assert validate_spec(spec, tol=1e-12).ok
 
 
 # -- restart chunks ----------------------------------------------------------
 
-SEARCHES = {"entangled": (_seesaw, _seesaw_bytes, quantum_correlation),
-            "sync": (_sync_seesaw, _sync_seesaw_bytes, tracial_correlation)}
+SEARCHES = {"entangled": (_seesaw, _seesaw_bytes, _certify_specs),
+            "sync": (_sync_seesaw, _sync_seesaw_bytes, _certify_families)}
 
 
-def search_candidates(search, game, dim, restarts, iters):
-    """Every restart candidate of one search, in order, and the number of
-    restarts in each chunk."""
+def search_candidates(search, game, dim, restarts, iters, seeds=tuple):
+    """Every row of one search, in order, as a tuple of arrays each, with
+    the number of restarts in each chunk and the values certify gave each
+    row."""
     restart, restart_bytes, certify = SEARCHES[search]
-    candidates, chunks = [], []
+    candidates, chunks, values = [], [], []
 
     def run_chunk(game, dim, rngs, iters):
         chunks.append(len(rngs))
         return restart(game, dim, rngs, iters)
 
-    def record(candidate):
-        candidates.append(candidate)
-        return certify(candidate)
+    def record(game, chunk, names):
+        candidates.extend(zip(*chunk))
+        values.extend(certify(game, chunk, names))
+        return values[-len(names):]
 
     seesaw_search(game, dim, restarts, 5, iters, run_chunk, restart_bytes(game, dim), record,
-                  lambda: [])
-    return candidates, chunks
-
-
-def candidate_arrays(candidate):
-    if isinstance(candidate, QuantumStrategySpec):
-        return candidate.state, candidate.alice, candidate.bob
-    return (candidate.families,)
+                  seeds)
+    return candidates, chunks, values
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3])
@@ -625,14 +637,14 @@ def test_chunked_restarts_are_bit_identical_to_one_chunk(monkeypatch, chunk, sea
     # of a fixed point while others go on, so a restart that ran past the
     # round where it stops alone would change its bits.
     g = random_game(k, n, seed=k + n + dim)
-    whole, chunks = search_candidates(search, g, dim, 7, 60)
+    whole, chunks, _ = search_candidates(search, g, dim, 7, 60)
     assert chunks == [7]
     monkeypatch.setattr(moments, "CHUNK_BYTES", chunk * SEARCHES[search][1](g, dim))
-    parts, chunks = search_candidates(search, g, dim, 7, 60)
+    parts, chunks, _ = search_candidates(search, g, dim, 7, 60)
     assert chunks == [chunk] * (7 // chunk) + [7 % chunk] * (7 % chunk > 0)
     assert len(parts) == len(whole) == 7
     for got, want in zip(parts, whole):
-        for a, b in zip(candidate_arrays(got), candidate_arrays(want)):
+        for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
 
@@ -655,6 +667,71 @@ def test_many_restart_peak_stays_within_chunk_budget(monkeypatch, search, dim):
     assert peak < moments.CHUNK_BYTES + restart_bytes
 
 
+def seed_rows(search, game, dim):
+    """The one-row chunk of the search's seed candidate."""
+    if search == "entangled":
+        spec = embed_deterministic(classical_value(game)[1], game.k, game.n, dim)
+        return spec.state[None], spec.alice[None], spec.bob[None]
+    return (scalar_family(_best_scalar_assignment(game)[1], game.n, dim).families[None],)
+
+
+def certified_value(search, game, row):
+    """A row's value certified alone, through its spec or family object."""
+    if search == "entangled":
+        state, alice, bob = row
+        spec = QuantumStrategySpec(flavor=TENSOR, state=state, alice=alice, bob=bob)
+        return game_value(game, quantum_correlation(spec))
+    return game_value(game, tracial_correlation(TracialPVMFamily(families=row[0])))
+
+
+@pytest.mark.parametrize("chunk", [None, 2])
+@pytest.mark.parametrize("search", sorted(SEARCHES))
+@pytest.mark.parametrize("k, n, dim", [(2, 2, 2), (2, 3, 2), (3, 2, 3), (3, 3, 3)])
+def test_chunk_values_are_the_per_candidate_values(monkeypatch, chunk, search, k, n, dim):
+    # The seed is row 0 of the first chunk; with chunks of two restarts it
+    # shares a chunk with restarts 1 and 2 only.
+    g = random_game(k, n, seed=k * n + dim)
+    if chunk:
+        monkeypatch.setattr(moments, "CHUNK_BYTES", chunk * SEARCHES[search][1](g, dim))
+    rows, _, values = search_candidates(search, g, dim, 5, 60, lambda: seed_rows(search, g, dim))
+    assert len(rows) == len(values) == 6
+    for row, value in zip(rows, values):
+        assert value == certified_value(search, g, row)
+    search_fn = entangled_lower_bound if search == "entangled" else sync_value_lower_bound
+    value, found = search_fn(g, dim=dim, restarts=5, seed=5, iters=60)
+    assert value == max(values)
+    assert value == certified_value(search, g, [found.state, found.alice, found.bob]
+                                    if search == "entangled" else [found.families])
+
+
+@pytest.mark.parametrize("defect, line", [("idempotent", "family 1: outcome 1 not idempotent"),
+                                          ("non-finite", "non-finite entries")])
+@pytest.mark.parametrize("search", sorted(SEARCHES))
+def test_a_failing_row_fails_the_run_and_is_named(search, defect, line):
+    g = random_game(2, 2, seed=3)
+    restart, restart_bytes, certify = SEARCHES[search]
+    player = "bob " if search == "entangled" and defect == "idempotent" else ""
+
+    def spoil(rows, r):
+        if defect == "idempotent":
+            rows[-1][r, 0, 0] += 0.5 * np.eye(2)
+        else:
+            rows[0][r].flat[0] = np.nan
+        return rows
+
+    def broken_restarts(game, dim, rngs, iters):
+        return spoil(restart(game, dim, rngs, iters), 1)
+
+    def seeds():
+        return seed_rows(search, g, 2)
+
+    with pytest.raises(ValidationError, match=f"restart 2: {player}{line}"):
+        seesaw_search(g, 2, 3, 0, 5, broken_restarts, restart_bytes(g, 2), certify, seeds)
+    with pytest.raises(ValidationError, match=f"seed: {player}{line}"):
+        seesaw_search(g, 2, 3, 0, 5, restart, restart_bytes(g, 2), certify,
+                      lambda: spoil(tuple(arr.copy() for arr in seeds()), 0))
+
+
 def test_restart_over_byte_cap_is_refused_before_any_candidate():
     def never(*args):
         raise AssertionError("a candidate was made")
@@ -662,8 +739,10 @@ def test_restart_over_byte_cap_is_refused_before_any_candidate():
     with pytest.raises(CapExceededError, match="exceeding cap"):
         seesaw_search(chsh_game(), 2, 1, 0, 1, never, MAX_RESTART_BYTES + 1, never, never)
     # With no restarts asked for, the cap does not apply to the seeds.
+    spec = chsh_optimal_spec()
     value, _ = seesaw_search(chsh_game(), 2, 0, 0, 1, never, MAX_RESTART_BYTES + 1,
-                             quantum_correlation, lambda: [chsh_optimal_spec()])
+                             _certify_specs, lambda: (spec.state[None], spec.alice[None],
+                                                      spec.bob[None]))
     assert value == pytest.approx(np.cos(np.pi / 8) ** 2)
 
 

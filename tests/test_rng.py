@@ -54,3 +54,14 @@ def test_generator_reproducible():
     assert np.array_equal(a, b)
     c = generator(9, stream=3).standard_normal(8)
     assert not np.array_equal(a, c)
+
+
+def test_counter_offset_key_continues_the_draw():
+    # Output i of the counter keyed by s + start * gamma is output
+    # start + i keyed by s, so chunked draws concatenate to one draw.
+    gamma = 0x9E3779B97F4A7C15
+    for seed in (0, -7, 2 ** 64 - 1, 12345):
+        whole = uniforms(seed, 1000)
+        parts = [uniforms((seed + start * gamma) & _MASK64, size)
+                 for start, size in ((0, 1), (1, 333), (334, 666))]
+        assert np.array_equal(np.concatenate(parts), whole)

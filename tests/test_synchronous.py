@@ -99,7 +99,7 @@ def test_tracial_correlations_synchronous_symmetric_consistent():
         k = int(rng.integers(1, 4))
         n = int(rng.integers(2, 4))
         d = int(rng.integers(1, 5))
-        fam = TracialPVMFamily(families=random_block_families(k, n, d, generator(seed)))
+        fam = TracialPVMFamily(families=random_block_families(k, n, d, [generator(seed)])[0])
         assert validate_family(fam).ok
         s = tracial_correlation(fam)
         assert validate_strategy(s).ok
@@ -151,7 +151,8 @@ def test_sync_lower_bound_changes_ranks_and_stays_exact():
     # leave the near-equal block profile.
     g = random_game(2, 2, seed=0)
     values = []
-    for fam in _sync_seesaw(g, 3, [generator(0, stream=r) for r in range(2)], 60):
+    for fam in map(TracialPVMFamily, *_sync_seesaw(g, 3, [generator(0, stream=r)
+                                                           for r in range(2)], 60)):
         ranks = [[round(float(np.trace(m).real)) for m in f] for f in fam.families]
         assert any(rank != [2, 1] for rank in ranks)
         assert validate_family(fam, tol=1e-12).ok
@@ -168,7 +169,7 @@ def reference_sync_seesaw(game, d, rng, iters):
     coupling = (v + v.transpose(1, 0, 3, 2)) / d
     coupling[np.arange(k), np.arange(k)] = 0.0
     same = np.einsum("xxaa,ij->xaij", v, identity(d)) / d
-    f = random_block_families(k, n, d, rng)
+    f = random_block_families(k, n, d, [rng])[0]
     last = -np.inf
     for _ in range(iters):
         for x in range(k):
@@ -185,8 +186,8 @@ def reference_sync_seesaw(game, d, rng, iters):
 def test_batched_sync_seesaw_matches_serial_reference(k, n, dim):
     for seed in range(4):
         g = random_game(k, n, seed)
-        batched = _sync_seesaw(g, dim, [generator(seed, stream=r) for r in range(3)], 60)
-        for r, fam in enumerate(batched):
+        (batched,) = _sync_seesaw(g, dim, [generator(seed, stream=r) for r in range(3)], 60)
+        for r, fam in enumerate(map(TracialPVMFamily, batched)):
             serial = reference_sync_seesaw(g, dim, generator(seed, stream=r), 60)
             assert game_value(g, tracial_correlation(fam)) == pytest.approx(
                 game_value(g, tracial_correlation(serial)), abs=1e-12)
@@ -200,7 +201,7 @@ def test_sync_lower_bound_rejects_bad_parameters():
 # -- repair_almost_pvm -------------------------------------------------------
 
 def exact_random_pvm(d, n, seed):
-    return MeasurementFamily(outcomes=random_block_families(1, n, d, generator(seed))[0],
+    return MeasurementFamily(outcomes=random_block_families(1, n, d, [generator(seed)])[0][0],
                              flavor=PVM)
 
 
