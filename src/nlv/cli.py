@@ -20,14 +20,14 @@ from pathlib import Path
 
 from . import __version__
 from .classical import ENUMERATION_CAP, classical_value
-from .errors import NlvError
+from .errors import NlvError, write_file
 from .game import chsh_game, game_value, load_game, load_strategy
 from .linalg import interleave
 from .moments import density_check, load_matrices, moment_map, sample_moment_cloud
 from .protocols import TwoBitMessage, epr_correlation_demo, superdense_decode, superdense_encode
 from .quantum import (chsh_optimal_spec, entangled_lower_bound, load_spec, quantum_correlation,
                       save_spec)
-from .synchronous import sync_value_lower_bound
+from .synchronous import load_family, save_family, sync_value_lower_bound, tracial_correlation
 from .tm import Halted, load_machine, run as tm_run
 
 
@@ -157,10 +157,9 @@ def _run_quantum_lb(args):
     game = load_game(Path(args.game).read_text())
     _, spec = entangled_lower_bound(
         game, dim=args.dim, restarts=args.restarts, seed=args.seed, iters=args.iters)
-    spec_file = Path(args.spec_out)
-    spec_file.write_text(save_spec(spec))
+    write_file(args.spec_out, save_spec(spec))
     # Report the value the written file certifies, not the in-memory spec's.
-    value = game_value(game, quantum_correlation(load_spec(spec_file.read_text())))
+    value = game_value(game, quantum_correlation(load_spec(Path(args.spec_out).read_text())))
     return {"value": value, "dim": args.dim, "spec_file": args.spec_out}
 
 
@@ -168,13 +167,11 @@ def _run_sync_lb(args):
     game = load_game(Path(args.game).read_text())
     value, family = sync_value_lower_bound(
         game, dim=args.dim, restarts=args.restarts, seed=args.seed, iters=args.iters)
-    family_file = None
     if args.family_out:
-        rows = [[interleave(mat) for mat in fam] for fam in family.families]
-        Path(args.family_out).write_text(json.dumps(
-            {"dim": family.d, "n_outcomes": family.n, "families": rows}, indent=2) + "\n")
-        family_file = args.family_out
-    return {"value": value, "dim": args.dim, "family_file": family_file,
+        write_file(args.family_out, save_family(family))
+        value = game_value(game, tracial_correlation(
+            load_family(Path(args.family_out).read_text())))
+    return {"value": value, "dim": args.dim, "family_file": args.family_out or None,
             "note": "finite-dimensional lower bound"}
 
 
@@ -213,7 +210,7 @@ def _run_moments(args):
     if args.moments_command == "cloud":
         cloud = sample_moment_cloud(args.n, args.d, args.p, args.count, args.seed)
         lines = [",".join(map(repr, interleave(row))) for row in cloud]
-        Path(args.out).write_text("\n".join(lines) + ("\n" if lines else ""))
+        write_file(args.out, "\n".join(lines) + ("\n" if lines else ""))
         return {"rows": len(cloud),
                 "moments_per_row": cloud.shape[1] if len(cloud) else 0,
                 "csv_file": args.out}

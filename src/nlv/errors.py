@@ -1,12 +1,16 @@
-"""Exception hierarchy, report type and JSON readers shared by all nlv
-modules.  Every file loader is built on the readers at the end, so all
+"""Exception hierarchy, report type and the file I/O shared by all nlv
+modules.  Every file loader is built on the JSON readers at the end, so all
 formats refuse bad input the same way: with a ParseError whose message
-starts with the file kind, e.g. ``game file: ...``."""
+starts with the file kind, e.g. ``game file: ...``.  Every file writer
+formats with :func:`dump_json` and writes with :func:`write_file`."""
 
 from __future__ import annotations
 
 import json
+import os
+import stat
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -108,7 +112,7 @@ def _has_shape(values, shape: tuple[int, ...]) -> bool:
     if not isinstance(values, list) or len(values) != shape[0]:
         return False
     if len(shape) == 1:
-        return all(type(v) in (int, float) for v in values)
+        return {int, float}.issuperset(map(type, values))
     return all(_has_shape(v, shape[1:]) for v in values)
 
 
@@ -118,3 +122,38 @@ def read_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
     if not _has_shape(values, tuple(shape)):
         raise ParseError(f"{what} must be a numeric array of shape {tuple(shape)}")
     return np.array(values, dtype=np.float64).reshape(shape)
+
+
+_FORMATS = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii}
+
+
+def dump_json(obj, newline: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, without the
+    pure-Python encoder that ``indent`` selects: a list whose items are all
+    floats, all ints or all strings is one ``join`` of their formats.
+    Object keys must be strings; ``newline`` is the line break and indent
+    at ``obj``'s depth."""
+    if not isinstance(obj, (list, tuple, dict)) or not obj:
+        return json.dumps(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        return "{" + inner + ("," + inner).join(
+            [f"{encode_basestring_ascii(key)}: {dump_json(value, inner)}"
+             for key, value in obj.items()]) + newline + "}"
+    kinds = set(map(type, obj))
+    fmt = _FORMATS.get(kinds.pop()) if len(kinds) == 1 else None
+    body = ("," + inner).join(map(fmt, obj)) if fmt else ""
+    if not body or (fmt is float.__repr__ and "n" in body):  # json writes NaN, Infinity
+        body = ("," + inner).join([dump_json(v, inner) for v in obj])
+    return "[" + inner + body + newline + "]"
+
+
+def write_file(path, text: str) -> None:
+    """Write ``text`` to ``path`` in place, then cut a regular file to its
+    new length: truncating to zero first, as ``Path.write_text`` does, makes
+    ext4 flush the file on close.  No more atomic than that; a target that
+    is not a regular file (``/dev/null``, a pipe) is never cut."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as file:
+        file.write(text.encode())
+        if stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+            file.truncate()

@@ -12,14 +12,13 @@ all internal tensors are 0-based numpy arrays laid out [x][y][a][b].
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import data_path
 from .errors import (CapExceededError, DimensionMismatchError, ParseError, Report, ValidationError,
-                     read_array, read_count, read_field, read_object)
+                     dump_json, read_array, read_count, read_field, read_object)
 from .rng import generator
 
 DIST_TOL = 1e-12       # distributions supplied in files
@@ -224,10 +223,10 @@ def save_game(game: Game) -> str:
     obj = {
         "k": game.k,
         "n": game.n,
-        "pi": [[float(v) for v in row] for row in game.pi],
+        "pi": game.pi.tolist(),
         "wins": win_list,
     }
-    return json.dumps(obj, indent=2) + "\n"
+    return dump_json(obj) + "\n"
 
 
 def load_strategy(text: str) -> Strategy:
@@ -248,7 +247,7 @@ def save_strategy(strategy: Strategy) -> str:
         "n": strategy.n,
         "p": strategy.p.tolist(),
     }
-    return json.dumps(obj, indent=2) + "\n"
+    return dump_json(obj) + "\n"
 
 
 @functools.cache

@@ -30,18 +30,23 @@ def as_complex(a) -> np.ndarray:
     return out
 
 
-def interleave(arr) -> list[float]:
+def interleave(arr, lead: int = 0) -> list:
     """A complex array as the flat row-major list [re, im, re, im, ...]
-    that every file format uses: complex128 memory already holds each
-    entry as a (re, im) pair of float64s."""
-    return np.asarray(arr, dtype=np.complex128).ravel().view(np.float64).tolist()
+    that every file format uses, or as nested lists of such lists over its
+    first ``lead`` axes: complex128 memory already holds each entry as a
+    (re, im) pair of float64s."""
+    arr = np.ascontiguousarray(arr, dtype=np.complex128)
+    return arr.reshape(*arr.shape[:lead], -1).view(np.float64).tolist()
 
 
-def deinterleave(values, shape, what: str = "interleaved array") -> np.ndarray:
+def deinterleave(values, shape, what: str = "interleaved array", lead=()) -> np.ndarray:
     """Inverse of :func:`interleave`: ``values`` must be a flat list of
-    exactly 2 * prod(shape) numbers; ``what`` names it in the error."""
-    flat = read_array(values, (2 * math.prod(shape),), what)
-    return (flat[0::2] + 1j * flat[1::2]).reshape(shape)
+    exactly 2 * prod(shape) numbers, or nested lists of such lists of shape
+    ``lead``, read as one array of shape ``lead + shape``; ``what`` names
+    it in the error.  Each (re, im) pair is read as it is stored, signed
+    zeros included."""
+    flat = read_array(values, (*lead, 2 * math.prod(shape)), what)
+    return flat.view(np.complex128).reshape(*lead, *shape)
 
 
 def identity(dim: int) -> np.ndarray:

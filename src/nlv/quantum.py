@@ -15,7 +15,6 @@ the supremum over all dimensions may not be attained at any finite one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from . import moments
 from .classical import (SEED_ENUMERATION_CAP, DeterministicStrategy, check_answer_range,
                         check_mixture, classical_value)
 from .errors import (CapExceededError, DimensionMismatchError, ParseError, Report,
-                     ValidationError, read_count, read_field, read_object)
+                     ValidationError, dump_json, read_count, read_field, read_object)
 from .game import COMPUTED_TOL, Game, Strategy, correlation_values, payoff_matrix
 from .linalg import (as_complex, dagger, deinterleave, frobenius, identity, interleave, psd_sqrt,
                      random_unitary)
@@ -680,8 +679,7 @@ def save_spec(spec: QuantumStrategySpec) -> str:
     """Serialize a strategy spec to JSON with every complex array stored as
     a flat interleaved [re, im, re, im, ...] list in row-major order."""
     def side(stack: np.ndarray):
-        return [{"flavor": spec.measurement, "outcomes": [interleave(mat) for mat in fam]}
-                for fam in stack]
+        return [{"flavor": spec.measurement, "outcomes": rows} for rows in interleave(stack, 2)]
 
     obj = {
         "flavor": spec.flavor,
@@ -692,7 +690,21 @@ def save_spec(spec: QuantumStrategySpec) -> str:
         "alice": side(spec.alice),
         "bob": side(spec.bob),
     }
-    return json.dumps(obj, indent=2) + "\n"
+    return dump_json(obj) + "\n"
+
+
+def read_outcomes(rows, n: int, dim: int, what: str) -> np.ndarray:
+    """The (len(rows), n, dim, dim) complex stack of ``rows``, each a list
+    of n interleaved outcome matrices: one type check over every number
+    and one array.  Only bad numbers fall back to reading one outcome at a
+    time, to name the first bad one as ``<what>[x] outcome <a + 1>``."""
+    try:
+        return deinterleave(rows, (dim, dim), what, lead=(len(rows), n))
+    except ParseError:
+        for x, outcomes in enumerate(rows):
+            for a, values in enumerate(outcomes):
+                deinterleave(values, (dim, dim), f"{what}[{x}] outcome {a + 1}")
+        raise
 
 
 def load_spec(text: str) -> QuantumStrategySpec:
@@ -707,16 +719,14 @@ def load_spec(text: str) -> QuantumStrategySpec:
     flavors = set()
 
     def side(key, dim):
-        families = []
+        rows = []
         for x, entry in enumerate(read_field(obj, key, list, where)):
             at = f"{where}: {key}[{x}]"
             flavors.add(read_field(entry, "flavor", str, at))
-            outcomes = read_field(entry, "outcomes", list, at)
-            if len(outcomes) != n:
+            rows.append(read_field(entry, "outcomes", list, at))
+            if len(rows[-1]) != n:
                 raise ParseError(f"{where}: outcome count mismatch")
-            families.append([deinterleave(values, (dim, dim), f"{at} outcome {a + 1}")
-                             for a, values in enumerate(outcomes)])
-        return families
+        return read_outcomes(rows, n, dim, f"{where}: {key}")
 
     alice, bob = side("alice", d_a), side("bob", d_b)
     if len(flavors) > 1:

@@ -16,12 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import _first_best
-from .errors import CapExceededError, DefectTooLargeError, Report
+from .errors import (CapExceededError, DefectTooLargeError, ParseError, Report, dump_json,
+                     read_count, read_field, read_object)
 from .game import COMPUTED_TOL, Game, Strategy, correlation_values, payoff, payoff_matrix
-from .linalg import dagger, frobenius, identity
+from .linalg import dagger, frobenius, identity, interleave
 from .quantum import (POVM, PVM, MeasurementFamily, _check_finite, _gram, _validate_rows, _weigh,
                       answer_pvms, best_response, correlations, random_block_families,
-                      seesaw_search, stack_families)
+                      read_outcomes, seesaw_search, stack_families)
 
 REPAIR_DEFECT_CAP = 0.1
 MAX_FAMILY_DIM = 1024  # d for the synchronous search: each best response is a d x d eigh
@@ -49,6 +50,25 @@ class TracialPVMFamily:
     @property
     def n(self) -> int:
         return self.families.shape[1]
+
+
+def save_family(family: TracialPVMFamily) -> str:
+    """Serialize a tracial family to JSON: ``dim``, ``n_outcomes`` and
+    ``families``, with families[x][a] = f^x_a interleaved as in spec files."""
+    return dump_json({"dim": family.d, "n_outcomes": family.n,
+                      "families": interleave(family.families, 2)}) + "\n"
+
+
+def load_family(text: str) -> TracialPVMFamily:
+    """Parse a family file written by :func:`save_family`."""
+    where = "family file"
+    obj = read_object(text, where)
+    d, n = read_count(obj, "dim", where), read_count(obj, "n_outcomes", where)
+    rows = read_field(obj, "families", list, where)
+    for x, outcomes in enumerate(rows):
+        if not isinstance(outcomes, list) or len(outcomes) != n:
+            raise ParseError(f"{where}: families[{x}] must be a list of {n} outcomes")
+    return TracialPVMFamily(families=read_outcomes(rows, n, d, f"{where}: families"))
 
 
 def validate_family(family: TracialPVMFamily, tol: float = COMPUTED_TOL) -> Report:

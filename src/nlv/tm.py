@@ -17,12 +17,12 @@ by iterative deepening up to a depth budget.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import MachineHaltedError, ParseError, ValidationError, read_field, read_object
+from .errors import (MachineHaltedError, ParseError, ValidationError, dump_json, read_field,
+                     read_object)
 
 SYMBOLS = ("0", "1", "_", "^")
 BLANK = "_"
@@ -305,7 +305,7 @@ def save_machine(machine: TuringMachine) -> str:
         "halt_state": machine.halt_state,
         "transitions": [list(key) + list(action) for key, action in sorted(machine.table.items())],
     }
-    return json.dumps(obj, indent=2) + "\n"
+    return dump_json(obj) + "\n"
 
 
 def load_machine(text: str) -> TuringMachine:

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 from nlv import data_path
 from nlv.cli import build_parser, dispatch
 from nlv.errors import NlvError
-from nlv.game import random_game, save_game
+from nlv.game import chsh_game, game_value, random_game, save_game
 from nlv.quantum import chsh_optimal_spec, load_spec, save_spec
+from nlv.synchronous import load_family, save_family, sync_value_lower_bound, tracial_correlation
 
 CHSH = str(data_path("chsh.json"))
 UNIFORM = str(data_path("uniform.json"))
@@ -99,6 +101,48 @@ def test_sync_lb(tmp_path, capsys):
     fam = json.loads((tmp_path / "fam.json").read_text())
     assert fam["dim"] == 2 and len(fam["families"]) == 2
     check_manifest(payload, "sync-lb")
+
+
+def test_sync_lb_reports_the_value_its_family_file_certifies(tmp_path, capsys):
+    family_file = tmp_path / "fam.json"
+    payload = run_json(capsys, ["sync-lb", "--game", CHSH, "--dim", "3", "--restarts", "2",
+                                "--seed", "5", "--family-out", str(family_file)])
+    reloaded = load_family(family_file.read_text())
+    assert game_value(chsh_game(), tracial_correlation(reloaded)) == payload["value"]
+    assert payload["value"] == sync_value_lower_bound(chsh_game(), 3, 2, 5)[0]
+
+
+@pytest.mark.parametrize("command, out_flag, digest", [
+    ("quantum-lb", "--spec-out", "4b2382f4543f51ca290dd5e0430eec70d60fa33dcef69dbb734d747856d3b5b9"),
+    ("sync-lb", "--family-out", "07a18b73ef2c974fa1ddbc80846ad11d393dc0447558d2b50ba089933826bb93"),
+])
+def test_search_file_bytes_are_pinned(tmp_path, capsys, command, out_flag, digest):
+    # Digests of the files the json.dumps(indent=2) writer produced.
+    game, out = tmp_path / "game.json", tmp_path / "out.json"
+    game.write_text(save_game(random_game(2, 3, 1)))
+    run_json(capsys, [command, "--game", str(game), "--dim", "3", "--restarts", "2",
+                      "--seed", "4", out_flag, str(out)])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_shrinking_rewrite_leaves_no_stale_tail(tmp_path, capsys):
+    def quantum_lb(dim, out):
+        run_json(capsys, ["quantum-lb", "--game", CHSH, "--dim", dim, "--restarts", "2",
+                          "--seed", "0", "--spec-out", str(out)])
+
+    reused, fresh = tmp_path / "spec.json", tmp_path / "fresh.json"
+    quantum_lb("3", reused)
+    longer = reused.stat().st_size
+    quantum_lb("2", reused)
+    quantum_lb("2", fresh)
+    assert fresh.stat().st_size < longer
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
+def test_moments_cloud_to_dev_null(capsys):
+    payload = run_json(capsys, ["moments", "cloud", "--n", "1", "--d", "2", "--p", "2",
+                                "--count", "5", "--seed", "3", "--out", "/dev/null"])
+    assert payload["rows"] == 5
 
 
 def test_superdense_all_messages(capsys):
@@ -316,6 +360,32 @@ def test_directory_as_game_domain_error(tmp_path, capsys):
                                "--restarts", "1", "--seed", "0"])
 
 
+WRITERS = {
+    "quantum-lb": lambda path: ["quantum-lb", "--game", CHSH, "--dim", "2", "--restarts", "1",
+                                "--seed", "0", "--spec-out", path],
+    "sync-lb": lambda path: ["sync-lb", "--game", CHSH, "--dim", "2", "--restarts", "1",
+                             "--seed", "0", "--family-out", path],
+    "moments-cloud": lambda path: ["moments", "cloud", "--n", "1", "--d", "2", "--p", "2",
+                                   "--count", "5", "--seed", "3", "--out", path],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_directory_as_output_file_domain_error(name, tmp_path, capsys):
+    assert "Is a directory" in domain_error_line(capsys, WRITERS[name](str(tmp_path)))
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_read_only_output_file_domain_error(name, tmp_path, capsys):
+    target = tmp_path / "out"
+    target.write_text("kept\n")
+    target.chmod(0o444)
+    if os.access(target, os.W_OK):
+        pytest.skip("this process may write to read-only files")
+    assert "Permission denied" in domain_error_line(capsys, WRITERS[name](str(target)))
+    assert target.read_text() == "kept\n"
+
+
 def test_moments_map_non_json_domain_error(tmp_path, capsys):
     bad = tmp_path / "mats.json"
     bad.write_text("not json")
@@ -471,13 +541,17 @@ def test_mutated_bundled_file_gives_at_most_one_error_line(name, tmp_path_factor
 
 
 def test_mutated_spec_file_loads_or_raises_nlv_error(tmp_path):
-    def check(path):
-        try:
-            load_spec(Path(path).read_text())
-        except NlvError:
-            pass
+    # Family files are read on the same readers and held to the same rule.
+    family = sync_value_lower_bound(chsh_game(), dim=2, restarts=1, seed=0, iters=5)[1]
+    for load, text, name in ((load_spec, save_spec(chsh_optimal_spec()), "spec.json"),
+                             (load_family, save_family(family), "family.json")):
+        def check(path, load=load):
+            try:
+                load(Path(path).read_text())
+            except NlvError:
+                pass
 
-    check_mutants(json.loads(save_spec(chsh_optimal_spec())), tmp_path / "spec.json", check)
+        check_mutants(json.loads(text), tmp_path / name, check)
 
 
 def test_mutated_matrices_file_gives_at_most_one_error_line(tmp_path):

@@ -1,5 +1,7 @@
 """Game model, value functional, serialization, and generator tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,13 @@ def test_save_load_round_trip():
         text = save_game(g)
         assert load_game(text) == g
         assert save_game(load_game(text)) == text
+
+
+def test_save_game_bytes_are_pinned():
+    # Digest of the bytes the json.dumps(indent=2) writer produced.
+    text = save_game(random_game(3, 2, 0))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "4122fdcae2b8cb40e474b80e538da2ba6ba12377f3bcc390fe4390edca29d8ea"
 
 
 def test_strategy_round_trip():

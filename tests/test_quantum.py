@@ -1,5 +1,6 @@
 """Measurement theory, strategy correlations, dilation, and the see-saw."""
 
+import hashlib
 import json
 import tracemalloc
 
@@ -820,6 +821,21 @@ def test_spec_file_round_trip_commuting():
     bob = np.array([[np.kron(np.eye(d_a, dtype=complex), m) for m in fam] for fam in base.bob])
     spec_round_trips(QuantumStrategySpec(flavor=COMMUTING, state=base.state,
                                          alice=alice, bob=bob))
+
+
+def test_save_spec_bytes_are_pinned():
+    # Digest of the bytes the json.dumps(indent=2) writer produced.
+    digest = hashlib.sha256(save_spec(chsh_optimal_spec()).encode()).hexdigest()
+    assert digest == "31a4ce5302b5ae9af17bed8486934ec25f43e28c22536ee0a32ae487331d35e0"
+
+
+def test_load_spec_names_the_first_bad_outcome():
+    obj = json.loads(save_spec(chsh_optimal_spec()))
+    obj["bob"][1]["outcomes"][1][3] = "x"
+    obj["bob"][1]["outcomes"][0] = obj["bob"][1]["outcomes"][0][:-1]
+    with pytest.raises(ParseError, match=r"spec file: bob\[1\] outcome 1 must be a numeric "
+                                         r"array of shape \(8,\)"):
+        load_spec(json.dumps(obj))
 
 
 def test_load_spec_refuses_mixed_flavors():

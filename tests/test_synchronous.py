@@ -2,19 +2,20 @@
 the almost-PVM repair."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from nlv import moments
 from nlv.classical import DeterministicStrategy, det_to_strategy, is_synchronous
-from nlv.errors import DefectTooLargeError, ValidationError
+from nlv.errors import DefectTooLargeError, ParseError, ValidationError
 from nlv.game import Game, chsh_game, game_value, payoff, random_game, validate_strategy
 from nlv.linalg import dagger, frobenius, identity
 from nlv.quantum import PVM, MeasurementFamily, random_block_families, validate_measurement
 from nlv.rng import generator
 from nlv.synchronous import (TracialPVMFamily, _best_scalar_assignment, _sync_seesaw,
-                             repair_almost_pvm, scalar_family,
+                             load_family, repair_almost_pvm, save_family, scalar_family,
                              sync_value_lower_bound, tracial_correlation,
                              validate_family)
 from test_quantum import SEARCH_SHAPES, reference_best_response
@@ -284,3 +285,28 @@ def test_validate_family_lines_are_frozen():
         "family 3: outcome 2 not positive: eigenvalue -0.25",
         "family 3: outcome 2 not idempotent: residual 0.312")
     assert report.worst == 0.5
+
+
+def test_family_file_round_trip():
+    value, family = sync_value_lower_bound(random_game(2, 3, 1), dim=3, restarts=2, seed=4)
+    text = save_family(family)
+    loaded = load_family(text)
+    assert np.array_equal(loaded.families, family.families)
+    assert save_family(loaded) == text
+    assert game_value(random_game(2, 3, 1), tracial_correlation(loaded)) == value
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda obj: obj.pop("families"), "family file: missing field 'families'"),
+    (lambda obj: obj.update(dim=0), "family file: dim must be an integer >= 1, got 0"),
+    (lambda obj: obj["families"][1].pop(), r"family file: families\[1\] must be a list of 2 "
+                                           "outcomes"),
+    (lambda obj: obj["families"][1][1].__setitem__(0, True),
+     r"family file: families\[1\] outcome 2 must be a numeric array of shape \(8,\)"),
+    (lambda obj: obj.update(families=[]), "need at least one family"),
+])
+def test_load_family_refuses_bad_files(edit, message):
+    obj = json.loads(save_family(sync_value_lower_bound(chsh_game(), 2, 1, 0, iters=5)[1]))
+    edit(obj)
+    with pytest.raises((ParseError, ValidationError), match=message):
+        load_family(json.dumps(obj))
