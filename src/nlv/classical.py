@@ -52,7 +52,7 @@ def det_to_strategy(d: DeterministicStrategy, k: int, n: int) -> Strategy:
     return Strategy(k=k, n=n, p=p)
 
 
-def _first_best(k: int, n: int, row_bytes: int, score) -> tuple[float, np.ndarray]:
+def first_best(k: int, n: int, row_bytes: int, score) -> tuple[float, np.ndarray]:
     """First maximum of ``score`` over the n^k answer functions [n]^k, the
     package's one enumeration of them: ``score`` maps an (m, k) table of
     0-based answer rows to (m,) values, and sees lexicographic chunks of
@@ -94,7 +94,7 @@ def classical_value(game: Game, cap: int = ENUMERATION_CAP) -> tuple[float, Dete
         return table.max(axis=-1).sum(axis=-1)
 
     # Per row: two int64 answer rows, T and one gathered term, Bob's maxima, the value.
-    _, alice = _first_best(k, n, 8 * (2 * k * n + 3 * k + 1), score)
+    _, alice = first_best(k, n, 8 * (2 * k * n + 3 * k + 1), score)
     questions = np.arange(k)
     bob_scores = np.einsum("xy,xyb->yb", game.pi, game.wins[questions, :, alice, :])
     bob = np.argmax(bob_scores, axis=1)                      # first max = smallest b

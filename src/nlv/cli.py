@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -71,21 +72,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", required=True)
     p.add_argument("--cap", type=_positive_int, default=ENUMERATION_CAP)
 
-    p = add_parser("quantum-lb", help="see-saw lower bound on the entangled value")
-    p.add_argument("--game", required=True)
-    p.add_argument("--dim", type=_positive_int, required=True)
-    p.add_argument("--restarts", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--iters", type=_positive_int, default=60)
-    p.add_argument("--spec-out", default="quantum-lb-spec.json")
-
-    p = add_parser("sync-lb", help="lower bound on the synchronous entangled value")
-    p.add_argument("--game", required=True)
-    p.add_argument("--dim", type=_positive_int, required=True)
-    p.add_argument("--restarts", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--iters", type=_positive_int, default=60)
-    p.add_argument("--family-out", default=None)
+    for name, what, out, default in (
+            ("quantum-lb", "see-saw lower bound on the entangled value", "--spec-out",
+             "quantum-lb-spec.json"),
+            ("sync-lb", "lower bound on the synchronous entangled value", "--family-out", None)):
+        p = add_parser(name, help=what)
+        p.add_argument("--game", required=True)
+        p.add_argument("--dim", type=_positive_int, required=True)
+        p.add_argument("--restarts", type=_positive_int, required=True)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--iters", type=_positive_int, default=60)
+        p.add_argument(out, default=default)
 
     p = add_parser("superdense", help="encode/decode a two-bit message")
     p.add_argument("--msg", required=True, metavar="IJ",
@@ -153,7 +150,17 @@ def _run_classical(args):
     return {"value": value, "A": list(argmax.alice), "B": list(argmax.bob)}
 
 
+def _certificate_target(flag: str, path) -> None:
+    """Refuse, before any search, a certificate target that exists and is
+    not a regular file: the value is re-derived from the bytes read back,
+    which a directory, /dev/null or a pipe cannot give."""
+    if path and os.path.exists(path) and not os.path.isfile(path):
+        kind = "Is a directory" if os.path.isdir(path) else "not a regular file"
+        raise NlvError(f"{flag} {path}: {kind}, so the certificate could not be read back")
+
+
 def _run_quantum_lb(args):
+    _certificate_target("--spec-out", args.spec_out)
     game = load_game(Path(args.game).read_text())
     _, spec = entangled_lower_bound(
         game, dim=args.dim, restarts=args.restarts, seed=args.seed, iters=args.iters)
@@ -164,6 +171,7 @@ def _run_quantum_lb(args):
 
 
 def _run_sync_lb(args):
+    _certificate_target("--family-out", args.family_out)
     game = load_game(Path(args.game).read_text())
     value, family = sync_value_lower_bound(
         game, dim=args.dim, restarts=args.restarts, seed=args.seed, iters=args.iters)

@@ -20,7 +20,7 @@ from .errors import ValidationError
 from .linalg import identity
 from .quantum import (PAULI_X, PAULI_Z, PVM, MeasurementFamily, born_probabilities,
                       check_state, collapse_state, epr_state, rotated_basis_pvm)
-from .rng import _GAMMA, _MASK64, derive_seed, uniforms
+from .rng import derive_seed, uniforms
 
 MESSAGES = ((1, 1), (1, 2), (2, 1), (2, 2))
 _UNIFORM_BYTES = 24   # peak bytes per trial of one uniforms draw and its comparison
@@ -126,14 +126,13 @@ def epr_correlation_demo(trials: int, seed: int, basis: str = "coordinate") -> E
         collapsed = collapse_state(alice_family, outcome, shared)
         bob_probs = born_probabilities(bob_family, collapsed)
         deterministic_match.append(bob_probs[outcome] >= 1.0 - 1e-12)
-    # Alice sees outcome 0 where a trial's uniform is below its probability.
-    # The uniforms come in chunks: output i of the counter keyed by s +
-    # start * gamma is output start + i of the counter keyed by s.
+    # Alice sees outcome 0 where a trial's uniform is below its probability;
+    # the uniforms of one stream come in chunks.
     key = derive_seed(seed, 0)
     counts = np.zeros(2, dtype=np.int64)
     for part in moments.chunks(trials, _UNIFORM_BYTES):
-        counts += np.bincount(uniforms((key + part.start * _GAMMA) & _MASK64, len(part))
-                              >= alice_probs[0], minlength=2)
+        counts += np.bincount(uniforms(key, len(part), part.start) >= alice_probs[0],
+                              minlength=2)
     counts = counts.tolist()
     agreements = sum(c for c, match in zip(counts, deterministic_match) if match)
     return EprStats(

@@ -24,10 +24,11 @@ def _mix(z):
     return z ^ (z >> 31)
 
 
-def uniforms(seed: int, count: int) -> np.ndarray:
-    """The first ``count`` outputs of the splitmix64 counter keyed by
-    ``seed``, each as a uniform float in [0, 1) from its top 53 bits."""
-    steps = np.arange(1, count + 1, dtype=np.uint64)
+def uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
+    """Outputs ``start + 1`` to ``start + count`` of the splitmix64 counter
+    keyed by ``seed``, each as a uniform float in [0, 1) from its top 53
+    bits, so consecutive calls can walk one stream in chunks."""
+    steps = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     return (_mix(steps * _GAMMA + (seed & _MASK64)) >> 11) * (1.0 / (1 << 53))
 
 

@@ -1,0 +1,231 @@
+"""The see-saw machinery both lower-bound searches share: kernels over
+(R, k, n, d, d) stacks of candidates' measurement families, the
+:class:`Search` description each search fills in, and the restart driver
+:func:`seesaw_search`, which certifies every candidate from its own arrays.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from . import moments
+from .classical import SEED_ENUMERATION_CAP
+from .errors import CapExceededError, Report, ValidationError
+from .game import COMPUTED_TOL, Game, correlation_values
+from .linalg import dagger, frobenius, identity, random_unitary
+from .rng import generator
+
+MAX_RESTART_BYTES = 512 << 20   # bytes one see-saw restart may hold, see seesaw_search
+
+POVM = "povm"
+PVM = "pvm"
+
+
+def random_block_families(k: int, n: int, dim: int, rngs) -> np.ndarray:
+    """The searches' random starts: an (R, k, n, dim, dim) stack with one
+    row per generator in ``rngs``, whose family x projects onto the columns
+    of the x-th Haar unitary that row's generator draws, in the blocks of a
+    near-equal split, outcome a taking block a: the first dim % n blocks get
+    one column more, and blocks are empty (zero projections) when n > dim.
+    One :func:`~nlv.linalg.random_unitary` call covers every row."""
+    u = random_unitary((k, dim, dim), rngs)
+    return np.stack([cols @ dagger(cols) for cols in np.array_split(u, n, axis=-1)], axis=-3)
+
+
+def best_response(weights: np.ndarray, current: np.ndarray) -> np.ndarray:
+    """Exact see-saw step: the PVM maximizing sum_a Re tr(P_a W_a), taken
+    one outcome pair at a time from the projections ``current``; both
+    arguments are (..., n, d, d) stacks, and every family of the stack
+    moves in the same stacked calls.
+
+    For each pair (a, b), Q = P_a + P_b stays fixed; within range(Q), P_a
+    becomes the positive eigenspace of W_a - W_b and P_b the rest.  A gain
+    within 1e-12 ||W_a - W_b||_F of zero counts as zero and goes to P_b, so
+    an exactly degenerate direction is placed the same way whatever the
+    rounding of its eigenvalue.  With n > 2 each split is exact, so the
+    score never decreases (up to those zero gains); ranges are found by one
+    stacked eigh of Q, and the unoccupied directions get a diagonal
+    sentinel below -||W_a - W_b|| that sorts them first and out of both
+    halves, so ranks may differ across the stack and an empty pair stays
+    empty.  With n = 2 the families must be complete PVMs, as the
+    searches' are: then Q = I, one eigh of W_0 - W_1 splits the whole
+    space, and the step is the global optimum.  Both projections of a split
+    are built from their own eigenvectors, which keeps them idempotent to
+    rounding over many rounds.
+    """
+    out = np.array(current, dtype=np.complex128)
+    n, d = out.shape[-3], out.shape[-1]
+    for a in range(n):
+        for b in range(a + 1, n):
+            diff = weights[..., a, :, :] - weights[..., b, :, :]
+            scale = frobenius(diff)[..., None]
+            if n == 2:
+                gains, split = np.linalg.eigh(diff)
+                kept = True
+            else:
+                occupied, basis = np.linalg.eigh(out[..., a, :, :] + out[..., b, :, :])
+                empty = occupied <= 0.5
+                inside = basis * ~empty[..., None, :]
+                sentinel = empty * (-1.0 - 2.0 * scale)
+                gains, rotation = np.linalg.eigh(dagger(inside) @ diff @ inside
+                                                 + identity(d) * sentinel[..., None, :])
+                split = basis @ rotation
+                kept = np.arange(d) >= empty.sum(axis=-1)[..., None]
+            positive = gains > 1e-12 * scale
+            for slot, side in ((a, kept & positive), (b, kept & ~positive)):
+                out[..., slot, :, :] = (split * side[..., None, :]) @ dagger(split)
+    return out
+
+
+def weigh(matrix: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """T[..., i] = sum over (y, b) of matrix[i, (y, b)] F[..., y, b] for an
+    (m, kn) matrix and a (..., k, n, d, d) stack F, as a (..., m, d, d)
+    stack: one matmul with the stack flattened to (..., kn, d^2), whose
+    leading axes stay batch axes."""
+    *batch, k, n, d, _ = stack.shape
+    return (matrix @ stack.reshape(*batch, k * n, d * d)).reshape(*batch, -1, d, d)
+
+
+def gram(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """G[r, (x, a), (y, b)] = sum over m of L[r, x, a, m] R[r, y, b, m] for
+    (R, k, n, m) factor stacks: one (kn, m) by (m, kn) product per row."""
+    rows, k, n, m = left.shape
+    return left.reshape(rows, k * n, m) @ np.swapaxes(right.reshape(rows, k * n, m), -1, -2)
+
+
+def correlations(left: np.ndarray, right: np.ndarray, names) -> np.ndarray:
+    """The (R, k, k, n, n) real correlation tensors p[r, x, y, a, b] =
+    G[r, (x, a), (y, b)], the :func:`gram` product of (R, k, n, m) factor
+    stacks.  Row r's imaginary residual must stay within COMPUTED_TOL, or
+    the error starts with ``names[r]``."""
+    rows, k, n, _ = left.shape
+    p = gram(left, right).reshape(rows, k, n, k, n).swapaxes(2, 3)
+    residual = np.max(np.abs(p.imag), axis=(1, 2, 3, 4))
+    for r in np.flatnonzero(residual > COMPUTED_TOL):
+        raise ValidationError(f"{names[r]}correlation has imaginary residual {residual[r]:.3g}")
+    return np.ascontiguousarray(p.real)
+
+
+# Per-outcome checks of the measurement validator: message, and the sign
+# that turns the reported number into the size of the violation.
+_DEFECTS = (("not self-adjoint: residual", 1.0), ("not positive: eigenvalue", -1.0),
+            ("not idempotent: residual", 1.0))
+
+
+def validate_stack(names, rows, measurement: str, tol: float = COMPUTED_TOL) -> Report:
+    """Check R candidates at once: each ``(label, array)`` of ``rows`` holds
+    one part of every candidate, either (R, D) state vectors, each of unit
+    norm, or one player's (R, k, n, d, d) families, checked in one batched
+    pass.  Entries must be finite, as every constructor ensures.
+
+    POVM: every element self-adjoint with smallest eigenvalue >= -tol, and
+    each family's elements sum to the identity within tol.  PVM:
+    additionally each element squares to itself within tol (which forces
+    pairwise orthogonality).  Lines follow ``rows``; row r's start with
+    ``names[r]``, then the label, formatted with x for family x's lines.
+    """
+    def residual(mats):   # largest entry size of each matrix
+        return np.abs(mats).reshape(mats.shape[:-2] + (-1,)).max(axis=-1)
+
+    violations, worst = [], 0.0
+    for label, stack in rows:
+        if stack.ndim == 2:
+            norms = np.linalg.norm(stack, axis=-1)
+            for r in np.flatnonzero(np.abs(norms - 1.0) > tol):
+                worst = max(worst, abs(float(norms[r]) - 1.0))
+                violations.append(f"{names[r]}{label}state norm {norms[r]:.9g} != 1")
+            continue
+        k = stack.shape[1]
+        flat = stack.reshape(-1, *stack.shape[2:])
+        sizes = [residual(flat - dagger(flat)), -np.linalg.eigvalsh(flat)[..., 0]]
+        if measurement == PVM:
+            sizes.append(residual(flat @ flat - flat))
+        sizes = np.stack(sizes, axis=-1)                   # [family, outcome, check]
+        completeness = residual(flat.sum(axis=1) - identity(flat.shape[-1]))
+        failed = sizes > tol
+        for f in np.flatnonzero(failed.any(axis=(1, 2)) | (completeness > tol)):
+            prefix = names[f // k] + label.format(f % k + 1)
+            for i, c in np.argwhere(failed[f]):
+                what, sign = _DEFECTS[c]
+                size = float(sizes[f, i, c])
+                worst = max(worst, size)
+                violations.append(f"{prefix}outcome {i + 1} {what} {sign * size:.3g}")
+            if completeness[f] > tol:
+                worst = max(worst, float(completeness[f]))
+                violations.append(f"{prefix}completeness residual {completeness[f]:.3g}")
+    return Report(violations=tuple(violations), worst=worst)
+
+
+@dataclass(frozen=True)
+class Search:
+    """One see-saw lower-bound search, as :func:`seesaw_search` runs it.
+    Its chunks are tuples of arrays over a leading axis of candidates, the
+    rows, with the :func:`validate_stack` label of each in ``labels``.
+    ``restart(game, dim, rngs, iters)`` is the chunk of one restart per
+    generator, run as one stacked pass of at most ``iters`` rounds;
+    ``restart_bytes(game, dim)`` bounds the bytes one restart holds;
+    ``correlate(chunk, names)`` gives the rows' (R, k, k, n, n)
+    correlations; ``seed(game, dim)`` is a one-row chunk, or ``()``."""
+
+    restart: Callable
+    restart_bytes: Callable
+    labels: tuple[str, ...]
+    correlate: Callable
+    seed: Callable
+
+
+def seesaw_search(game: Game, dim: int, restarts: int, seed: int, iters: int,
+                  search: Search):
+    """Driver shared by the see-saw lower-bound searches: one stacked pass
+    per restart chunk, covering the draw, the climb and the certification.
+
+    Restarts 0 .. restarts - 1 run in :func:`moments.chunks` of
+    ``search.restart_bytes(game, dim)`` each, restart r drawing from
+    ``generator(seed, stream=r)``; the search's seed, asked for only when
+    n^k <= ``SEED_ENUMERATION_CAP``, is row 0 of the first chunk, or a chunk
+    alone.  Each row's value is computed from its own arrays, in one finite
+    check, one validation pass per player and one correlation product per
+    chunk; a failing row is named ``"seed: "`` or ``"restart j: "``, j from
+    1.  Only the best row is kept, so memory stays flat in ``restarts``, and
+    ties go to the earliest row, so the seed wins ties.  Returns ``(value,
+    row)``, the row as a tuple of arrays.  Restarts are refused, before any
+    candidate is made, when one would hold more than ``MAX_RESTART_BYTES``.
+    """
+    if dim < 1:
+        raise ValidationError("dimension must be >= 1")
+    if restarts < 0 or iters < 1:
+        raise ValidationError("restarts must be >= 0 and iters >= 1")
+    restart_bytes = search.restart_bytes(game, dim)
+    if restarts and restart_bytes > MAX_RESTART_BYTES:
+        raise CapExceededError(f"one restart at dim = {dim} needs {restart_bytes} bytes "
+                               f"exceeding cap {MAX_RESTART_BYTES}")
+
+    def chunks():
+        front = search.seed(game, dim) if game.n ** game.k <= SEED_ENUMERATION_CAP else ()
+        names = ["seed: "] if front else []
+        for streams in moments.chunks(restarts, restart_bytes):
+            chunk = search.restart(game, dim, [generator(seed, stream=r) for r in streams], iters)
+            if front:
+                chunk = tuple(np.concatenate(pair) for pair in zip(front, chunk))
+            yield chunk, names + [f"restart {r + 1}: " for r in streams]
+            front, names = (), []
+        if front:
+            yield front, names
+
+    best_value, best = -np.inf, None
+    for chunk, names in chunks():
+        finite = np.logical_and.reduce([np.isfinite(arr).reshape(len(arr), -1).all(axis=1)
+                                        for arr in chunk])
+        if not finite.all():
+            raise ValidationError(f"{names[np.argmin(finite)]}non-finite entries")
+        validate_stack(names, zip(search.labels, chunk), PVM).raise_if_failed("see-saw candidate")
+        values = correlation_values(game, search.correlate(chunk, names))
+        i = int(np.argmax(values))
+        if best is None or values[i] > best_value:
+            best_value, best = float(values[i]), tuple(arr[i].copy() for arr in chunk)
+    if best is None:
+        raise ValidationError("no candidates: need restarts >= 1 or a seed candidate")
+    return best_value, best

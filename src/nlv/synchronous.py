@@ -15,14 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import _first_best
+from .classical import first_best
 from .errors import (CapExceededError, DefectTooLargeError, ParseError, Report, dump_json,
                      read_count, read_field, read_object)
-from .game import COMPUTED_TOL, Game, Strategy, correlation_values, payoff, payoff_matrix
+from .game import COMPUTED_TOL, Game, Strategy, payoff, payoff_matrix
 from .linalg import dagger, frobenius, identity, interleave
-from .quantum import (POVM, PVM, MeasurementFamily, _check_finite, _gram, _validate_rows, _weigh,
-                      answer_pvms, best_response, correlations, random_block_families,
-                      read_outcomes, seesaw_search, stack_families)
+from .quantum import MeasurementFamily, answer_pvms, read_outcomes, stack_families
+from .seesaw import (POVM, PVM, Search, best_response, correlations, gram,
+                     random_block_families, seesaw_search, validate_stack, weigh)
 
 REPAIR_DEFECT_CAP = 0.1
 MAX_FAMILY_DIM = 1024  # d for the synchronous search: each best response is a d x d eigh
@@ -72,8 +72,9 @@ def load_family(text: str) -> TracialPVMFamily:
 
 
 def validate_family(family: TracialPVMFamily, tol: float = COMPUTED_TOL) -> Report:
-    """Check every family as a PVM in one batched pass."""
-    return _validate_rows([""], (("", family.families[None]),), PVM, tol)
+    """Check every family as a PVM in one batched pass: a one-row
+    :func:`~nlv.seesaw.validate_stack` with :data:`SYNCHRONOUS`'s label."""
+    return validate_stack([""], zip(SYNCHRONOUS.labels, (family.families[None],)), PVM, tol)
 
 
 def _trace_factors(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -84,9 +85,10 @@ def _trace_factors(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f.reshape(rows, k, n, d * d), np.swapaxes(f, -1, -2).reshape(rows, k, n, d * d)
 
 
-def _tracial_correlations(f: np.ndarray, names) -> np.ndarray:
-    """tr(f^x_a f^y_b) / d for each row of an (R, k, n, d, d) stack, as
-    :func:`~nlv.quantum.correlations`."""
+def _tracial_correlations(chunk, names) -> np.ndarray:
+    """tr(f^x_a f^y_b) / d for each row of a chunk's (R, k, n, d, d)
+    families, as :func:`~nlv.seesaw.correlations`."""
+    (f,) = chunk
     return correlations(*_trace_factors(f), names) / f.shape[-1]
 
 
@@ -96,11 +98,12 @@ def tracial_correlation(family: TracialPVMFamily) -> Strategy:
     The output is a valid synchronous strategy: orthogonality of the
     projections within one family kills the off-diagonal same-question
     mass, and cyclicity of the trace gives p(a, b | x, y) = p(b, a | y, x).
-    The one-row case of the kernel that certifies the see-saw's chunks.
+    The one-row case of how :data:`SYNCHRONOUS` certifies the see-saw's
+    chunks.
     """
     validate_family(family).raise_if_failed("tracial PVM family")
     return Strategy(k=family.k, n=family.n,
-                    p=_tracial_correlations(family.families[None], [""])[0])
+                    p=_tracial_correlations((family.families[None],), [""])[0])
 
 
 def scalar_family(assignment: tuple[int, ...], n: int, d: int) -> TracialPVMFamily:
@@ -124,16 +127,8 @@ def _best_scalar_assignment(game: Game) -> tuple[float, tuple[int, ...]]:
         return values
 
     # Per row: two int64 answer rows and three floats.
-    value, best = _first_best(k, game.n, 8 * (2 * k + 3), score)
+    value, best = first_best(k, game.n, 8 * (2 * k + 3), score)
     return value, tuple(int(a) + 1 for a in best)
-
-
-def _sync_seesaw_bytes(game: Game, d: int) -> int:
-    """Bytes one restart of :func:`_sync_seesaw` holds at most: six (k, n,
-    d, d) stacks' worth (its families, their live copy, a transposed copy
-    for the round score, one question's weights and best-response
-    temporaries, or the certification of its row)."""
-    return 16 * 6 * game.k * game.n * d * d
 
 
 def _coupling(game: Game, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -152,19 +147,17 @@ def _coupling(game: Game, d: int) -> tuple[np.ndarray, np.ndarray]:
 def _trace_score(matrix: np.ndarray, f: np.ndarray) -> np.ndarray:
     """sum over (x, a), (y, b) of matrix[(x, a), (y, b)] Re tr(f^x_a f^y_b)
     / d for each row of an (R, k, n, d, d) stack: one Gram product."""
-    return (matrix * _gram(*_trace_factors(f)).real).sum(axis=(1, 2)) / f.shape[-1]
+    return (matrix * gram(*_trace_factors(f)).real).sum(axis=(1, 2)) / f.shape[-1]
 
 
 def _sync_seesaw(game: Game, d: int, rngs: list[np.random.Generator],
                  iters: int) -> tuple[np.ndarray]:
-    """One restart per generator in ``rngs``, each from random block PVMs,
-    all run as one stacked pass; returns the (R, k, n, d, d) families.
-    Each round is a round-robin over the questions, each question one best
-    response over the stack against the trace objective with the other
-    families held fixed, its weights one product of its rows of the
-    coupling matrix with the flattened families.  A restart leaves
-    ``live`` once a round gains at most 1e-12, which freezes it as it would
-    have stopped alone; all stop after ``iters`` rounds.
+    """The synchronous restart kernel, from random block PVMs.  Each round
+    is a round-robin over the questions, each question one best response
+    over the stack against the trace objective with the other families
+    held fixed, its weights one product of its rows of the coupling matrix
+    with the flattened families.  A restart leaves ``live`` once a round
+    gains at most 1e-12, which freezes it as it would have stopped alone.
 
     Since tr(P^2) = tr(P), the same-question terms are linear too: family
     x scores tr(f^x_a) V[x, x, a, a] / d, so ranks may change."""
@@ -177,7 +170,7 @@ def _sync_seesaw(game: Game, d: int, rngs: list[np.random.Generator],
     for _ in range(iters):
         f = families[live]
         for x in range(k):
-            f[:, x] = best_response(_weigh(coupling[x], f) + same[x], f[:, x])
+            f[:, x] = best_response(weigh(coupling[x], f) + same[x], f[:, x])
         current = _trace_score(score, f)
         families[live] = f
         going = current > last[live] + 1e-12
@@ -188,14 +181,16 @@ def _sync_seesaw(game: Game, d: int, rngs: list[np.random.Generator],
     return (families,)
 
 
-def _certify_families(game: Game, chunk, names) -> np.ndarray:
-    """Value of each row of a chunk of tracial PVM families, from that
-    row's families: one validation pass and one correlation product over
-    the chunk."""
-    (f,) = chunk
-    _check_finite(names, f)
-    _validate_rows(names, (("", f),), PVM, COMPUTED_TOL).raise_if_failed("see-saw candidate")
-    return correlation_values(game, _tracial_correlations(f, names))
+# Chunks of (R, k, n, d, d) families; the seed is the best deterministic
+# synchronous family.  A restart holds at most six (k, n, d, d) stacks'
+# worth: its families, their live copy, a transposed copy for the round
+# score, one question's weights and best-response temporaries, or the
+# certification of its row.
+SYNCHRONOUS = Search(
+    restart=_sync_seesaw, labels=("family {}: ",),
+    restart_bytes=lambda game, dim: 16 * 6 * game.k * game.n * dim * dim,
+    correlate=_tracial_correlations,
+    seed=lambda game, dim: (answer_pvms(_best_scalar_assignment(game)[1], game.n, dim)[None],))
 
 
 def sync_value_lower_bound(game: Game, dim: int, restarts: int, seed: int,
@@ -210,13 +205,7 @@ def sync_value_lower_bound(game: Game, dim: int, restarts: int, seed: int,
     """
     if dim > MAX_FAMILY_DIM:
         raise CapExceededError(f"dim = {dim} exceeds the synchronous search cap {MAX_FAMILY_DIM}")
-
-    def seeds():
-        return (answer_pvms(_best_scalar_assignment(game)[1], game.n, dim)[None],)
-
-    value, (families,) = seesaw_search(
-        game, dim, restarts, seed, iters, _sync_seesaw, _sync_seesaw_bytes(game, dim),
-        _certify_families, seeds)
+    value, (families,) = seesaw_search(game, dim, restarts, seed, iters, SYNCHRONOUS)
     return value, TracialPVMFamily(families=families)
 
 

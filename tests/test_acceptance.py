@@ -19,8 +19,9 @@ from nlv.linalg import random_unitary
 from nlv.moments import enumerate_monomials, moment_map, monomial_count, random_contractions
 from nlv.protocols import MESSAGES, TwoBitMessage, epr_correlation_demo, superdense_decode, superdense_encode
 from nlv.quantum import (born_probabilities, chsh_optimal_spec, entangled_lower_bound,
-                         naimark_dilate, quantum_correlation, random_block_families)
+                         naimark_dilate, quantum_correlation)
 from nlv.rng import generator
+from nlv.seesaw import random_block_families
 from nlv.synchronous import TracialPVMFamily, tracial_correlation, validate_family
 from nlv.tm import BudgetExceeded, Configuration, Halted, load_machine, run, step
 

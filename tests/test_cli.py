@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlv import data_path
+from nlv import cli, data_path
 from nlv.cli import build_parser, dispatch
 from nlv.errors import NlvError
 from nlv.game import chsh_game, game_value, random_game, save_game
@@ -373,6 +373,23 @@ WRITERS = {
 @pytest.mark.parametrize("name", sorted(WRITERS))
 def test_directory_as_output_file_domain_error(name, tmp_path, capsys):
     assert "Is a directory" in domain_error_line(capsys, WRITERS[name](str(tmp_path)))
+
+
+@pytest.mark.parametrize("target", ["/dev/null", "directory"])
+@pytest.mark.parametrize("name, flag, search", [
+    ("quantum-lb", "--spec-out", "entangled_lower_bound"),
+    ("sync-lb", "--family-out", "sync_value_lower_bound")])
+def test_certificate_target_that_is_not_a_regular_file_is_refused_before_the_search(
+        monkeypatch, tmp_path, capsys, name, flag, search, target):
+    # The value is re-derived from the file read back, which /dev/null
+    # or a directory cannot give.
+    def never(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, search, never)
+    path = str(tmp_path) if target == "directory" else target
+    line = domain_error_line(capsys, WRITERS[name](path))
+    assert line.startswith(f"error: {flag} {path}: ")
 
 
 @pytest.mark.parametrize("name", sorted(WRITERS))

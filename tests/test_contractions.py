@@ -12,9 +12,10 @@ import pytest
 
 from nlv.game import payoff, payoff_matrix, random_game
 from nlv.linalg import dagger, identity
-from nlv.quantum import (COMMUTING, TENSOR, QuantumStrategySpec, _game_operator, _weigh,
-                         _weights, quantum_correlation, random_block_families)
+from nlv.quantum import (COMMUTING, TENSOR, QuantumStrategySpec, _game_operator, _weights,
+                         quantum_correlation)
 from nlv.rng import generator
+from nlv.seesaw import random_block_families, weigh
 from nlv.synchronous import (TracialPVMFamily, _coupling, _trace_score, tracial_correlation)
 
 TOL = 1e-12
@@ -139,7 +140,7 @@ def game_and_families(k, n, d_a, d_b):
 @pytest.mark.parametrize("k, n, d_a, d_b", SHAPES)
 def test_game_operator_matches_loops(k, n, d_a, d_b):
     game, alice, bob, _ = game_and_families(k, n, d_a, d_b)
-    op = _game_operator(alice[None], _weigh(payoff_matrix(game), bob[None]))[0]
+    op = _game_operator(alice[None], weigh(payoff_matrix(game), bob[None]))[0]
     assert np.max(np.abs(op - ref_game_operator(game, alice, bob))) <= TOL
 
 
@@ -147,9 +148,9 @@ def test_game_operator_matches_loops(k, n, d_a, d_b):
 def test_seesaw_weights_match_loops(k, n, d_a, d_b):
     game, alice, bob, psi = game_and_families(k, n, d_a, d_b)
     v = payoff_matrix(game)
-    got = _weights(psi[None], _weigh(v, bob[None]))[0].reshape(k, n, d_a, d_a)
+    got = _weights(psi[None], weigh(v, bob[None]))[0].reshape(k, n, d_a, d_a)
     assert np.max(np.abs(got - ref_partial_weights(game, psi, bob, "alice"))) <= TOL
-    got = _weights(psi.T[None], _weigh(v.T, alice[None]))[0].reshape(k, n, d_b, d_b)
+    got = _weights(psi.T[None], weigh(v.T, alice[None]))[0].reshape(k, n, d_b, d_b)
     assert np.max(np.abs(got - ref_partial_weights(game, psi, alice, "bob"))) <= TOL
 
 
@@ -171,5 +172,5 @@ def test_sync_weights_and_round_score_match_loops(k, n, d_a, d_b):
                         want[a] += weight * f[y, b] / d
                     score += (game.pi[x, y] * game.wins[x, y, a, b]
                               * np.trace(f[x, a] @ f[y, b]).real / d)
-        assert np.max(np.abs(_weigh(coupling[x], f[None])[0] + same[x] - want)) <= TOL
+        assert np.max(np.abs(weigh(coupling[x], f[None])[0] + same[x] - want)) <= TOL
     assert abs(_trace_score(payoff_matrix(game), f[None])[0] - score) <= TOL

@@ -6,8 +6,8 @@ import pytest
 from nlv.errors import ValidationError
 from nlv.linalg import as_complex, dagger, frobenius, ginibre, psd_sqrt, random_unitary
 from nlv.moments import random_contractions
-from nlv.quantum import random_block_families
 from nlv.rng import generator, uniforms
+from nlv.seesaw import random_block_families
 from test_moments import reference_contractions
 from test_rng import looped_uniforms
 

@@ -10,9 +10,9 @@ from nlv.errors import ValidationError
 from nlv.protocols import (MESSAGES, TwoBitMessage, bell_basis,
                            bell_measurement, epr_correlation_demo,
                            superdense_decode, superdense_encode)
-from nlv.quantum import (PVM, MeasurementFamily, born_probabilities, collapse_state,
-                         epr_state, random_block_families)
+from nlv.quantum import PVM, MeasurementFamily, born_probabilities, collapse_state, epr_state
 from nlv.rng import generator
+from nlv.seesaw import random_block_families
 
 E1 = np.array([1, 0], dtype=complex)
 E2 = np.array([0, 1], dtype=complex)

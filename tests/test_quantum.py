@@ -3,6 +3,7 @@
 import hashlib
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,21 +11,22 @@ import pytest
 from nlv import moments
 from nlv.classical import DeterministicStrategy, classical_value, det_to_strategy
 from nlv.errors import CapExceededError, DimensionMismatchError, ParseError, ValidationError
-from nlv.game import Game, chsh_game, game_value, payoff, random_game, validate_strategy
+from nlv.game import (Game, chsh_game, correlation_values, game_value, payoff, random_game,
+                      validate_strategy)
 from nlv.linalg import dagger, frobenius, random_unitary
-from nlv.quantum import (COMMUTING, MAX_RESTART_BYTES, POVM, PVM, TENSOR, MeasurementFamily,
-                         QuantumStrategySpec, _certify_specs, _seesaw, _seesaw_bytes,
-                         best_response,
+from nlv.quantum import (COMMUTING, ENTANGLED, POVM, PVM, TENSOR, MeasurementFamily,
+                         QuantumStrategySpec, _seesaw,
                          born_probabilities, chsh_optimal_spec, diagonal_pvm,
                          embed_deterministic,
                          embed_local, entangled_lower_bound, epr_state,
                          load_spec, naimark_dilate,
-                         quantum_correlation, random_block_families, rotated_basis_pvm,
-                         save_spec, seesaw_search,
+                         quantum_correlation, rotated_basis_pvm,
+                         save_spec,
                          validate_measurement, validate_spec)
 from nlv.rng import generator
-from nlv.synchronous import (TracialPVMFamily, _best_scalar_assignment, _certify_families,
-                             _sync_seesaw, _sync_seesaw_bytes, scalar_family,
+from nlv.seesaw import MAX_RESTART_BYTES, best_response, random_block_families, seesaw_search
+from nlv.synchronous import (SYNCHRONOUS, TracialPVMFamily, _best_scalar_assignment,
+                             scalar_family,
                              sync_value_lower_bound, tracial_correlation)
 
 E1 = np.array([1, 0], dtype=complex)
@@ -605,28 +607,27 @@ def test_lower_bound_search_output_is_pvm_to_rounding():
 
 # -- restart chunks ----------------------------------------------------------
 
-SEARCHES = {"entangled": (_seesaw, _seesaw_bytes, _certify_specs),
-            "sync": (_sync_seesaw, _sync_seesaw_bytes, _certify_families)}
+SEARCHES = {"entangled": ENTANGLED, "sync": SYNCHRONOUS}
 
 
 def search_candidates(search, game, dim, restarts, iters, seeds=tuple):
     """Every row of one search, in order, as a tuple of arrays each, with
     the number of restarts in each chunk and the values certify gave each
     row."""
-    restart, restart_bytes, certify = SEARCHES[search]
     candidates, chunks, values = [], [], []
 
     def run_chunk(game, dim, rngs, iters):
         chunks.append(len(rngs))
-        return restart(game, dim, rngs, iters)
+        return SEARCHES[search].restart(game, dim, rngs, iters)
 
-    def record(game, chunk, names):
+    def record(chunk, names):
         candidates.extend(zip(*chunk))
-        values.extend(certify(game, chunk, names))
-        return values[-len(names):]
+        p = SEARCHES[search].correlate(chunk, names)
+        values.extend(correlation_values(game, p))
+        return p
 
-    seesaw_search(game, dim, restarts, 5, iters, run_chunk, restart_bytes(game, dim), record,
-                  seeds)
+    seesaw_search(game, dim, restarts, 5, iters, replace(
+        SEARCHES[search], restart=run_chunk, correlate=record, seed=lambda game, dim: seeds()))
     return candidates, chunks, values
 
 
@@ -640,7 +641,7 @@ def test_chunked_restarts_are_bit_identical_to_one_chunk(monkeypatch, chunk, sea
     g = random_game(k, n, seed=k + n + dim)
     whole, chunks, _ = search_candidates(search, g, dim, 7, 60)
     assert chunks == [7]
-    monkeypatch.setattr(moments, "CHUNK_BYTES", chunk * SEARCHES[search][1](g, dim))
+    monkeypatch.setattr(moments, "CHUNK_BYTES", chunk * SEARCHES[search].restart_bytes(g, dim))
     parts, chunks, _ = search_candidates(search, g, dim, 7, 60)
     assert chunks == [chunk] * (7 // chunk) + [7 % chunk] * (7 % chunk > 0)
     assert len(parts) == len(whole) == 7
@@ -654,7 +655,7 @@ def test_many_restart_peak_stays_within_chunk_budget(monkeypatch, search, dim):
     # All 48 restarts at once would hold several times the budget; chunks
     # keep the traced peak under it plus one restart's working set.
     g = chsh_game()
-    restart_bytes = SEARCHES[search][1](g, dim)
+    restart_bytes = SEARCHES[search].restart_bytes(g, dim)
     monkeypatch.setattr(moments, "CHUNK_BYTES", 2 << 20)
     assert 48 * restart_bytes > 4 * (moments.CHUNK_BYTES + restart_bytes)
     search_fn = entangled_lower_bound if search == "entangled" else sync_value_lower_bound
@@ -693,7 +694,7 @@ def test_chunk_values_are_the_per_candidate_values(monkeypatch, chunk, search, k
     # shares a chunk with restarts 1 and 2 only.
     g = random_game(k, n, seed=k * n + dim)
     if chunk:
-        monkeypatch.setattr(moments, "CHUNK_BYTES", chunk * SEARCHES[search][1](g, dim))
+        monkeypatch.setattr(moments, "CHUNK_BYTES", chunk * SEARCHES[search].restart_bytes(g, dim))
     rows, _, values = search_candidates(search, g, dim, 5, 60, lambda: seed_rows(search, g, dim))
     assert len(rows) == len(values) == 6
     for row, value in zip(rows, values):
@@ -710,7 +711,7 @@ def test_chunk_values_are_the_per_candidate_values(monkeypatch, chunk, search, k
 @pytest.mark.parametrize("search", sorted(SEARCHES))
 def test_a_failing_row_fails_the_run_and_is_named(search, defect, line):
     g = random_game(2, 2, seed=3)
-    restart, restart_bytes, certify = SEARCHES[search]
+    restart = SEARCHES[search].restart
     player = "bob " if search == "entangled" and defect == "idempotent" else ""
 
     def spoil(rows, r):
@@ -727,23 +728,25 @@ def test_a_failing_row_fails_the_run_and_is_named(search, defect, line):
         return seed_rows(search, g, 2)
 
     with pytest.raises(ValidationError, match=f"restart 2: {player}{line}"):
-        seesaw_search(g, 2, 3, 0, 5, broken_restarts, restart_bytes(g, 2), certify, seeds)
+        seesaw_search(g, 2, 3, 0, 5, replace(SEARCHES[search], restart=broken_restarts,
+                                             seed=lambda game, dim: seeds()))
     with pytest.raises(ValidationError, match=f"seed: {player}{line}"):
-        seesaw_search(g, 2, 3, 0, 5, restart, restart_bytes(g, 2), certify,
-                      lambda: spoil(tuple(arr.copy() for arr in seeds()), 0))
+        seesaw_search(g, 2, 3, 0, 5, replace(SEARCHES[search], seed=lambda game, dim: spoil(
+            tuple(arr.copy() for arr in seeds()), 0)))
 
 
 def test_restart_over_byte_cap_is_refused_before_any_candidate():
     def never(*args):
         raise AssertionError("a candidate was made")
 
+    too_big = replace(ENTANGLED, restart=never,
+                      restart_bytes=lambda game, dim: MAX_RESTART_BYTES + 1)
     with pytest.raises(CapExceededError, match="exceeding cap"):
-        seesaw_search(chsh_game(), 2, 1, 0, 1, never, MAX_RESTART_BYTES + 1, never, never)
+        seesaw_search(chsh_game(), 2, 1, 0, 1, replace(too_big, correlate=never, seed=never))
     # With no restarts asked for, the cap does not apply to the seeds.
     spec = chsh_optimal_spec()
-    value, _ = seesaw_search(chsh_game(), 2, 0, 0, 1, never, MAX_RESTART_BYTES + 1,
-                             _certify_specs, lambda: (spec.state[None], spec.alice[None],
-                                                      spec.bob[None]))
+    value, _ = seesaw_search(chsh_game(), 2, 0, 0, 1, replace(
+        too_big, seed=lambda game, dim: (spec.state[None], spec.alice[None], spec.bob[None])))
     assert value == pytest.approx(np.cos(np.pi / 8) ** 2)
 
 

@@ -65,3 +65,10 @@ def test_counter_offset_key_continues_the_draw():
         parts = [uniforms((seed + start * gamma) & _MASK64, size)
                  for start, size in ((0, 1), (1, 333), (334, 666))]
         assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_uniforms_start_walks_one_stream_in_chunks():
+    for seed in (0, -7, 2 ** 64 - 1, 12345):
+        whole = uniforms(seed, 1000)
+        parts = [uniforms(seed, size, start) for start, size in ((0, 1), (1, 333), (334, 666))]
+        assert np.array_equal(np.concatenate(parts), whole)

@@ -12,8 +12,9 @@ from nlv.classical import DeterministicStrategy, det_to_strategy, is_synchronous
 from nlv.errors import DefectTooLargeError, ParseError, ValidationError
 from nlv.game import Game, chsh_game, game_value, payoff, random_game, validate_strategy
 from nlv.linalg import dagger, frobenius, identity
-from nlv.quantum import PVM, MeasurementFamily, random_block_families, validate_measurement
+from nlv.quantum import PVM, MeasurementFamily, validate_measurement
 from nlv.rng import generator
+from nlv.seesaw import random_block_families
 from nlv.synchronous import (TracialPVMFamily, _best_scalar_assignment, _sync_seesaw,
                              load_family, repair_almost_pvm, save_family, scalar_family,
                              sync_value_lower_bound, tracial_correlation,
