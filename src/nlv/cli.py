@@ -28,6 +28,7 @@ from .moments import density_check, load_matrices, moment_map, sample_moment_clo
 from .protocols import TwoBitMessage, epr_correlation_demo, superdense_decode, superdense_encode
 from .quantum import (chsh_optimal_spec, entangled_lower_bound, load_spec, quantum_correlation,
                       save_spec)
+from .seesaw import ITERS
 from .synchronous import load_family, save_family, sync_value_lower_bound, tracial_correlation
 from .tm import Halted, load_machine, run as tm_run
 
@@ -81,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dim", type=_positive_int, required=True)
         p.add_argument("--restarts", type=_positive_int, required=True)
         p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--iters", type=_positive_int, default=60)
+        p.add_argument("--iters", type=_positive_int, default=ITERS)
         p.add_argument(out, default=default)
 
     p = add_parser("superdense", help="encode/decode a two-bit message")
@@ -151,9 +152,11 @@ def _run_classical(args):
 
 
 def _certificate_target(flag: str, path) -> None:
-    """Refuse, before any search, a certificate target that exists and is
-    not a regular file: the value is re-derived from the bytes read back,
-    which a directory, /dev/null or a pipe cannot give."""
+    """Refuse, before any search, a target outside an existing directory or
+    one that exists and is not a regular file: the value is re-derived from
+    the bytes read back, which a directory, /dev/null or a pipe cannot give."""
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise NlvError(f"{flag} {path}: parent is not an existing directory")
     if path and os.path.exists(path) and not os.path.isfile(path):
         kind = "Is a directory" if os.path.isdir(path) else "not a regular file"
         raise NlvError(f"{flag} {path}: {kind}, so the certificate could not be read back")

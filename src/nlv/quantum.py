@@ -24,8 +24,8 @@ from .errors import (CapExceededError, DimensionMismatchError, ParseError, Repor
                      ValidationError, dump_json, read_count, read_field, read_object)
 from .game import COMPUTED_TOL, Game, Strategy, payoff_matrix
 from .linalg import as_complex, dagger, deinterleave, identity, interleave, psd_sqrt
-from .seesaw import (POVM, PVM, Search, best_response, correlations, random_block_families,
-                     seesaw_search, validate_stack, weigh)
+from .seesaw import (ITERS, POVM, PVM, Search, best_response, climb, correlations,
+                     random_block_families, seesaw_search, validate_stack, weigh)
 
 MAX_STATE_DIM = 1024   # d^2 for the entangled search: its game operator is d^2 x d^2
 
@@ -373,37 +373,32 @@ def _game_operator(alice: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _seesaw(game: Game, dim: int, rngs: list[np.random.Generator],
             iters: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The entangled restart kernel, from random block PVMs (Alice's, then
-    Bob's).  Each round takes the top eigenvector of each game operator as
-    the state, then Alice's and Bob's best responses, whose weights go
-    through the payoff matrix.  A restart leaves ``live`` once a round
-    gains at most 1e-12, which freezes it as it would have stopped alone."""
+    Bob's), run by :func:`~nlv.seesaw.climb`.  Each round takes the top
+    eigenvector of each game operator as the state, then Alice's and Bob's
+    best responses, whose weights go through the payoff matrix; Bob's
+    payoff-weighted stack and the game operator carry to the next round."""
     k, n = game.k, game.n
     v = payoff_matrix(game).astype(np.complex128)   # spares matmul a cast per call
     starts = random_block_families(2 * k, n, dim, rngs)
     alice, bob = starts[:, :k], starts[:, k:]
-    psi = np.empty((len(rngs), dim * dim), dtype=np.complex128)
-    last = np.full(len(rngs), -np.inf)
-    live = np.arange(len(rngs))
     t = weigh(v, bob)
-    op = _game_operator(alice, t)
-    for _ in range(iters):
+
+    def step(rows, carry):
+        (_, alice, bob), (t, op) = rows, carry
         state = np.linalg.eigh(op)[1][..., -1].copy()   # frees the other eigenvectors
         mat = state.reshape(-1, dim, dim)
         # Alice's weights M T^T M^dagger from the fixed Bob families; Bob's
         # from Alice's new ones, with M^T in M's place.
-        new_alice = best_response(_weights(mat, t).reshape(-1, k, n, dim, dim), alice[live])
-        weights = _weights(np.swapaxes(mat, -1, -2), weigh(v.T, new_alice))
-        new_bob = best_response(weights.reshape(-1, k, n, dim, dim), bob[live])
-        t = weigh(v, new_bob)
-        op = _game_operator(new_alice, t)
+        alice = best_response(_weights(mat, t).reshape(-1, k, n, dim, dim), alice)
+        weights = _weights(np.swapaxes(mat, -1, -2), weigh(v.T, alice))
+        bob = best_response(weights.reshape(-1, k, n, dim, dim), bob)
+        t = weigh(v, bob)
+        op = _game_operator(alice, t)
         current = np.einsum("ri,ri->r", state.conj(), (op @ state[..., None])[..., 0]).real
-        psi[live], alice[live], bob[live] = state, new_alice, new_bob
-        going = current > last[live] + 1e-12
-        last[live] = current
-        live, op, t = live[going], op[going], t[going]
-        if not live.size:
-            break
-    return psi, alice, bob
+        return (state, alice, bob), (t, op), current
+
+    psi = np.empty((len(rngs), dim * dim), dtype=np.complex128)
+    return climb(step, (psi, alice, bob), (t, _game_operator(alice, t)), iters)
 
 
 # Chunks of (R, d^2) states and Alice's and Bob's families; the seed is the
@@ -422,7 +417,7 @@ ENTANGLED = Search(
 
 
 def entangled_lower_bound(game: Game, dim: int, restarts: int, seed: int,
-                          iters: int = 60) -> tuple[float, QuantumStrategySpec]:
+                          iters: int = ITERS) -> tuple[float, QuantumStrategySpec]:
     """Best tensor-flavor strategy of local dimensions (dim, dim) found by
     seeded see-saw restarts; returns its exact re-evaluated game value.
 

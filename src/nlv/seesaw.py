@@ -1,6 +1,6 @@
 """The see-saw machinery both lower-bound searches share: kernels over
-(R, k, n, d, d) stacks of candidates' measurement families, the
-:class:`Search` description each search fills in, and the restart driver
+(R, k, n, d, d) stacks of candidates' families, the round loop :func:`climb`,
+the :class:`Search` each search fills in, and the restart driver
 :func:`seesaw_search`, which certifies every candidate from its own arrays.
 """
 
@@ -19,6 +19,7 @@ from .linalg import dagger, frobenius, identity, random_unitary
 from .rng import generator
 
 MAX_RESTART_BYTES = 512 << 20   # bytes one see-saw restart may hold, see seesaw_search
+ITERS = 60                      # default cap on a restart's rounds, see climb
 
 POVM = "povm"
 PVM = "pvm"
@@ -157,6 +158,24 @@ def validate_stack(names, rows, measurement: str, tol: float = COMPUTED_TOL) -> 
                 worst = max(worst, float(completeness[f]))
                 violations.append(f"{prefix}completeness residual {completeness[f]:.3g}")
     return Report(violations=tuple(violations), worst=worst)
+
+
+def climb(step: Callable, rows: tuple, carry: tuple, iters: int) -> tuple:
+    """The round loop of both searches: at most ``iters`` rounds over a
+    chunk's (R, ...) candidate arrays ``rows``, updated in place and
+    returned.  ``step(live_rows, carry)`` gives the live rows' next arrays,
+    the ``carry`` they hand the next round and their round scores.  A row
+    freezes with its arrays of the round that gains at most 1e-12."""
+    live, last = np.arange(len(rows[0])), -np.inf
+    for _ in range(iters):
+        new, carry, current = step(tuple(arr[live] for arr in rows), carry)
+        for arr, part in zip(rows, new):
+            arr[live] = part
+        going = current > last + 1e-12
+        live, last, carry = live[going], current[going], tuple(arr[going] for arr in carry)
+        if not live.size:
+            break
+    return rows
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .errors import (CapExceededError, DefectTooLargeError, ParseError, Report, 
 from .game import COMPUTED_TOL, Game, Strategy, payoff, payoff_matrix
 from .linalg import dagger, frobenius, identity, interleave
 from .quantum import MeasurementFamily, answer_pvms, read_outcomes, stack_families
-from .seesaw import (POVM, PVM, Search, best_response, correlations, gram,
+from .seesaw import (ITERS, POVM, PVM, Search, best_response, climb, correlations, gram,
                      random_block_families, seesaw_search, validate_stack, weigh)
 
 REPAIR_DEFECT_CAP = 0.1
@@ -152,33 +152,26 @@ def _trace_score(matrix: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 def _sync_seesaw(game: Game, d: int, rngs: list[np.random.Generator],
                  iters: int) -> tuple[np.ndarray]:
-    """The synchronous restart kernel, from random block PVMs.  Each round
-    is a round-robin over the questions, each question one best response
-    over the stack against the trace objective with the other families
-    held fixed, its weights one product of its rows of the coupling matrix
-    with the flattened families.  A restart leaves ``live`` once a round
-    gains at most 1e-12, which freezes it as it would have stopped alone.
+    """The synchronous restart kernel, from random block PVMs, run by
+    :func:`~nlv.seesaw.climb` with nothing carried.  Each round is a
+    round-robin over the questions, each question one best response over
+    the stack against the trace objective with the other families held
+    fixed, its weights one product of its rows of the coupling matrix with
+    the flattened families.
 
     Since tr(P^2) = tr(P), the same-question terms are linear too: family
     x scores tr(f^x_a) V[x, x, a, a] / d, so ranks may change."""
     k, n = game.k, game.n
     coupling, same = _coupling(game, d)
     score = payoff_matrix(game)
-    families = random_block_families(k, n, d, rngs)
-    last = np.full(len(rngs), -np.inf)
-    live = np.arange(len(rngs))
-    for _ in range(iters):
-        f = families[live]
+
+    def step(rows, carry):
+        (f,) = rows
         for x in range(k):
             f[:, x] = best_response(weigh(coupling[x], f) + same[x], f[:, x])
-        current = _trace_score(score, f)
-        families[live] = f
-        going = current > last[live] + 1e-12
-        last[live] = current
-        live = live[going]
-        if not live.size:
-            break
-    return (families,)
+        return rows, carry, _trace_score(score, f)
+
+    return climb(step, (random_block_families(k, n, d, rngs),), (), iters)
 
 
 # Chunks of (R, k, n, d, d) families; the seed is the best deterministic
@@ -194,7 +187,7 @@ SYNCHRONOUS = Search(
 
 
 def sync_value_lower_bound(game: Game, dim: int, restarts: int, seed: int,
-                           iters: int = 60) -> tuple[float, TracialPVMFamily]:
+                           iters: int = ITERS) -> tuple[float, TracialPVMFamily]:
     """Best tracial PVM family of dimension ``dim`` found by seeded
     restarts, with its exact value via tracial_correlation + game_value.
 

@@ -375,19 +375,21 @@ def test_directory_as_output_file_domain_error(name, tmp_path, capsys):
     assert "Is a directory" in domain_error_line(capsys, WRITERS[name](str(tmp_path)))
 
 
-@pytest.mark.parametrize("target", ["/dev/null", "directory"])
+@pytest.mark.parametrize("target", ["/dev/null", "directory", "missing parent"])
 @pytest.mark.parametrize("name, flag, search", [
     ("quantum-lb", "--spec-out", "entangled_lower_bound"),
     ("sync-lb", "--family-out", "sync_value_lower_bound")])
 def test_certificate_target_that_is_not_a_regular_file_is_refused_before_the_search(
         monkeypatch, tmp_path, capsys, name, flag, search, target):
     # The value is re-derived from the file read back, which /dev/null
-    # or a directory cannot give.
+    # or a directory cannot give, and a file in a missing directory
+    # cannot be written.
     def never(*args, **kwargs):
         raise AssertionError("the search ran")
 
     monkeypatch.setattr(cli, search, never)
-    path = str(tmp_path) if target == "directory" else target
+    path = {"directory": str(tmp_path),
+            "missing parent": str(tmp_path / "no-such-dir" / "out.json")}.get(target, target)
     line = domain_error_line(capsys, WRITERS[name](path))
     assert line.startswith(f"error: {flag} {path}: ")
 

@@ -24,7 +24,8 @@ from nlv.quantum import (COMMUTING, ENTANGLED, POVM, PVM, TENSOR, MeasurementFam
                          save_spec,
                          validate_measurement, validate_spec)
 from nlv.rng import generator
-from nlv.seesaw import MAX_RESTART_BYTES, best_response, random_block_families, seesaw_search
+from nlv.seesaw import (MAX_RESTART_BYTES, best_response, climb, random_block_families,
+                        seesaw_search)
 from nlv.synchronous import (SYNCHRONOUS, TracialPVMFamily, _best_scalar_assignment,
                              scalar_family,
                              sync_value_lower_bound, tracial_correlation)
@@ -603,6 +604,40 @@ def test_lower_bound_search_output_is_pvm_to_rounding():
     for spec in seesaw_specs(_seesaw(g, 3, [generator(1, stream=r) for r in range(2)], 60)):
         assert spec.measurement == PVM
         assert validate_spec(spec, tol=1e-12).ok
+
+
+# -- the round loop ----------------------------------------------------------
+
+def climb_rounds(rows, scores, iters):
+    """Run :func:`climb` on the rows ``rows`` of a synthetic search whose
+    row r scores scores[r, j - 1] in round j: returns, per row, the round
+    whose arrays it holds, and the rows each round was given."""
+    seen = []
+
+    def step(live, carry):
+        ids, _ = live
+        assert np.array_equal(carry[0], ids)   # the carry is compacted with the rows
+        seen.append(ids.tolist())
+        return (ids, np.full(len(ids), len(seen))), carry, scores[ids, len(seen) - 1]
+
+    chunk = (np.array(rows), np.zeros(len(rows), dtype=int))
+    assert climb(step, chunk, (np.array(rows),), iters) is chunk
+    assert chunk[0].tolist() == rows
+    return chunk[1].tolist(), seen
+
+
+def test_climb_freezes_each_row_with_the_arrays_of_its_stopping_round():
+    # Row 0 stops gaining after round 1, row 1 after round 3 (its round 4
+    # gains 1e-13), row 2 never (each round gains 1e-11).
+    scores = np.array([[1.0] * 8, [1.0, 2.0, 3.0, 3.0 + 1e-13] + [9.0] * 4,
+                       1.0 + 1e-11 * np.arange(8)])
+    rounds, seen = climb_rounds([0, 1, 2], scores, 6)
+    assert rounds == [2, 4, 6]
+    assert seen == [[0, 1, 2], [0, 1, 2], [1, 2], [1, 2], [2], [2]]
+    # Once every row has frozen, no round runs however high the cap.
+    rounds, seen = climb_rounds([0, 1], scores, 50)
+    assert rounds == [2, 4]
+    assert len(seen) == 4
 
 
 # -- restart chunks ----------------------------------------------------------
