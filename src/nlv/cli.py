@@ -151,12 +151,17 @@ def _run_classical(args):
     return {"value": value, "A": list(argmax.alice), "B": list(argmax.bob)}
 
 
-def _certificate_target(flag: str, path) -> None:
-    """Refuse, before any search, a target outside an existing directory or
-    one that exists and is not a regular file: the value is re-derived from
-    the bytes read back, which a directory, /dev/null or a pipe cannot give."""
+def _output_target(flag: str, path) -> None:
+    """Refuse, before any work, an output file outside an existing directory."""
     if path and not os.path.isdir(os.path.dirname(path) or "."):
         raise NlvError(f"{flag} {path}: parent is not an existing directory")
+
+
+def _certificate_target(flag: str, path) -> None:
+    """Refuse, before any search, a target :func:`_output_target` refuses or
+    one that exists and is not a regular file: the value is re-derived from
+    the bytes read back, which a directory, /dev/null or a pipe cannot give."""
+    _output_target(flag, path)
     if path and os.path.exists(path) and not os.path.isfile(path):
         kind = "Is a directory" if os.path.isdir(path) else "not a regular file"
         raise NlvError(f"{flag} {path}: {kind}, so the certificate could not be read back")
@@ -219,6 +224,7 @@ def _run_moments(args):
         values = moment_map(mats, args.d)
         return {"count": values.size, "values": interleave(values)}
     if args.moments_command == "cloud":
+        _output_target("--out", args.out)
         cloud = sample_moment_cloud(args.n, args.d, args.p, args.count, args.seed)
         lines = [",".join(map(repr, interleave(row))) for row in cloud]
         write_file(args.out, "\n".join(lines) + ("\n" if lines else ""))

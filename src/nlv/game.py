@@ -100,8 +100,9 @@ def validate_game(game: Game) -> Report:
         worst = max(worst, float(-game.pi[idx]))
         violations.append(
             f"negative question probability pi[{idx[0] + 1}][{idx[1] + 1}] = {game.pi[idx]:.6g}")
-    mass = float(np.sum(game.pi))
-    if abs(mass - 1.0) > DIST_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflowing sum is a violation
+        mass = float(np.sum(game.pi))
+    if not abs(mass - 1.0) <= DIST_TOL:   # a nan mass fails too
         worst = max(worst, abs(mass - 1.0))
         violations.append(f"distribution mass {mass:.6g} != 1")
     boolean = (game.wins == 0.0) | (game.wins == 1.0)
@@ -126,14 +127,15 @@ def validate_strategy(strategy: Strategy) -> Report:
     if low < -COMPUTED_TOL:
         idx = np.unravel_index(int(np.argmin(p)), p.shape)
         worst = max(worst, -low)
-        violations.append(f"entry p{[i + 1 for i in idx]} = {low:.6g} below 0")
+        violations.append(f"entry p{[int(i) + 1 for i in idx]} = {low:.6g} below 0")
     if high > 1.0 + COMPUTED_TOL:
         idx = np.unravel_index(int(np.argmax(p)), p.shape)
         worst = max(worst, high - 1.0)
-        violations.append(f"entry p{[i + 1 for i in idx]} = {high:.6g} above 1")
-    sums = p.sum(axis=(2, 3))
+        violations.append(f"entry p{[int(i) + 1 for i in idx]} = {high:.6g} above 1")
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflowing sum is a violation
+        sums = p.sum(axis=(2, 3))
     residual = np.abs(sums - 1.0)
-    if np.max(residual) > COMPUTED_TOL:
+    if not np.max(residual) <= COMPUTED_TOL:   # a nan sum fails too
         idx = np.unravel_index(int(np.argmax(residual)), residual.shape)
         worst = max(worst, float(np.max(residual)))
         violations.append(

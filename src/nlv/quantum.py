@@ -375,37 +375,34 @@ def _seesaw(game: Game, dim: int, rngs: list[np.random.Generator],
     """The entangled restart kernel, from random block PVMs (Alice's, then
     Bob's), run by :func:`~nlv.seesaw.climb`.  Each round takes the top
     eigenvector of each game operator as the state, then Alice's and Bob's
-    best responses, whose weights go through the payoff matrix; Bob's
-    payoff-weighted stack and the game operator carry to the next round."""
+    best responses, whose weights go through the payoff matrix.  The round
+    scores Bob's objective at his response: <psi| A kron B |psi> =
+    Re tr(B M^T A^T M-bar), so it is sum over (y, b) of Re tr(B W) with
+    Bob's weights W."""
     k, n = game.k, game.n
     v = payoff_matrix(game).astype(np.complex128)   # spares matmul a cast per call
     starts = random_block_families(2 * k, n, dim, rngs)
-    alice, bob = starts[:, :k], starts[:, k:]
-    t = weigh(v, bob)
 
-    def step(rows, carry):
-        (_, alice, bob), (t, op) = rows, carry
-        state = np.linalg.eigh(op)[1][..., -1].copy()   # frees the other eigenvectors
+    def step(rows):
+        _, alice, bob = rows
+        t = weigh(v, bob)
+        state = np.linalg.eigh(_game_operator(alice, t))[1][..., -1].copy()   # frees the rest
         mat = state.reshape(-1, dim, dim)
         # Alice's weights M T^T M^dagger from the fixed Bob families; Bob's
         # from Alice's new ones, with M^T in M's place.
         alice = best_response(_weights(mat, t).reshape(-1, k, n, dim, dim), alice)
-        weights = _weights(np.swapaxes(mat, -1, -2), weigh(v.T, alice))
-        bob = best_response(weights.reshape(-1, k, n, dim, dim), bob)
-        t = weigh(v, bob)
-        op = _game_operator(alice, t)
-        current = np.einsum("ri,ri->r", state.conj(), (op @ state[..., None])[..., 0]).real
-        return (state, alice, bob), (t, op), current
+        weights = _weights(np.swapaxes(mat, -1, -2), weigh(v.T, alice)).reshape(-1, k, n, dim, dim)
+        bob = best_response(weights, bob)
+        return (state, alice, bob), np.einsum("rynij,rynji->r", bob, weights).real
 
     psi = np.empty((len(rngs), dim * dim), dtype=np.complex128)
-    return climb(step, (psi, alice, bob), (t, _game_operator(alice, t)), iters)
+    return climb(step, (psi, starts[:, :k], starts[:, k:]), iters)
 
 
 # Chunks of (R, d^2) states and Alice's and Bob's families; the seed is the
 # classical optimum embedded at the search's dimension.  A restart holds at
 # most three d^2 x d^2 matrices (a game operator with eigh's copy and
-# eigenvectors of it, or two game operators and the product one is built
-# from) and a dozen (k, n, d, d) stacks (both players' families,
+# eigenvectors of it) and a dozen (k, n, d, d) stacks (both players' families,
 # payoff-weighted stacks, a player's weights and best-response
 # temporaries, and the certification of its row).
 ENTANGLED = Search(

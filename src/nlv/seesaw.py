@@ -160,19 +160,19 @@ def validate_stack(names, rows, measurement: str, tol: float = COMPUTED_TOL) -> 
     return Report(violations=tuple(violations), worst=worst)
 
 
-def climb(step: Callable, rows: tuple, carry: tuple, iters: int) -> tuple:
+def climb(step: Callable, rows: tuple, iters: int) -> tuple:
     """The round loop of both searches: at most ``iters`` rounds over a
     chunk's (R, ...) candidate arrays ``rows``, updated in place and
-    returned.  ``step(live_rows, carry)`` gives the live rows' next arrays,
-    the ``carry`` they hand the next round and their round scores.  A row
-    freezes with its arrays of the round that gains at most 1e-12."""
+    returned.  ``step(live_rows)`` gives the live rows' next arrays and
+    their round scores, from those rows alone.  A row freezes with its
+    arrays of the round that gains at most 1e-12."""
     live, last = np.arange(len(rows[0])), -np.inf
     for _ in range(iters):
-        new, carry, current = step(tuple(arr[live] for arr in rows), carry)
+        new, current = step(tuple(arr[live] for arr in rows))
         for arr, part in zip(rows, new):
             arr[live] = part
         going = current > last + 1e-12
-        live, last, carry = live[going], current[going], tuple(arr[going] for arr in carry)
+        live, last = live[going], current[going]
         if not live.size:
             break
     return rows

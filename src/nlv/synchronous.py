@@ -153,11 +153,10 @@ def _trace_score(matrix: np.ndarray, f: np.ndarray) -> np.ndarray:
 def _sync_seesaw(game: Game, d: int, rngs: list[np.random.Generator],
                  iters: int) -> tuple[np.ndarray]:
     """The synchronous restart kernel, from random block PVMs, run by
-    :func:`~nlv.seesaw.climb` with nothing carried.  Each round is a
-    round-robin over the questions, each question one best response over
-    the stack against the trace objective with the other families held
-    fixed, its weights one product of its rows of the coupling matrix with
-    the flattened families.
+    :func:`~nlv.seesaw.climb`.  Each round is a round-robin over the
+    questions, each question one best response over the stack against the
+    trace objective with the other families held fixed, its weights one
+    product of its rows of the coupling matrix with the flattened families.
 
     Since tr(P^2) = tr(P), the same-question terms are linear too: family
     x scores tr(f^x_a) V[x, x, a, a] / d, so ranks may change."""
@@ -165,13 +164,13 @@ def _sync_seesaw(game: Game, d: int, rngs: list[np.random.Generator],
     coupling, same = _coupling(game, d)
     score = payoff_matrix(game)
 
-    def step(rows, carry):
+    def step(rows):
         (f,) = rows
         for x in range(k):
             f[:, x] = best_response(weigh(coupling[x], f) + same[x], f[:, x])
-        return rows, carry, _trace_score(score, f)
+        return rows, _trace_score(score, f)
 
-    return climb(step, (random_block_families(k, n, d, rngs),), (), iters)
+    return climb(step, (random_block_families(k, n, d, rngs),), iters)
 
 
 # Chunks of (R, k, n, d, d) families; the seed is the best deterministic

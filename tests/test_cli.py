@@ -349,10 +349,23 @@ def domain_error_line(capsys, argv):
 
 
 def test_non_finite_game_domain_error(tmp_path, capsys):
-    bad = tmp_path / "nan.json"
-    bad.write_text('{"k": 2, "n": 2, "pi": [[NaN, 0.25], [0.25, 0.25]], '
-                   '"wins": [[1, 1, 1, 1]]}')
-    assert "non-finite" in domain_error_line(capsys, ["classical", "--game", str(bad)])
+    # Entries of +-1e308 are finite, but their sum overflows to a violation.
+    bad = tmp_path / "bad.json"
+    for pi, message in (([[float("nan"), 0.25], [0.25, 0.25]], "non-finite"),
+                        ([[1e308, 1e308], [-1e308, -1e308]], "distribution mass inf != 1"),
+                        ([[1e308, 1e308, 0], [0, -1e308, -1e308], [0, 0, 0]],
+                         "distribution mass nan != 1")):
+        bad.write_text(json.dumps({"k": len(pi), "n": 2, "pi": pi, "wins": [[1, 1, 1, 1]]}))
+        assert message in domain_error_line(capsys, ["classical", "--game", str(bad)])
+
+
+def test_overflowing_strategy_domain_error(tmp_path, capsys):
+    p = np.full((2, 2, 2, 2), 0.25)
+    p[0, 0, 0] = 1e308
+    bad = tmp_path / "strategy.json"
+    bad.write_text(json.dumps({"k": 2, "n": 2, "p": p.tolist()}))
+    line = domain_error_line(capsys, ["value", "--game", CHSH, "--strategy", str(bad)])
+    assert "answers for questions (1, 1) sum to inf != 1" in line
 
 
 def test_directory_as_game_domain_error(tmp_path, capsys):
@@ -375,15 +388,17 @@ def test_directory_as_output_file_domain_error(name, tmp_path, capsys):
     assert "Is a directory" in domain_error_line(capsys, WRITERS[name](str(tmp_path)))
 
 
-@pytest.mark.parametrize("target", ["/dev/null", "directory", "missing parent"])
-@pytest.mark.parametrize("name, flag, search", [
-    ("quantum-lb", "--spec-out", "entangled_lower_bound"),
-    ("sync-lb", "--family-out", "sync_value_lower_bound")])
+@pytest.mark.parametrize("name, flag, search, target", [
+    *((name, flag, search, target)
+      for name, flag, search in (("quantum-lb", "--spec-out", "entangled_lower_bound"),
+                                 ("sync-lb", "--family-out", "sync_value_lower_bound"))
+      for target in ("/dev/null", "directory", "missing parent")),
+    ("moments-cloud", "--out", "sample_moment_cloud", "missing parent")])
 def test_certificate_target_that_is_not_a_regular_file_is_refused_before_the_search(
         monkeypatch, tmp_path, capsys, name, flag, search, target):
     # The value is re-derived from the file read back, which /dev/null
     # or a directory cannot give, and a file in a missing directory
-    # cannot be written.
+    # cannot be written, so a moment cloud is not sampled for it either.
     def never(*args, **kwargs):
         raise AssertionError("the search ran")
 

@@ -139,6 +139,7 @@ def test_strategy_entry_range_checked():
     report = validate_strategy(Strategy(k=1, n=2, p=p))
     assert not report.ok
     assert report.worst == pytest.approx(0.5)
+    assert "entry p[1, 1, 1, 2] = -0.5 below 0" in report.violations
 
 
 def test_load_bundled_chsh():

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nlv import moments
+from nlv import moments, quantum
 from nlv.classical import DeterministicStrategy, classical_value, det_to_strategy
 from nlv.errors import CapExceededError, DimensionMismatchError, ParseError, ValidationError
 from nlv.game import (Game, chsh_game, correlation_values, game_value, payoff, random_game,
@@ -614,14 +614,13 @@ def climb_rounds(rows, scores, iters):
     whose arrays it holds, and the rows each round was given."""
     seen = []
 
-    def step(live, carry):
+    def step(live):
         ids, _ = live
-        assert np.array_equal(carry[0], ids)   # the carry is compacted with the rows
         seen.append(ids.tolist())
-        return (ids, np.full(len(ids), len(seen))), carry, scores[ids, len(seen) - 1]
+        return (ids, np.full(len(ids), len(seen))), scores[ids, len(seen) - 1]
 
     chunk = (np.array(rows), np.zeros(len(rows), dtype=int))
-    assert climb(step, chunk, (np.array(rows),), iters) is chunk
+    assert climb(step, chunk, iters) is chunk
     assert chunk[0].tolist() == rows
     return chunk[1].tolist(), seen
 
@@ -638,6 +637,37 @@ def test_climb_freezes_each_row_with_the_arrays_of_its_stopping_round():
     rounds, seen = climb_rounds([0, 1], scores, 50)
     assert rounds == [2, 4]
     assert len(seen) == 4
+
+
+def chained_bell(n=3):
+    """Chained-Bell game: pi uniform on the pairs (x, x) and (x, x - 1 mod
+    n); the players must agree, except on the wrap pair (1, n)."""
+    wins = np.broadcast_to(np.eye(2), (n, n, 2, 2)).copy()
+    wins[0, n - 1] = 1 - np.eye(2)
+    return Game(k=n, n=2, pi=(np.eye(n) + np.roll(np.eye(n), -1, axis=1)) / (2 * n), wins=wins)
+
+
+@pytest.mark.parametrize("game", [chained_bell(), random_game(2, 3, seed=3)],
+                         ids=["chained-bell", "random-2-3"])
+def test_entangled_round_scores_are_the_certified_values_of_the_rounds_rows(monkeypatch, game):
+    # The round score, read off Bob's best-response weights, is the value
+    # the certifier gives the candidates that round returns.
+    rounds = []
+
+    def recording(step, rows, iters):
+        def recorded(live):
+            new, scores = step(live)
+            rounds.append((new, scores))
+            return new, scores
+        return climb(recorded, rows, iters)
+
+    monkeypatch.setattr(quantum, "climb", recording)
+    _seesaw(game, 3, [generator(7, stream=r) for r in range(3)], 60)
+    assert len(rounds) > 2
+    for rows, scores in rounds:
+        names = [f"restart {r + 1}: " for r in range(len(scores))]
+        values = correlation_values(game, ENTANGLED.correlate(rows, names))
+        assert np.max(np.abs(scores - values)) <= 1e-12
 
 
 # -- restart chunks ----------------------------------------------------------
