@@ -152,19 +152,26 @@ def _run_classical(args):
 
 
 def _output_target(flag: str, path) -> None:
-    """Refuse, before any work, an output file outside an existing directory."""
-    if path and not os.path.isdir(os.path.dirname(path) or "."):
+    """Refuse, before any work, an empty path, a directory or a file outside
+    an existing directory; ``None`` asks for no file."""
+    if path is None:
+        return
+    if not path:
+        raise NlvError(f"{flag} {path}: empty path")
+    if os.path.isdir(path):
+        raise NlvError(f"{flag} {path}: Is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
         raise NlvError(f"{flag} {path}: parent is not an existing directory")
 
 
 def _certificate_target(flag: str, path) -> None:
     """Refuse, before any search, a target :func:`_output_target` refuses or
     one that exists and is not a regular file: the value is re-derived from
-    the bytes read back, which a directory, /dev/null or a pipe cannot give."""
+    the bytes read back, which /dev/null or a pipe cannot give."""
     _output_target(flag, path)
     if path and os.path.exists(path) and not os.path.isfile(path):
-        kind = "Is a directory" if os.path.isdir(path) else "not a regular file"
-        raise NlvError(f"{flag} {path}: {kind}, so the certificate could not be read back")
+        raise NlvError(
+            f"{flag} {path}: not a regular file, so the certificate could not be read back")
 
 
 def _run_quantum_lb(args):
@@ -187,7 +194,7 @@ def _run_sync_lb(args):
         write_file(args.family_out, save_family(family))
         value = game_value(game, tracial_correlation(
             load_family(Path(args.family_out).read_text())))
-    return {"value": value, "dim": args.dim, "family_file": args.family_out or None,
+    return {"value": value, "dim": args.dim, "family_file": args.family_out,
             "note": "finite-dimensional lower bound"}
 
 

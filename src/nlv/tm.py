@@ -38,31 +38,6 @@ _BLANK_BYTE = ord(BLANK)
 _MOVE_STEP = {"L": -1, "S": 0, "R": 1}
 
 
-def _check_table(states: tuple[str, ...], table: TransitionTable, label: str) -> None:
-    state_set = set(states)
-    for key, action in table.items():
-        q, s1, s2, s3 = key
-        if q not in state_set:
-            raise ValidationError(f"{label}: unknown state {q!r} in transition key")
-        for sym in (s1, s2, s3):
-            if sym not in SYMBOLS:
-                raise ValidationError(f"{label}: unknown symbol {sym!r} in transition key")
-        q2, w2, w3, m1, m2, m3 = action
-        if q2 not in state_set:
-            raise ValidationError(f"{label}: unknown target state {q2!r}")
-        for sym in (w2, w3):
-            if sym not in SYMBOLS:
-                raise ValidationError(f"{label}: unknown write symbol {sym!r}")
-        for move in (m1, m2, m3):
-            if move not in MOVES:
-                raise ValidationError(f"{label}: unknown move {move!r}")
-    for q in states:
-        for s1, s2, s3 in itertools.product(SYMBOLS, repeat=3):
-            if (q, s1, s2, s3) not in table:
-                raise ValidationError(
-                    f"{label}: transition table not total, missing ({q}, {s1}, {s2}, {s3})")
-
-
 class _Program(NamedTuple):
     """A transition table compiled for :func:`_advance`.  Entry
     ``64·q + 16·c_in + 4·c_work + c_out`` of ``code`` holds ``(64·q',
@@ -75,21 +50,46 @@ class _Program(NamedTuple):
     halt: int
 
 
-def _compile(states: tuple[str, ...], table: TransitionTable, halt_state=None) -> _Program:
+def _compile(states: tuple[str, ...], table: TransitionTable, label: str,
+             halt_state=None) -> _Program:
+    """Check each transition of ``table`` as it is encoded, then that the
+    table is total.  The first bad transition in the dict's order, else the
+    first missing key in ``states`` x ``SYMBOLS``^3 order, raises a
+    ValidationError led by ``label``."""
     index = {q: i for i, q in enumerate(states)}
     code = [None] * (64 * len(states))
-    for (q, s_in, s_work, s_out), (q2, w_work, w_out, *moves) in table.items():
+    for key, action in table.items():
+        q, s_in, s_work, s_out = key
+        if q not in index:
+            raise ValidationError(f"{label}: unknown state {q!r} in transition key")
+        for sym in (s_in, s_work, s_out):
+            if sym not in SYMBOLS:
+                raise ValidationError(f"{label}: unknown symbol {sym!r} in transition key")
+        q2, w_work, w_out, m_in, m_work, m_out = action
+        if q2 not in index:
+            raise ValidationError(f"{label}: unknown target state {q2!r}")
+        for sym in (w_work, w_out):
+            if sym not in SYMBOLS:
+                raise ValidationError(f"{label}: unknown write symbol {sym!r}")
+        for move in (m_in, m_work, m_out):
+            if move not in MOVES:
+                raise ValidationError(f"{label}: unknown move {move!r}")
         slot = 64 * index[q] + 16 * (ord(s_in) & 3) + 4 * (ord(s_work) & 3) + (ord(s_out) & 3)
         code[slot] = (64 * index[q2], ord(w_work), ord(w_out),
-                      *(_MOVE_STEP[move] for move in moves))
+                      _MOVE_STEP[m_in], _MOVE_STEP[m_work], _MOVE_STEP[m_out])
+    for q in states:
+        for s1, s2, s3 in itertools.product(SYMBOLS, repeat=3):
+            if (q, s1, s2, s3) not in table:
+                raise ValidationError(
+                    f"{label}: transition table not total, missing ({q}, {s1}, {s2}, {s3})")
     halt = -1 if halt_state is None else 64 * index[halt_state]
     return _Program(code, states, index, halt)
 
 
 @dataclass(frozen=True)
 class TuringMachine:
-    """A deterministic machine; its table is checked for totality and
-    compiled once, at construction."""
+    """A deterministic machine; its table is checked and compiled in one
+    pass, at construction."""
 
     states: tuple[str, ...]
     start_state: str
@@ -100,8 +100,8 @@ class TuringMachine:
     def __post_init__(self):
         if self.start_state not in self.states or self.halt_state not in self.states:
             raise ValidationError("start and halt states must be listed in states")
-        _check_table(self.states, self.table, "machine")
-        object.__setattr__(self, "_program", _compile(self.states, self.table, self.halt_state))
+        object.__setattr__(self, "_program",
+                           _compile(self.states, self.table, "machine", self.halt_state))
 
 
 @dataclass(frozen=True)
@@ -123,10 +123,8 @@ class NDTM:
                 raise ValidationError(f"state {q!r} must be listed in states")
         if self.accept_state == self.reject_state:
             raise ValidationError("accept and reject states must be distinct")
-        _check_table(self.states, self.table0, "table0")
-        _check_table(self.states, self.table1, "table1")
-        object.__setattr__(self, "_programs", (_compile(self.states, self.table0),
-                                               _compile(self.states, self.table1)))
+        object.__setattr__(self, "_programs", (_compile(self.states, self.table0, "table0"),
+                                               _compile(self.states, self.table1, "table1")))
 
 
 @dataclass

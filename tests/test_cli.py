@@ -393,17 +393,22 @@ def test_directory_as_output_file_domain_error(name, tmp_path, capsys):
       for name, flag, search in (("quantum-lb", "--spec-out", "entangled_lower_bound"),
                                  ("sync-lb", "--family-out", "sync_value_lower_bound"))
       for target in ("/dev/null", "directory", "missing parent")),
-    ("moments-cloud", "--out", "sample_moment_cloud", "missing parent")])
+    ("moments-cloud", "--out", "sample_moment_cloud", "missing parent"),
+    ("moments-cloud", "--out", "sample_moment_cloud", "directory"),
+    ("quantum-lb", "--spec-out", "entangled_lower_bound", "empty"),
+    ("sync-lb", "--family-out", "sync_value_lower_bound", "empty"),
+    ("moments-cloud", "--out", "sample_moment_cloud", "empty")])
 def test_certificate_target_that_is_not_a_regular_file_is_refused_before_the_search(
         monkeypatch, tmp_path, capsys, name, flag, search, target):
     # The value is re-derived from the file read back, which /dev/null
-    # or a directory cannot give, and a file in a missing directory
-    # cannot be written, so a moment cloud is not sampled for it either.
+    # or a directory cannot give, and a file in a missing directory, a
+    # directory or an empty path cannot be written, so a moment cloud is
+    # not sampled for them either.
     def never(*args, **kwargs):
         raise AssertionError("the search ran")
 
     monkeypatch.setattr(cli, search, never)
-    path = {"directory": str(tmp_path),
+    path = {"directory": str(tmp_path), "empty": "",
             "missing parent": str(tmp_path / "no-such-dir" / "out.json")}.get(target, target)
     line = domain_error_line(capsys, WRITERS[name](path))
     assert line.startswith(f"error: {flag} {path}: ")

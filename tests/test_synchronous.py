@@ -12,14 +12,15 @@ from nlv.classical import DeterministicStrategy, det_to_strategy, is_synchronous
 from nlv.errors import DefectTooLargeError, ParseError, ValidationError
 from nlv.game import Game, chsh_game, game_value, payoff, random_game, validate_strategy
 from nlv.linalg import dagger, frobenius, identity
-from nlv.quantum import PVM, MeasurementFamily, validate_measurement
+from nlv.quantum import (PVM, TENSOR, MeasurementFamily, QuantumStrategySpec,
+                         quantum_correlation, validate_measurement)
 from nlv.rng import generator
 from nlv.seesaw import random_block_families
 from nlv.synchronous import (TracialPVMFamily, _best_scalar_assignment, _sync_seesaw,
                              load_family, repair_almost_pvm, save_family, scalar_family,
                              sync_value_lower_bound, tracial_correlation,
                              validate_family)
-from test_quantum import SEARCH_SHAPES, reference_best_response
+from test_quantum import SEARCH_SHAPES, chained_bell, reference_best_response
 
 
 def oracle_best_scalar(game):
@@ -114,6 +115,22 @@ def test_tracial_correlations_synchronous_symmetric_consistent():
             expected = np.array([np.trace(m).real / d for m in fam.families[x]])
             for y in range(k):
                 assert np.allclose(marginals[x, y], expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("game", [chsh_game(), chained_bell(), random_game(2, 3, seed=3),
+                                  random_game(3, 3, seed=1)],
+                         ids=["chsh", "chained-bell", "random-2-3", "random-3-3"])
+def test_tracial_correlation_is_a_tensor_correlation_with_the_maximally_entangled_state(
+        game, dim):
+    # For projections in M_d, tr(E F) / d = <phi_d| E kron conj(F) |phi_d>
+    # with phi_d = sum_i |ii> / sqrt(d), since F^T = conj(F).
+    _, family = sync_value_lower_bound(game, dim=dim, restarts=4, seed=0)
+    f = family.families
+    phi = np.eye(dim).reshape(-1) / np.sqrt(dim)
+    spec = QuantumStrategySpec(flavor=TENSOR, state=phi, alice=f, bob=f.conj())
+    tensor = quantum_correlation(spec).p
+    assert np.max(np.abs(tensor - tracial_correlation(family).p)) <= 1e-15
 
 
 def test_sync_lower_bound_chsh_dim1():

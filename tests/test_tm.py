@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,69 @@ def test_table_totality_enforced_at_construction():
     with pytest.raises(ValidationError, match="not total"):
         TuringMachine(states=("a", "halt"), start_state="a", halt_state="halt",
                       table={})
+
+
+FAULT_STATES = ("begin", "halt", "stop")
+FIRST_KEY = ("begin", "0", "0", "0")
+TO_HALT = ("halt", "0", "0", "S", "S", "S")
+
+
+def faulty_table(*faults):
+    """A total table over ``FAULT_STATES`` with each ``(key, action)`` of
+    ``faults`` set in turn: a known key is replaced in place, a new one
+    goes last in the dict's order."""
+    table = dense_table(FAULT_STATES, {}, halt_default("halt"))
+    table.update(faults)
+    return table
+
+
+def machine_with(table):
+    return TuringMachine(states=FAULT_STATES, start_state="begin", halt_state="halt",
+                         table=table)
+
+
+def ndtm_with(table0, table1):
+    return NDTM(states=FAULT_STATES, start_state="begin", accept_state="halt",
+                reject_state="stop", table0=table0, table1=table1)
+
+
+def exactly(message):
+    return f"^{re.escape(message)}$"
+
+
+@pytest.mark.parametrize("key, action, message", [
+    (("nowhere", "0", "0", "0"), TO_HALT, "unknown state 'nowhere' in transition key"),
+    (("begin", "0", "x", "0"), TO_HALT, "unknown symbol 'x' in transition key"),
+    (FIRST_KEY, ("nowhere", "0", "0", "S", "S", "S"), "unknown target state 'nowhere'"),
+    (FIRST_KEY, ("halt", "0", "x", "S", "S", "S"), "unknown write symbol 'x'"),
+    (FIRST_KEY, ("halt", "0", "0", "S", "U", "S"), "unknown move 'U'"),
+])
+def test_each_bad_transition_is_named_with_its_table(key, action, message):
+    with pytest.raises(ValidationError, match=exactly(f"machine: {message}")):
+        machine_with(faulty_table((key, action)))
+    with pytest.raises(ValidationError, match=exactly(f"table1: {message}")):
+        ndtm_with(faulty_table(), faulty_table((key, action)))
+
+
+def test_table_faults_are_reported_in_a_fixed_order():
+    bad_move = (FIRST_KEY, ("halt", "0", "0", "S", "U", "S"))
+    # A bad item comes before a missing key, and the first bad item in
+    # the dict's order comes first, whatever the kinds of the faults.
+    table = faulty_table(bad_move, (("nowhere", "0", "0", "0"), TO_HALT))
+    del table[("stop", "^", "^", "^")]
+    with pytest.raises(ValidationError, match=exactly("machine: unknown move 'U'")):
+        machine_with(table)
+    # Missing keys are found in states x SYMBOLS^3 order, where '_'
+    # comes before '^'.
+    table = faulty_table()
+    del table[("begin", "0", "0", "^")]
+    del table[("begin", "0", "0", "_")]
+    missing = "transition table not total, missing (begin, 0, 0, _)"
+    with pytest.raises(ValidationError, match=exactly(f"machine: {missing}")):
+        machine_with(table)
+    # table0 is checked before table1.
+    with pytest.raises(ValidationError, match=exactly(f"table0: {missing}")):
+        ndtm_with(table, faulty_table(bad_move))
 
 
 # -- NDTM --------------------------------------------------------------------
