@@ -17,7 +17,7 @@ by iterative deepening up to a depth budget.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -42,7 +42,10 @@ class _Program(NamedTuple):
     """A transition table compiled for :func:`_advance`.  Entry
     ``64·q + 16·c_in + 4·c_work + c_out`` of ``code`` holds ``(64·q',
     work byte, out byte, move_in, move_work, move_out)`` with moves coded
-    -1/0/+1; ``halt`` is ``64·q`` of the state that stops a run, or -1."""
+    -1/0/+1, and ``~(64·q')`` in place of ``64·q'`` for a transition that
+    stops a run: one into the halt state, or a stationary self-loop (same
+    state, the symbols read written back, no move), whose configuration is
+    its own successor.  ``halt`` is ``64·q`` of the halt state, or -1."""
 
     code: list
     states: tuple[str, ...]
@@ -51,31 +54,39 @@ class _Program(NamedTuple):
 
 
 def _compile(states: tuple[str, ...], table: TransitionTable, label: str,
-             halt_state=None) -> _Program:
-    """Check each transition of ``table`` as it is encoded, then that the
-    table is total.  The first bad transition in the dict's order, else the
+             halt_state=None, rows: bool = False) -> _Program:
+    """Check that no state is listed twice, then each transition of
+    ``table`` as it is encoded, then that the table is total.  A repeated
+    state, else the first bad transition in the dict's order, else the
     first missing key in ``states`` x ``SYMBOLS``^3 order, raises a
-    ValidationError led by ``label``."""
+    ValidationError led by ``label``; with ``rows``, a bad transition is
+    also named by its position, ``transitions[<pos>]``."""
     index = {q: i for i, q in enumerate(states)}
+    if len(index) < len(states):
+        twice = next(q for i, q in enumerate(states) if index[q] != i)
+        raise ValidationError(f"{label}: state {twice!r} listed twice")
     code = [None] * (64 * len(states))
-    for key, action in table.items():
+    for pos, (key, action) in enumerate(table.items()):
+        at = f"{label}: transitions[{pos}]" if rows else label
         q, s_in, s_work, s_out = key
         if q not in index:
-            raise ValidationError(f"{label}: unknown state {q!r} in transition key")
+            raise ValidationError(f"{at}: unknown state {q!r} in transition key")
         for sym in (s_in, s_work, s_out):
             if sym not in SYMBOLS:
-                raise ValidationError(f"{label}: unknown symbol {sym!r} in transition key")
+                raise ValidationError(f"{at}: unknown symbol {sym!r} in transition key")
         q2, w_work, w_out, m_in, m_work, m_out = action
         if q2 not in index:
-            raise ValidationError(f"{label}: unknown target state {q2!r}")
+            raise ValidationError(f"{at}: unknown target state {q2!r}")
         for sym in (w_work, w_out):
             if sym not in SYMBOLS:
-                raise ValidationError(f"{label}: unknown write symbol {sym!r}")
+                raise ValidationError(f"{at}: unknown write symbol {sym!r}")
         for move in (m_in, m_work, m_out):
             if move not in MOVES:
-                raise ValidationError(f"{label}: unknown move {move!r}")
+                raise ValidationError(f"{at}: unknown move {move!r}")
         slot = 64 * index[q] + 16 * (ord(s_in) & 3) + 4 * (ord(s_work) & 3) + (ord(s_out) & 3)
-        code[slot] = (64 * index[q2], ord(w_work), ord(w_out),
+        stops = q2 == halt_state or (q2, w_work, w_out, m_in, m_work, m_out) == (
+            q, s_work, s_out, "S", "S", "S")
+        code[slot] = (~(64 * index[q2]) if stops else 64 * index[q2], ord(w_work), ord(w_out),
                       _MOVE_STEP[m_in], _MOVE_STEP[m_work], _MOVE_STEP[m_out])
     for q in states:
         for s1, s2, s3 in itertools.product(SYMBOLS, repeat=3):
@@ -89,19 +100,22 @@ def _compile(states: tuple[str, ...], table: TransitionTable, label: str,
 @dataclass(frozen=True)
 class TuringMachine:
     """A deterministic machine; its table is checked and compiled in one
-    pass, at construction."""
+    pass, at construction.  ``_file`` (set by :func:`load_machine`) leads
+    table faults with ``machine file`` and names a bad row by position."""
 
     states: tuple[str, ...]
     start_state: str
     halt_state: str
     table: TransitionTable
+    _file: InitVar[bool] = False
     _program: _Program = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _file):
         if self.start_state not in self.states or self.halt_state not in self.states:
             raise ValidationError("start and halt states must be listed in states")
+        label = "machine file" if _file else "machine"
         object.__setattr__(self, "_program",
-                           _compile(self.states, self.table, "machine", self.halt_state))
+                           _compile(self.states, self.table, label, self.halt_state, _file))
 
 
 @dataclass(frozen=True)
@@ -164,14 +178,18 @@ class Configuration:
 def _advance(program: _Program, config: Configuration, limit: int,
              lines: list[str] | None = None) -> int:
     """Apply up to ``limit`` transitions to ``config`` in place, stopping
-    early in the program's halt state, and return the number applied.
-    With ``lines`` given, appends ``"<step> | <render>"`` after each one."""
-    code, states, halt = program.code, program.states, program.halt
+    early in the program's halt state, and return the number applied.  A
+    stationary self-loop repeats its configuration, so once one is taken
+    every remaining step counts without being stepped.  With ``lines``
+    given, appends ``"<step> | <render>"`` after each one."""
+    code, states = program.code, program.states
     q = 64 * program.index[config.state]
+    if q == program.halt:
+        q = ~q
     t_in, t_work, t_out = config.tapes
     h_in, h_work, h_out = config.heads
     steps = 0
-    while steps < limit and q != halt:
+    while steps < limit and q >= 0:
         q, t_work[h_work], t_out[h_out], m_in, m_work, m_out = code[
             q + 16 * (t_in[h_in] & 3) + 4 * (t_work[h_work] & 3) + (t_out[h_out] & 3)]
         if m_in:
@@ -194,9 +212,14 @@ def _advance(program: _Program, config: Configuration, limit: int,
                 t_out.append(_BLANK_BYTE)
         steps += 1
         if lines is not None:
-            config.state, config.heads[:] = states[q >> 6], (h_in, h_work, h_out)
+            config.state, config.heads[:] = states[max(q, ~q) >> 6], (h_in, h_work, h_out)
             lines.append(f"{steps} | {config.render()}")
-    config.state, config.heads[:] = states[q >> 6], (h_in, h_work, h_out)
+    config.state, config.heads[:] = states[max(q, ~q) >> 6], (h_in, h_work, h_out)
+    if q < 0 and ~q != program.halt:
+        if lines is not None:
+            tail = f" | {config.render()}"
+            lines.extend(f"{n}{tail}" for n in range(steps + 1, limit + 1))
+        steps = limit
     return steps
 
 
@@ -327,7 +350,7 @@ def load_machine(text: str) -> TuringMachine:
         states=tuple(states),
         start_state=read_field(obj, "start_state", str, where),
         halt_state=read_field(obj, "halt_state", str, where),
-        table=table)
+        table=table, _file=True)
 
 
 def dense_table(states: tuple[str, ...], rules: dict, default) -> TransitionTable:

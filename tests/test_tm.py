@@ -1,6 +1,7 @@
 """Turing machine step semantics, golden traces, and NDTM acceptance."""
 
 import itertools
+import json
 import random
 import re
 from pathlib import Path
@@ -130,10 +131,10 @@ def test_bundled_machines_round_trip():
 
 def test_load_rejects_missing_transition():
     machine = immediate_halt_machine()
-    import json
     obj = json.loads(save_machine(machine))
     del obj["transitions"][0]
-    with pytest.raises(ValidationError, match="not total"):
+    with pytest.raises(ValidationError, match=exactly(
+            "machine file: transition table not total, missing (begin, 0, 0, 0)")):
         load_machine(json.dumps(obj))
 
 
@@ -227,6 +228,96 @@ def test_table_faults_are_reported_in_a_fixed_order():
     # table0 is checked before table1.
     with pytest.raises(ValidationError, match=exactly(f"table0: {missing}")):
         ndtm_with(table, faulty_table(bad_move))
+
+
+@pytest.mark.parametrize("pos", [0, 37])
+@pytest.mark.parametrize("column, value, message", [
+    (0, "nowhere", "unknown state 'nowhere' in transition key"),
+    (2, "x", "unknown symbol 'x' in transition key"),
+    (4, "nowhere", "unknown target state 'nowhere'"),
+    (5, "x", "unknown write symbol 'x'"),
+    (8, "U", "unknown move 'U'"),
+])
+def test_bad_file_transition_is_named_by_its_row(pos, column, value, message):
+    obj = json.loads(data_path("copier.json").read_text())
+    obj["transitions"][pos][column] = value
+    with pytest.raises(ValidationError,
+                       match=exactly(f"machine file: transitions[{pos}]: {message}")):
+        load_machine(json.dumps(obj))
+
+
+def test_repeated_state_is_refused():
+    states = ("a", "a", "h")
+    table = dense_table(states, {}, halt_default("h"))
+    with pytest.raises(ValidationError, match=exactly("machine: state 'a' listed twice")):
+        TuringMachine(states=states, start_state="a", halt_state="h", table=table)
+    with pytest.raises(ValidationError, match=exactly("table0: state 'a' listed twice")):
+        NDTM(states=("a", "a", "h", "r"), start_state="a", accept_state="h",
+             reject_state="r", table0=table, table1=table)
+    obj = json.loads(data_path("looper.json").read_text())
+    obj["states"] = ["spin", "halt", "spin"]
+    with pytest.raises(ValidationError,
+                       match=exactly("machine file: state 'spin' listed twice")):
+        load_machine(json.dumps(obj))
+
+
+# -- stationary self-loops ----------------------------------------------------
+
+def walk_then_rest_machine():
+    """Copies the input to the work tape, one cell per step.  On the first
+    blank input cell it enters ``turn`` with no write and no move, which
+    is not a self-loop, then ``rest``, whose every transition is a
+    stationary self-loop: the configuration repeats from then on."""
+    states = ("walk", "turn", "rest", "halt")
+
+    def default(q, s_in, s_work, s_out):
+        if q == "walk" and s_in != BLANK:
+            return ("walk", s_in, s_out, "R", "R", "S")
+        if q == "walk":
+            return ("turn", s_work, s_out, "S", "S", "S")
+        if q == "turn":
+            return ("rest", s_work, "1", "S", "S", "R")
+        return (q, s_work, s_out, "S", "S", "S")
+
+    return TuringMachine(states=states, start_state="walk", halt_state="halt",
+                         table=dense_table(states, {}, default))
+
+
+@pytest.mark.parametrize("input_string", ["", "101"])
+@pytest.mark.parametrize("extra", [-2, -1, 0, 1, 2, 40])
+@pytest.mark.parametrize("trace", [False, True])
+def test_stationary_loop_matches_reference(input_string, extra, trace):
+    machine = walk_then_rest_machine()
+    # The first stationary step is step len(input_string) + 4.
+    budget = max(len(input_string) + 4 + extra, 1)
+    result = run(machine, input_string, budget, trace=trace)
+    status, steps, output, lines = reference_run(machine, input_string, budget)
+    assert status == "budget_exceeded" and isinstance(result, BudgetExceeded)
+    assert result.steps == steps == budget
+    assert getattr(result, "output", None) == output
+    assert list(result.trace) == (lines if trace else [])
+
+
+def test_stationary_loop_at_a_huge_budget_and_by_one_step():
+    assert run(bundled("looper"), "1", 10**12) == BudgetExceeded(steps=10**12)
+    machine = walk_then_rest_machine()
+    config = Configuration.initial("walk", "")
+    for _ in range(4):
+        step(machine, config)
+    rendered = config.render()
+    step(machine, config)
+    assert config.render() == rendered
+
+
+def test_start_in_halt_state_takes_no_steps():
+    states = ("halt", "other")
+
+    def default(_q, _s1, s2, s3):
+        return ("other", s2, s3, "R", "R", "R")
+
+    machine = TuringMachine(states=states, start_state="halt", halt_state="halt",
+                            table=dense_table(states, {}, default))
+    assert run(machine, "10", 5, trace=True) == Halted(output="", steps=0)
 
 
 # -- NDTM --------------------------------------------------------------------
