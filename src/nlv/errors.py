@@ -75,6 +75,10 @@ def read_object(text: str, what: str) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(f"{what}: invalid JSON at line {err.lineno}: {err.msg}") from err
+    except RecursionError as err:
+        raise ParseError(f"{what}: invalid JSON: nested too deeply") from err
+    except ValueError as err:   # an integer literal past Python's digit limit
+        raise ParseError(f"{what}: invalid JSON: integer literal too long") from err
     if not isinstance(obj, dict):
         raise ParseError(f"{what}: top level must be an object")
     return obj
@@ -99,12 +103,15 @@ def read_field(obj, key: str, kind: type, what: str):
 
 def read_count(obj, key: str, what: str) -> int:
     """Field ``key`` of ``obj`` as a count: an integral number >= 1, so
-    that 2.0 reads as 2 and true is refused."""
+    that 2.0 reads as 2 and true is refused, and no larger than a numpy
+    index, so that no size computed from it is too long to print."""
     value = _get(obj, key, what)
     if type(value) is float and value.is_integer():
         value = int(value)
     if type(value) is not int or value < 1:
         raise ParseError(f"{what}: {key} must be an integer >= 1, got {value!r}")
+    if value > np.iinfo(np.intp).max:
+        raise ParseError(f"{what}: {key} out of range")
     return value
 
 
@@ -118,10 +125,14 @@ def _has_shape(values, shape: tuple[int, ...]) -> bool:
 
 def read_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
     """Nested lists of numbers of exactly ``shape`` as a float64 array.
-    The shape is checked before anything is allocated."""
+    The shape is checked before anything is allocated; an integer past
+    float64's range, or a shape numpy cannot hold, is refused."""
     if not _has_shape(values, tuple(shape)):
         raise ParseError(f"{what} must be a numeric array of shape {tuple(shape)}")
-    return np.array(values, dtype=np.float64).reshape(shape)
+    try:
+        return np.array(values, dtype=np.float64).reshape(shape)
+    except (OverflowError, ValueError) as err:
+        raise ParseError(f"{what}: number or dimension out of range") from err
 
 
 _FORMATS = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii}

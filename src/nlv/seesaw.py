@@ -90,24 +90,17 @@ def weigh(matrix: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return (matrix @ stack.reshape(*batch, k * n, d * d)).reshape(*batch, -1, d, d)
 
 
-def gram(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """G[r, (x, a), (y, b)] = sum over m of L[r, x, a, m] R[r, y, b, m] for
-    (R, k, n, m) factor stacks: one (kn, m) by (m, kn) product per row."""
-    rows, k, n, m = left.shape
-    return left.reshape(rows, k * n, m) @ np.swapaxes(right.reshape(rows, k * n, m), -1, -2)
-
-
 def correlations(left: np.ndarray, right: np.ndarray, names) -> np.ndarray:
-    """The (R, k, k, n, n) real correlation tensors p[r, x, y, a, b] =
-    G[r, (x, a), (y, b)], the :func:`gram` product of (R, k, n, m) factor
-    stacks.  Row r's imaginary residual must stay within COMPUTED_TOL, or
-    the error starts with ``names[r]``."""
-    rows, k, n, _ = left.shape
-    p = gram(left, right).reshape(rows, k, n, k, n).swapaxes(2, 3)
-    residual = np.max(np.abs(p.imag), axis=(1, 2, 3, 4))
+    """The (R, k, k, n, n) real correlation tensors p[r, x, y, a, b] = sum
+    over m of L[r, x, a, m] R[r, y, b, m] for (R, k, n, m) factor stacks,
+    one (kn, m) by (m, kn) product per row.  Row r's imaginary residual
+    must stay within COMPUTED_TOL, or the error starts with ``names[r]``."""
+    rows, k, n, m = left.shape
+    g = left.reshape(rows, k * n, m) @ np.swapaxes(right.reshape(rows, k * n, m), -1, -2)
+    residual = np.abs(g.imag).max(axis=(1, 2))
     for r in np.flatnonzero(residual > COMPUTED_TOL):
         raise ValidationError(f"{names[r]}correlation has imaginary residual {residual[r]:.3g}")
-    return np.ascontiguousarray(p.real)
+    return np.ascontiguousarray(g.real.reshape(rows, k, n, k, n).swapaxes(2, 3))
 
 
 # Per-outcome checks of the measurement validator: message, and the sign

@@ -18,10 +18,10 @@ import numpy as np
 from .classical import first_best
 from .errors import (CapExceededError, DefectTooLargeError, ParseError, Report, dump_json,
                      read_count, read_field, read_object)
-from .game import COMPUTED_TOL, Game, Strategy, payoff, payoff_matrix
+from .game import COMPUTED_TOL, Game, Strategy, correlation_values, payoff
 from .linalg import dagger, frobenius, identity, interleave
 from .quantum import MeasurementFamily, answer_pvms, read_outcomes, stack_families
-from .seesaw import (ITERS, POVM, PVM, Search, best_response, climb, correlations, gram,
+from .seesaw import (ITERS, POVM, PVM, Search, best_response, climb, correlations,
                      random_block_families, seesaw_search, validate_stack, weigh)
 
 REPAIR_DEFECT_CAP = 0.1
@@ -77,19 +77,14 @@ def validate_family(family: TracialPVMFamily, tol: float = COMPUTED_TOL) -> Repo
     return validate_stack([""], zip(SYNCHRONOUS.labels, (family.families[None],)), PVM, tol)
 
 
-def _trace_factors(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor stacks whose Gram product is tr(f^x_a f^y_b) for an (R, k, n,
-    d, d) stack: the trace of a product is the entrywise product of one
-    factor with the other's transpose."""
-    rows, k, n, d, _ = f.shape
-    return f.reshape(rows, k, n, d * d), np.swapaxes(f, -1, -2).reshape(rows, k, n, d * d)
-
-
 def _tracial_correlations(chunk, names) -> np.ndarray:
     """tr(f^x_a f^y_b) / d for each row of a chunk's (R, k, n, d, d)
-    families, as :func:`~nlv.seesaw.correlations`."""
+    families, as :func:`~nlv.seesaw.correlations`: the trace of a product
+    is the entrywise product of one factor with the other's transpose."""
     (f,) = chunk
-    return correlations(*_trace_factors(f), names) / f.shape[-1]
+    rows, k, n, d, _ = f.shape
+    return correlations(f.reshape(rows, k, n, d * d),
+                        np.swapaxes(f, -1, -2).reshape(rows, k, n, d * d), names) / d
 
 
 def tracial_correlation(family: TracialPVMFamily) -> Strategy:
@@ -144,12 +139,6 @@ def _coupling(game: Game, d: int) -> tuple[np.ndarray, np.ndarray]:
     return coupling.transpose(0, 2, 1, 3).reshape(k, n, k * n), same
 
 
-def _trace_score(matrix: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """sum over (x, a), (y, b) of matrix[(x, a), (y, b)] Re tr(f^x_a f^y_b)
-    / d for each row of an (R, k, n, d, d) stack: one Gram product."""
-    return (matrix * gram(*_trace_factors(f)).real).sum(axis=(1, 2)) / f.shape[-1]
-
-
 def _sync_seesaw(game: Game, d: int, rngs: list[np.random.Generator],
                  iters: int) -> tuple[np.ndarray]:
     """The synchronous restart kernel, from random block PVMs, run by
@@ -157,18 +146,18 @@ def _sync_seesaw(game: Game, d: int, rngs: list[np.random.Generator],
     questions, each question one best response over the stack against the
     trace objective with the other families held fixed, its weights one
     product of its rows of the coupling matrix with the flattened families.
+    A round is scored as the search certifies it, by its correlations' value.
 
     Since tr(P^2) = tr(P), the same-question terms are linear too: family
     x scores tr(f^x_a) V[x, x, a, a] / d, so ranks may change."""
     k, n = game.k, game.n
     coupling, same = _coupling(game, d)
-    score = payoff_matrix(game)
 
     def step(rows):
         (f,) = rows
         for x in range(k):
             f[:, x] = best_response(weigh(coupling[x], f) + same[x], f[:, x])
-        return rows, _trace_score(score, f)
+        return rows, correlation_values(game, _tracial_correlations(rows, [""] * len(f)))
 
     return climb(step, (random_block_families(k, n, d, rngs),), iters)
 

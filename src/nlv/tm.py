@@ -65,7 +65,7 @@ def _compile(states: tuple[str, ...], table: TransitionTable, label: str,
     if len(index) < len(states):
         twice = next(q for i, q in enumerate(states) if index[q] != i)
         raise ValidationError(f"{label}: state {twice!r} listed twice")
-    code = [None] * (64 * len(states))
+    entries = {}   # slot -> entry; the program is allocated once the table is total
     for pos, (key, action) in enumerate(table.items()):
         at = f"{label}: transitions[{pos}]" if rows else label
         q, s_in, s_work, s_out = key
@@ -86,13 +86,14 @@ def _compile(states: tuple[str, ...], table: TransitionTable, label: str,
         slot = 64 * index[q] + 16 * (ord(s_in) & 3) + 4 * (ord(s_work) & 3) + (ord(s_out) & 3)
         stops = q2 == halt_state or (q2, w_work, w_out, m_in, m_work, m_out) == (
             q, s_work, s_out, "S", "S", "S")
-        code[slot] = (~(64 * index[q2]) if stops else 64 * index[q2], ord(w_work), ord(w_out),
-                      _MOVE_STEP[m_in], _MOVE_STEP[m_work], _MOVE_STEP[m_out])
+        entries[slot] = (~(64 * index[q2]) if stops else 64 * index[q2], ord(w_work), ord(w_out),
+                         _MOVE_STEP[m_in], _MOVE_STEP[m_work], _MOVE_STEP[m_out])
     for q in states:
         for s1, s2, s3 in itertools.product(SYMBOLS, repeat=3):
             if (q, s1, s2, s3) not in table:
                 raise ValidationError(
                     f"{label}: transition table not total, missing ({q}, {s1}, {s2}, {s3})")
+    code = [entries[slot] for slot in range(64 * len(states))]
     halt = -1 if halt_state is None else 64 * index[halt_state]
     return _Program(code, states, index, halt)
 

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -510,6 +511,83 @@ def test_restart_past_byte_cap_is_refused_before_allocation(tmp_path, capsys):
             "--family-out", str(tmp_path / "never-written.json")]
     assert "needs 5033164800 bytes exceeding cap" in domain_error_line(capsys, argv)
     assert not (tmp_path / "never-written.json").exists()
+
+
+# A run that reads each file kind from ``path``; the searches read games.
+READS = {
+    "classical": ("game file", lambda path: ["classical", "--game", path]),
+    "quantum-lb": ("game file", lambda path: ["quantum-lb", "--game", path, "--dim", "2",
+                                              "--restarts", "1", "--seed", "0"]),
+    "sync-lb": ("game file", lambda path: ["sync-lb", "--game", path, "--dim", "2",
+                                           "--restarts", "1", "--seed", "0"]),
+    "value": ("strategy file", lambda path: ["value", "--game", CHSH, "--strategy", path]),
+    "moments-map": ("matrices file", lambda path: ["moments", "map", "--n", "1", "--d", "1",
+                                                   "--matrices", path]),
+    "tm-run": ("machine file", lambda path: ["tm", "run", "--machine", path, "--budget", "10"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READS))
+def test_deeply_nested_file_is_refused_on_one_line(tmp_path, capsys, name):
+    # 100,000 nested lists: past the JSON decoder's recursion limit on any
+    # Python version (1,100 already is on 3.10 and 3.11).
+    kind, argv = READS[name]
+    path = tmp_path / "deep.json"
+    path.write_text('{"x": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    line = domain_error_line(capsys, argv(str(path)))
+    assert line == f"error: {kind}: invalid JSON: nested too deeply"
+
+
+# An integer of 400 digits parses, but overflows float64.
+BIG = "9" * 400
+
+
+@pytest.mark.parametrize("name, text, where", [
+    ("classical", f'{{"k": 1, "n": 1, "pi": [[{BIG}]], "wins": []}}', "'pi'"),
+    ("value", json.dumps({"k": 2, "n": 2, "p": np.full((2, 2, 2, 2), 0.25).tolist()}).replace(
+        "0.25", BIG, 1), "'p'"),
+    ("moments-map", f'{{"dim": 1, "matrices": [[{BIG}, 0]]}}', "matrix 1"),
+], ids=["game", "strategy", "matrices"])
+def test_number_past_float64_is_refused_on_one_line(tmp_path, capsys, name, text, where):
+    kind, argv = READS[name]
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    line = domain_error_line(capsys, argv(str(path)))
+    assert line == f"error: {kind}: {where}: number or dimension out of range"
+
+
+# 3,001 digits parse, but k^2 n^2 or the shape of a dim x dim matrix would
+# be too long to print.
+HUGE = "1" + "0" * 3000
+
+
+@pytest.mark.parametrize("name, text, key", [
+    ("classical", f'{{"k": {HUGE}, "n": 1, "pi": [], "wins": []}}', "k"),
+    ("moments-map", f'{{"dim": {HUGE}, "matrices": [[0.5, 0]]}}', "dim"),
+], ids=["game", "matrices"])
+def test_count_past_a_numpy_index_is_refused_on_one_line(tmp_path, capsys, name, text, key):
+    kind, argv = READS[name]
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    assert domain_error_line(capsys, argv(str(path))) == f"error: {kind}: {key} out of range"
+
+
+@pytest.mark.parametrize("limit", ["default", "none"])
+def test_overlong_integer_is_refused_on_one_line(tmp_path, capsys, limit):
+    # 5,000 digits: past Python's default limit on integer literals; with
+    # no limit it parses and overflows float64 instead.
+    path = tmp_path / "long.json"
+    path.write_text(f'{{"k": 1, "n": 1, "pi": [[{"9" * 5000}]], "wins": []}}')
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    setter = getattr(sys, "set_int_max_str_digits", lambda _digits: None)
+    setter(0 if limit == "none" else old)
+    try:
+        line = domain_error_line(capsys, ["classical", "--game", str(path)])
+    finally:
+        setter(old)
+    expected = ("invalid JSON: integer literal too long" if limit == "default" and old
+                else "'pi': number or dimension out of range")
+    assert line == f"error: game file: {expected}"
 
 
 # One position of a bundled file gets one of these: wrong types, empty and

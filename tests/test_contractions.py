@@ -10,13 +10,14 @@ required within 1e-12: complex128 rounding of traces at local dimension
 import numpy as np
 import pytest
 
-from nlv.game import payoff, payoff_matrix, random_game
+from nlv.game import correlation_values, payoff, payoff_matrix, random_game
 from nlv.linalg import dagger, identity
 from nlv.quantum import (COMMUTING, TENSOR, QuantumStrategySpec, _game_operator, _weights,
                          quantum_correlation)
 from nlv.rng import generator
 from nlv.seesaw import random_block_families, weigh
-from nlv.synchronous import (TracialPVMFamily, _coupling, _trace_score, tracial_correlation)
+from nlv.synchronous import (TracialPVMFamily, _coupling, _tracial_correlations,
+                             tracial_correlation)
 
 TOL = 1e-12
 SHAPES = [(1, 2, 1, 3), (2, 2, 2, 2), (2, 3, 3, 2), (3, 2, 2, 4), (3, 3, 4, 3)]
@@ -173,4 +174,5 @@ def test_sync_weights_and_round_score_match_loops(k, n, d_a, d_b):
                     score += (game.pi[x, y] * game.wins[x, y, a, b]
                               * np.trace(f[x, a] @ f[y, b]).real / d)
         assert np.max(np.abs(weigh(coupling[x], f[None])[0] + same[x] - want)) <= TOL
-    assert abs(_trace_score(payoff_matrix(game), f[None])[0] - score) <= TOL
+    got = correlation_values(game, _tracial_correlations((f[None],), [""]))[0]
+    assert abs(got - score) <= TOL

@@ -322,6 +322,8 @@ def test_family_file_round_trip():
     (lambda obj: obj["families"][1][1].__setitem__(0, True),
      r"family file: families\[1\] outcome 2 must be a numeric array of shape \(8,\)"),
     (lambda obj: obj.update(families=[]), "need at least one family"),
+    (lambda obj: obj.update(dim=10 ** 10, families=[]),
+     "family file: families: number or dimension out of range"),
 ])
 def test_load_family_refuses_bad_files(edit, message):
     obj = json.loads(save_family(sync_value_lower_bound(chsh_game(), 2, 1, 0, iters=5)[1]))

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -259,6 +260,23 @@ def test_repeated_state_is_refused():
     with pytest.raises(ValidationError,
                        match=exactly("machine file: state 'spin' listed twice")):
         load_machine(json.dumps(obj))
+
+
+def test_table_is_checked_before_its_program_is_allocated():
+    # 64 slots per state would be 1,280,000 list slots (10 MB); the refusal
+    # needs the parsed file, its state index and little more.
+    n = 20_000
+    text = json.dumps({"states": [f"s{i}" for i in range(n)], "start_state": "s0",
+                       "halt_state": "s1", "transitions": []})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=exactly(
+                "machine file: transition table not total, missing (s0, 0, 0, 0)")):
+            load_machine(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 64 * n / 2
 
 
 # -- stationary self-loops ----------------------------------------------------
