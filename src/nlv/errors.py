@@ -68,6 +68,14 @@ class Report:
 _JSON_TYPES = {list: "a list", str: "a string", dict: "an object"}
 
 
+def excerpt(value) -> str:
+    """File content as an error line shows it: ``repr(value)``, whose line
+    breaks stay escaped, and past 40 characters only its first 20 and last
+    17 around ``...``."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:20]}...{text[-17:]}"
+
+
 def read_object(text: str, what: str) -> dict:
     """The top-level object of a JSON document; ``what`` names the file
     kind in errors, e.g. ``"game file"``."""
@@ -109,7 +117,7 @@ def read_count(obj, key: str, what: str) -> int:
     if type(value) is float and value.is_integer():
         value = int(value)
     if type(value) is not int or value < 1:
-        raise ParseError(f"{what}: {key} must be an integer >= 1, got {value!r}")
+        raise ParseError(f"{what}: {key} must be an integer >= 1, got {excerpt(value)}")
     if value > np.iinfo(np.intp).max:
         raise ParseError(f"{what}: {key} out of range")
     return value

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import data_path
 from .errors import (CapExceededError, DimensionMismatchError, ParseError, Report, ValidationError,
-                     dump_json, read_array, read_count, read_field, read_object)
+                     dump_json, excerpt, read_array, read_count, read_field, read_object)
 from .rng import generator
 
 DIST_TOL = 1e-12       # distributions supplied in files
@@ -151,20 +151,20 @@ def game_value(game: Game, strategy: Strategy) -> float:
     if game.k != strategy.k or game.n != strategy.n:
         raise DimensionMismatchError(
             f"game is ({game.k}, {game.n}) but strategy is ({strategy.k}, {strategy.n})")
-    return float(correlation_values(game, strategy.p[None])[0])
+    return float(correlation_values(payoff(game), strategy.p[None])[0])
 
 
-def correlation_values(game: Game, p: np.ndarray) -> np.ndarray:
-    """Value of each correlation tensor of an (R, k, k, n, n) stack: the sum
-    of payoff * p over each tensor's entries in row-major order, so a
-    tensor scores the same bits alone as in any stack."""
-    return (payoff(game) * p).reshape(len(p), -1).sum(axis=-1)
+def correlation_values(v: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Value of each tensor of an (R, k, k, n, n) correlation stack under the
+    :func:`payoff` ``v``: the sum of v * p over its entries in row-major
+    order, so a tensor scores the same bits alone as in any stack."""
+    return (v * p).reshape(len(p), -1).sum(axis=-1)
 
 
 def payoff(game: Game) -> np.ndarray:
     """V[x, y, a, b] = pi(x, y) D(x, y, a, b): the weight of each answer
-    pair."""
-    return game.pi[:, :, None, None] * game.wins
+    pair, read-only like the game's arrays."""
+    return _frozen_array(game.pi[:, :, None, None] * game.wins)
 
 
 def payoff_matrix(game: Game) -> np.ndarray:
@@ -207,7 +207,9 @@ def load_game(text: str) -> Game:
             raise ParseError(f"{where}: wins[{pos}] must be a list of four integers")
         x, y, a, b = entry
         if not (1 <= x <= k and 1 <= y <= k and 1 <= a <= n and 1 <= b <= n):
-            raise ParseError(f"{where}: wins[{pos}] = {entry} out of range for k={k}, n={n}")
+            i = next(i for i, top in enumerate((k, k, n, n)) if not 1 <= entry[i] <= top)
+            raise ParseError(f"{where}: wins[{pos}][{i}] = {excerpt(entry[i])} out of range "
+                             f"[1..{(k, k, n, n)[i]}]")
         wins[x - 1, y - 1, a - 1, b - 1] = 1.0
     game = Game(k=k, n=n, pi=pi, wins=wins)
     validate_game(game).raise_if_failed("game")

@@ -21,10 +21,10 @@ import numpy as np
 
 from .classical import DeterministicStrategy, check_answer_range, check_mixture, classical_value
 from .errors import (CapExceededError, DimensionMismatchError, ParseError, Report,
-                     ValidationError, dump_json, read_count, read_field, read_object)
-from .game import COMPUTED_TOL, Game, Strategy, payoff_matrix
+                     ValidationError, dump_json, excerpt, read_count, read_field, read_object)
+from .game import COMPUTED_TOL, Game, Strategy, payoff, payoff_matrix
 from .linalg import as_complex, dagger, deinterleave, identity, interleave, psd_sqrt
-from .seesaw import (ITERS, POVM, PVM, Search, best_response, climb, correlations,
+from .seesaw import (ITERS, POVM, PVM, Prepared, Search, best_response, climb, correlations,
                      random_block_families, seesaw_search, validate_stack, weigh)
 
 MAX_STATE_DIM = 1024   # d^2 for the entangled search: its game operator is d^2 x d^2
@@ -101,7 +101,8 @@ def stack_families(families, measurement: str) -> np.ndarray:
     is such an array, a sequence of (n, d, d) stacks, or a sequence of
     :class:`MeasurementFamily` objects flavored ``measurement``."""
     if measurement not in (POVM, PVM):
-        raise ValidationError(f"measurement must be '{POVM}' or '{PVM}', got {measurement!r}")
+        raise ValidationError(
+            f"measurement must be '{POVM}' or '{PVM}', got {excerpt(measurement)}")
     for x, fam in enumerate(families):
         if isinstance(fam, MeasurementFamily) and fam.flavor != measurement:
             raise ValidationError(f"family {x + 1} must be flavored '{measurement}'")
@@ -162,7 +163,7 @@ class QuantumStrategySpec:
     def __post_init__(self):
         if self.flavor not in (TENSOR, COMMUTING):
             raise ValidationError(
-                f"flavor must be '{TENSOR}' or '{COMMUTING}', got {self.flavor!r}")
+                f"flavor must be '{TENSOR}' or '{COMMUTING}', got {excerpt(self.flavor)}")
         alice = stack_families(self.alice, self.measurement)
         bob = stack_families(self.bob, self.measurement)
         if alice.shape[:2] != bob.shape[:2]:
@@ -370,7 +371,7 @@ def _game_operator(alice: np.ndarray, t: np.ndarray) -> np.ndarray:
         *batch, d_a * d_b, d_a * d_b)
 
 
-def _seesaw(game: Game, dim: int, rngs: list[np.random.Generator],
+def _seesaw(record: Prepared, rngs: list[np.random.Generator],
             iters: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The entangled restart kernel, from random block PVMs (Alice's, then
     Bob's), run by :func:`~nlv.seesaw.climb`.  Each round takes the top
@@ -379,8 +380,8 @@ def _seesaw(game: Game, dim: int, rngs: list[np.random.Generator],
     scores Bob's objective at his response: <psi| A kron B |psi> =
     Re tr(B M^T A^T M-bar), so it is sum over (y, b) of Re tr(B W) with
     Bob's weights W."""
-    k, n = game.k, game.n
-    v = payoff_matrix(game).astype(np.complex128)   # spares matmul a cast per call
+    k, n, dim = record.game.k, record.game.n, record.dim
+    v = record.matrix
     starts = random_block_families(2 * k, n, dim, rngs)
 
     def step(rows):
@@ -406,11 +407,13 @@ def _seesaw(game: Game, dim: int, rngs: list[np.random.Generator],
 # payoff-weighted stacks, a player's weights and best-response
 # temporaries, and the certification of its row).
 ENTANGLED = Search(
+    prepare=lambda game, dim: Prepared(
+        game, dim, payoff(game), 16 * (3 * dim ** 4 + 12 * game.k * game.n * dim * dim),
+        payoff_matrix(game).astype(np.complex128)),   # spares matmul a cast per call
     restart=_seesaw, labels=("", "alice family {}: ", "bob family {}: "),
-    restart_bytes=lambda game, dim: 16 * (3 * dim ** 4 + 12 * game.k * game.n * dim * dim),
     correlate=_tensor_correlations,
-    seed=lambda game, dim: tuple(arr[None] for arr in _embedded(classical_value(game)[1],
-                                                                 game.k, game.n, dim)))
+    seed=lambda record: tuple(arr[None] for arr in _embedded(
+        classical_value(record.game)[1], record.game.k, record.game.n, record.dim)))
 
 
 def entangled_lower_bound(game: Game, dim: int, restarts: int, seed: int,
@@ -492,6 +495,6 @@ def load_spec(text: str) -> QuantumStrategySpec:
 
     alice, bob = side("alice", d_a), side("bob", d_b)
     if len(flavors) > 1:
-        raise ParseError(f"{where}: families mix flavors {sorted(flavors)}")
+        raise ParseError(f"{where}: families mix flavors {excerpt(sorted(flavors))}")
     return QuantumStrategySpec(flavor=flavor, state=state, alice=alice, bob=bob,
                                measurement=flavors.pop() if flavors else PVM)

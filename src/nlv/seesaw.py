@@ -7,7 +7,7 @@ the :class:`Search` each search fills in, and the restart driver
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,28 +53,30 @@ def best_response(weights: np.ndarray, current: np.ndarray) -> np.ndarray:
     halves, so ranks may differ across the stack and an empty pair stays
     empty.  With n = 2 the families must be complete PVMs, as the
     searches' are: then Q = I, one eigh of W_0 - W_1 splits the whole
-    space, and the step is the global optimum.  Both projections of a split
-    are built from their own eigenvectors, which keeps them idempotent to
-    rounding over many rounds.
+    space, ``current`` is not read, and the step is the global optimum.
+    Both projections of a split are built from their own eigenvectors,
+    which keeps them idempotent to rounding over many rounds.
     """
+    n, d = current.shape[-3], current.shape[-1]
+    if n == 2:
+        diff = weights[..., 0, :, :] - weights[..., 1, :, :]
+        gains, split = np.linalg.eigh(diff)
+        positive = gains > 1e-12 * frobenius(diff)[..., None]
+        sides = np.stack((positive, ~positive), axis=-2)[..., None, :]
+        return (split[..., None, :, :] * sides) @ dagger(split)[..., None, :, :]
     out = np.array(current, dtype=np.complex128)
-    n, d = out.shape[-3], out.shape[-1]
     for a in range(n):
         for b in range(a + 1, n):
             diff = weights[..., a, :, :] - weights[..., b, :, :]
             scale = frobenius(diff)[..., None]
-            if n == 2:
-                gains, split = np.linalg.eigh(diff)
-                kept = True
-            else:
-                occupied, basis = np.linalg.eigh(out[..., a, :, :] + out[..., b, :, :])
-                empty = occupied <= 0.5
-                inside = basis * ~empty[..., None, :]
-                sentinel = empty * (-1.0 - 2.0 * scale)
-                gains, rotation = np.linalg.eigh(dagger(inside) @ diff @ inside
-                                                 + identity(d) * sentinel[..., None, :])
-                split = basis @ rotation
-                kept = np.arange(d) >= empty.sum(axis=-1)[..., None]
+            occupied, basis = np.linalg.eigh(out[..., a, :, :] + out[..., b, :, :])
+            empty = occupied <= 0.5
+            inside = basis * ~empty[..., None, :]
+            sentinel = empty * (-1.0 - 2.0 * scale)
+            gains, rotation = np.linalg.eigh(dagger(inside) @ diff @ inside
+                                             + identity(d) * sentinel[..., None, :])
+            split = basis @ rotation
+            kept = np.arange(d) >= empty.sum(axis=-1)[..., None]
             positive = gains > 1e-12 * scale
             for slot, side in ((a, kept & positive), (b, kept & ~positive)):
                 out[..., slot, :, :] = (split * side[..., None, :]) @ dagger(split)
@@ -171,19 +173,30 @@ def climb(step: Callable, rows: tuple, iters: int) -> tuple:
     return rows
 
 
+class Prepared(NamedTuple):
+    """What a search reads from its game at one dimension, derived once per
+    :func:`seesaw_search` call: ``payoff`` is V, ``matrix`` what its kernel weighs with."""
+
+    game: Game
+    dim: int
+    payoff: np.ndarray
+    restart_bytes: int
+    matrix: np.ndarray
+
+
 @dataclass(frozen=True)
 class Search:
     """One see-saw lower-bound search, as :func:`seesaw_search` runs it.
     Its chunks are tuples of arrays over a leading axis of candidates, the
     rows, with the :func:`validate_stack` label of each in ``labels``.
-    ``restart(game, dim, rngs, iters)`` is the chunk of one restart per
-    generator, run as one stacked pass of at most ``iters`` rounds;
-    ``restart_bytes(game, dim)`` bounds the bytes one restart holds;
-    ``correlate(chunk, names)`` gives the rows' (R, k, k, n, n)
-    correlations; ``seed(game, dim)`` is a one-row chunk, or ``()``."""
+    ``prepare(game, dim)`` is the :class:`Prepared` record; ``restart(record,
+    rngs, iters)`` is the chunk of one restart per generator, run as one
+    stacked pass of at most ``iters`` rounds; ``correlate(chunk, names)``
+    gives the rows' (R, k, k, n, n) correlations; ``seed(record)`` is a
+    one-row chunk, or ``()``."""
 
+    prepare: Callable
     restart: Callable
-    restart_bytes: Callable
     labels: tuple[str, ...]
     correlate: Callable
     seed: Callable
@@ -194,8 +207,8 @@ def seesaw_search(game: Game, dim: int, restarts: int, seed: int, iters: int,
     """Driver shared by the see-saw lower-bound searches: one stacked pass
     per restart chunk, covering the draw, the climb and the certification.
 
-    Restarts 0 .. restarts - 1 run in :func:`moments.chunks` of
-    ``search.restart_bytes(game, dim)`` each, restart r drawing from
+    The search's record is prepared once; restarts 0 .. restarts - 1 run in
+    :func:`moments.chunks` of its ``restart_bytes``, restart r drawing from
     ``generator(seed, stream=r)``; the search's seed, asked for only when
     n^k <= ``SEED_ENUMERATION_CAP``, is row 0 of the first chunk, or a chunk
     alone.  Each row's value is computed from its own arrays, in one finite
@@ -210,16 +223,16 @@ def seesaw_search(game: Game, dim: int, restarts: int, seed: int, iters: int,
         raise ValidationError("dimension must be >= 1")
     if restarts < 0 or iters < 1:
         raise ValidationError("restarts must be >= 0 and iters >= 1")
-    restart_bytes = search.restart_bytes(game, dim)
-    if restarts and restart_bytes > MAX_RESTART_BYTES:
-        raise CapExceededError(f"one restart at dim = {dim} needs {restart_bytes} bytes "
+    record = search.prepare(game, dim)
+    if restarts and record.restart_bytes > MAX_RESTART_BYTES:
+        raise CapExceededError(f"one restart at dim = {dim} needs {record.restart_bytes} bytes "
                                f"exceeding cap {MAX_RESTART_BYTES}")
 
     def chunks():
-        front = search.seed(game, dim) if game.n ** game.k <= SEED_ENUMERATION_CAP else ()
+        front = search.seed(record) if game.n ** game.k <= SEED_ENUMERATION_CAP else ()
         names = ["seed: "] if front else []
-        for streams in moments.chunks(restarts, restart_bytes):
-            chunk = search.restart(game, dim, [generator(seed, stream=r) for r in streams], iters)
+        for streams in moments.chunks(restarts, record.restart_bytes):
+            chunk = search.restart(record, [generator(seed, stream=r) for r in streams], iters)
             if front:
                 chunk = tuple(np.concatenate(pair) for pair in zip(front, chunk))
             yield chunk, names + [f"restart {r + 1}: " for r in streams]
@@ -234,7 +247,7 @@ def seesaw_search(game: Game, dim: int, restarts: int, seed: int, iters: int,
         if not finite.all():
             raise ValidationError(f"{names[np.argmin(finite)]}non-finite entries")
         validate_stack(names, zip(search.labels, chunk), PVM).raise_if_failed("see-saw candidate")
-        values = correlation_values(game, search.correlate(chunk, names))
+        values = correlation_values(record.payoff, search.correlate(chunk, names))
         i = int(np.argmax(values))
         if best is None or values[i] > best_value:
             best_value, best = float(values[i]), tuple(arr[i].copy() for arr in chunk)

@@ -21,7 +21,7 @@ from .errors import (CapExceededError, DefectTooLargeError, ParseError, Report, 
 from .game import COMPUTED_TOL, Game, Strategy, correlation_values, payoff
 from .linalg import dagger, frobenius, identity, interleave
 from .quantum import MeasurementFamily, answer_pvms, read_outcomes, stack_families
-from .seesaw import (ITERS, POVM, PVM, Search, best_response, climb, correlations,
+from .seesaw import (ITERS, POVM, PVM, Prepared, Search, best_response, climb, correlations,
                      random_block_families, seesaw_search, validate_stack, weigh)
 
 REPAIR_DEFECT_CAP = 0.1
@@ -107,12 +107,11 @@ def scalar_family(assignment: tuple[int, ...], n: int, d: int) -> TracialPVMFami
     return TracialPVMFamily(families=answer_pvms(assignment, n, d))
 
 
-def _best_scalar_assignment(game: Game) -> tuple[float, tuple[int, ...]]:
+def _best_scalar_assignment(v: np.ndarray) -> tuple[float, tuple[int, ...]]:
     """Exact best deterministic synchronous strategy (both players use the
-    same answer function A) as ``(value, A)``, scoring each A by summing
-    V[x, y, A[x], A[y]] in (x, y) order; ties go to the smallest A."""
-    k = game.k
-    v = payoff(game)
+    same answer function A) as ``(value, A)``, scoring each A by summing the
+    payoff V[x, y, A[x], A[y]] in (x, y) order; ties go to the smallest A."""
+    k, n = v.shape[0], v.shape[2]
 
     def score(answers):
         values = np.zeros(len(answers))
@@ -122,24 +121,22 @@ def _best_scalar_assignment(game: Game) -> tuple[float, tuple[int, ...]]:
         return values
 
     # Per row: two int64 answer rows and three floats.
-    value, best = first_best(k, game.n, 8 * (2 * k + 3), score)
+    value, best = first_best(k, n, 8 * (2 * k + 3), score)
     return value, tuple(int(a) + 1 for a in best)
 
 
-def _coupling(game: Game, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The synchronous see-saw's weights: ``coupling[x]`` is question x's
-    (n, kn) block of rows C[(x, a), (y, b)], the weight of tr(f^x_a f^y_b)
-    / d from both orderings (zero for y = x), and ``same[x, a]`` is (V[x,
-    x, a, a] / d) I, the same-question weight."""
+def _prepare(game: Game, d: int) -> Prepared:
+    """The synchronous record, whose matrix is the see-saw's coupling: its
+    x-th entry is question x's (n, kn) block of rows C[(x, a), (y, b)], the
+    weight of tr(f^x_a f^y_b) / d from both orderings (zero for y = x)."""
     k, n = game.k, game.n
     v = payoff(game)
-    coupling = (v + v.transpose(1, 0, 3, 2)) / d
-    coupling[np.arange(k), np.arange(k)] = 0.0
-    same = np.einsum("xxaa,ij->xaij", v, identity(d)) / d
-    return coupling.transpose(0, 2, 1, 3).reshape(k, n, k * n), same
+    coupling = ((v + v.transpose(1, 0, 3, 2)) / d).transpose(0, 2, 1, 3).reshape(k, n, k * n)
+    coupling.reshape(k, n, k, n)[np.arange(k), :, np.arange(k)] = 0.0
+    return Prepared(game, d, v, 16 * 6 * k * n * d * d, coupling)
 
 
-def _sync_seesaw(game: Game, d: int, rngs: list[np.random.Generator],
+def _sync_seesaw(record: Prepared, rngs: list[np.random.Generator],
                  iters: int) -> tuple[np.ndarray]:
     """The synchronous restart kernel, from random block PVMs, run by
     :func:`~nlv.seesaw.climb`.  Each round is a round-robin over the
@@ -150,14 +147,14 @@ def _sync_seesaw(game: Game, d: int, rngs: list[np.random.Generator],
 
     Since tr(P^2) = tr(P), the same-question terms are linear too: family
     x scores tr(f^x_a) V[x, x, a, a] / d, so ranks may change."""
-    k, n = game.k, game.n
-    coupling, same = _coupling(game, d)
+    k, n, d = record.game.k, record.game.n, record.dim
+    same = np.einsum("xxaa,ij->xaij", record.payoff, identity(d)) / d
 
     def step(rows):
         (f,) = rows
         for x in range(k):
-            f[:, x] = best_response(weigh(coupling[x], f) + same[x], f[:, x])
-        return rows, correlation_values(game, _tracial_correlations(rows, [""] * len(f)))
+            f[:, x] = best_response(weigh(record.matrix[x], f) + same[x], f[:, x])
+        return rows, correlation_values(record.payoff, _tracial_correlations(rows, [""] * len(f)))
 
     return climb(step, (random_block_families(k, n, d, rngs),), iters)
 
@@ -168,10 +165,10 @@ def _sync_seesaw(game: Game, d: int, rngs: list[np.random.Generator],
 # score, one question's weights and best-response temporaries, or the
 # certification of its row.
 SYNCHRONOUS = Search(
-    restart=_sync_seesaw, labels=("family {}: ",),
-    restart_bytes=lambda game, dim: 16 * 6 * game.k * game.n * dim * dim,
+    prepare=_prepare, restart=_sync_seesaw, labels=("family {}: ",),
     correlate=_tracial_correlations,
-    seed=lambda game, dim: (answer_pvms(_best_scalar_assignment(game)[1], game.n, dim)[None],))
+    seed=lambda record: (answer_pvms(_best_scalar_assignment(record.payoff)[1],
+                                     record.game.n, record.dim)[None],))
 
 
 def sync_value_lower_bound(game: Game, dim: int, restarts: int, seed: int,

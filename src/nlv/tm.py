@@ -21,8 +21,8 @@ from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import (MachineHaltedError, ParseError, ValidationError, dump_json, read_field,
-                     read_object)
+from .errors import (MachineHaltedError, ParseError, ValidationError, dump_json, excerpt,
+                     read_field, read_object)
 
 SYMBOLS = ("0", "1", "_", "^")
 BLANK = "_"
@@ -64,25 +64,25 @@ def _compile(states: tuple[str, ...], table: TransitionTable, label: str,
     index = {q: i for i, q in enumerate(states)}
     if len(index) < len(states):
         twice = next(q for i, q in enumerate(states) if index[q] != i)
-        raise ValidationError(f"{label}: state {twice!r} listed twice")
+        raise ValidationError(f"{label}: state {excerpt(twice)} listed twice")
     entries = {}   # slot -> entry; the program is allocated once the table is total
     for pos, (key, action) in enumerate(table.items()):
         at = f"{label}: transitions[{pos}]" if rows else label
         q, s_in, s_work, s_out = key
         if q not in index:
-            raise ValidationError(f"{at}: unknown state {q!r} in transition key")
+            raise ValidationError(f"{at}: unknown state {excerpt(q)} in transition key")
         for sym in (s_in, s_work, s_out):
             if sym not in SYMBOLS:
-                raise ValidationError(f"{at}: unknown symbol {sym!r} in transition key")
+                raise ValidationError(f"{at}: unknown symbol {excerpt(sym)} in transition key")
         q2, w_work, w_out, m_in, m_work, m_out = action
         if q2 not in index:
-            raise ValidationError(f"{at}: unknown target state {q2!r}")
+            raise ValidationError(f"{at}: unknown target state {excerpt(q2)}")
         for sym in (w_work, w_out):
             if sym not in SYMBOLS:
-                raise ValidationError(f"{at}: unknown write symbol {sym!r}")
+                raise ValidationError(f"{at}: unknown write symbol {excerpt(sym)}")
         for move in (m_in, m_work, m_out):
             if move not in MOVES:
-                raise ValidationError(f"{at}: unknown move {move!r}")
+                raise ValidationError(f"{at}: unknown move {excerpt(move)}")
         slot = 64 * index[q] + 16 * (ord(s_in) & 3) + 4 * (ord(s_work) & 3) + (ord(s_out) & 3)
         stops = q2 == halt_state or (q2, w_work, w_out, m_in, m_work, m_out) == (
             q, s_work, s_out, "S", "S", "S")
@@ -91,8 +91,8 @@ def _compile(states: tuple[str, ...], table: TransitionTable, label: str,
     for q in states:
         for s1, s2, s3 in itertools.product(SYMBOLS, repeat=3):
             if (q, s1, s2, s3) not in table:
-                raise ValidationError(
-                    f"{label}: transition table not total, missing ({q}, {s1}, {s2}, {s3})")
+                raise ValidationError(f"{label}: transition table not total, missing "
+                                      f"({excerpt(q)[1:-1]}, {s1}, {s2}, {s3})")   # unquoted
     code = [entries[slot] for slot in range(64 * len(states))]
     halt = -1 if halt_state is None else 64 * index[halt_state]
     return _Program(code, states, index, halt)
@@ -345,7 +345,7 @@ def load_machine(text: str) -> TuringMachine:
             raise ParseError(f"{where}: transitions[{pos}] must be a list of 10 strings")
         key = tuple(row[:4])
         if key in table:
-            raise ParseError(f"{where}: duplicate transition for {key}")
+            raise ParseError(f"{where}: duplicate transition for {excerpt(key)}")
         table[key] = tuple(row[4:])
     return TuringMachine(
         states=tuple(states),

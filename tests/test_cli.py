@@ -572,6 +572,39 @@ def test_count_past_a_numpy_index_is_refused_on_one_line(tmp_path, capsys, name,
     assert domain_error_line(capsys, argv(str(path))) == f"error: {kind}: {key} out of range"
 
 
+def long_wins_index(obj):
+    obj["wins"].append([1, 1, 1, int("9" * 3001)])
+
+
+def long_state_row(obj):
+    obj["transitions"][0][0] = "q" * 5000
+
+
+def long_state_listed(obj):
+    obj["states"].append("q" * 5000)
+
+
+@pytest.mark.parametrize("name, spoil", [
+    ("classical", long_wins_index),
+    ("classical", lambda obj: obj.update(k="x" * 5000)),
+    ("classical", lambda obj: obj.update(k=-int("9" * 3000))),
+    ("tm-run", long_state_row),
+    ("tm-run", long_state_listed),
+    ("tm-run", lambda obj: obj["states"].append("a\nb")),
+], ids=["wins-index", "k-string", "k-negative", "unknown-state", "state-not-covered",
+        "state-with-line-break"])
+def test_long_file_values_give_a_short_error_line(tmp_path, capsys, name, spoil):
+    # The line names the bad value's position and shows at most 40
+    # characters of it, whatever its length, with line breaks escaped.
+    kind, argv = READS[name]
+    obj = json.loads(Path(COPIER if name == "tm-run" else CHSH).read_text())
+    spoil(obj)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(obj))
+    line = domain_error_line(capsys, argv(str(path)))
+    assert line.startswith(f"error: {kind}: ") and len(line) <= 200
+
+
 @pytest.mark.parametrize("limit", ["default", "none"])
 def test_overlong_integer_is_refused_on_one_line(tmp_path, capsys, limit):
     # 5,000 digits: past Python's default limit on integer literals; with

@@ -10,13 +10,14 @@ required within 1e-12: complex128 rounding of traces at local dimension
 import numpy as np
 import pytest
 
+from nlv import synchronous
 from nlv.game import correlation_values, payoff, payoff_matrix, random_game
 from nlv.linalg import dagger, identity
 from nlv.quantum import (COMMUTING, TENSOR, QuantumStrategySpec, _game_operator, _weights,
                          quantum_correlation)
 from nlv.rng import generator
 from nlv.seesaw import random_block_families, weigh
-from nlv.synchronous import (TracialPVMFamily, _coupling, _tracial_correlations,
+from nlv.synchronous import (SYNCHRONOUS, TracialPVMFamily, _sync_seesaw, _tracial_correlations,
                              tracial_correlation)
 
 TOL = 1e-12
@@ -156,10 +157,20 @@ def test_seesaw_weights_match_loops(k, n, d_a, d_b):
 
 
 @pytest.mark.parametrize("k, n, d_a, d_b", SHAPES)
-def test_sync_weights_and_round_score_match_loops(k, n, d_a, d_b):
+def test_sync_weights_and_round_score_match_loops(monkeypatch, k, n, d_a, d_b):
     game, f, _, _ = game_and_families(k, n, d_a, d_b)
     d = d_a
-    coupling, same = _coupling(game, d)
+    # One round of the kernel from f, each best response keeping its family,
+    # records the weights of every question against f.
+    weights = []
+
+    def keep(w, current):
+        weights.append(w[0])
+        return current
+
+    monkeypatch.setattr(synchronous, "random_block_families", lambda *args: f[None].copy())
+    monkeypatch.setattr(synchronous, "best_response", keep)
+    _sync_seesaw(SYNCHRONOUS.prepare(game, d), [None], 1)
     score = 0.0
     for x in range(k):
         want = np.zeros((n, d, d), dtype=np.complex128)
@@ -173,6 +184,6 @@ def test_sync_weights_and_round_score_match_loops(k, n, d_a, d_b):
                         want[a] += weight * f[y, b] / d
                     score += (game.pi[x, y] * game.wins[x, y, a, b]
                               * np.trace(f[x, a] @ f[y, b]).real / d)
-        assert np.max(np.abs(weigh(coupling[x], f[None])[0] + same[x] - want)) <= TOL
-    got = correlation_values(game, _tracial_correlations((f[None],), [""]))[0]
+        assert np.max(np.abs(weights[x] - want)) <= TOL
+    got = correlation_values(payoff(game), _tracial_correlations((f[None],), [""]))[0]
     assert abs(got - score) <= TOL

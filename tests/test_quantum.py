@@ -592,7 +592,8 @@ SEARCH_SHAPES = [(k, n, dim) for k, n in ((2, 2), (3, 2), (2, 3), (3, 3), (2, 4)
 def test_batched_seesaw_matches_serial_reference(k, n, dim):
     for seed in range(4):
         g = random_game(k, n, seed)
-        batched = seesaw_specs(_seesaw(g, dim, [generator(seed, stream=r) for r in range(3)], 60))
+        batched = seesaw_specs(_seesaw(ENTANGLED.prepare(g, dim),
+                                        [generator(seed, stream=r) for r in range(3)], 60))
         for r, spec in enumerate(batched):
             serial = reference_seesaw(g, dim, generator(seed, stream=r), 60)
             assert game_value(g, quantum_correlation(spec)) == pytest.approx(
@@ -601,7 +602,8 @@ def test_batched_seesaw_matches_serial_reference(k, n, dim):
 
 def test_lower_bound_search_output_is_pvm_to_rounding():
     g = random_game(3, 3, seed=4)
-    for spec in seesaw_specs(_seesaw(g, 3, [generator(1, stream=r) for r in range(2)], 60)):
+    rows = _seesaw(ENTANGLED.prepare(g, 3), [generator(1, stream=r) for r in range(2)], 60)
+    for spec in seesaw_specs(rows):
         assert spec.measurement == PVM
         assert validate_spec(spec, tol=1e-12).ok
 
@@ -662,12 +664,23 @@ def test_entangled_round_scores_are_the_certified_values_of_the_rounds_rows(monk
         return climb(recorded, rows, iters)
 
     monkeypatch.setattr(quantum, "climb", recording)
-    _seesaw(game, 3, [generator(7, stream=r) for r in range(3)], 60)
+    _seesaw(ENTANGLED.prepare(game, 3), [generator(7, stream=r) for r in range(3)], 60)
     assert len(rounds) > 2
     for rows, scores in rounds:
         names = [f"restart {r + 1}: " for r in range(len(scores))]
-        values = correlation_values(game, ENTANGLED.correlate(rows, names))
+        values = correlation_values(payoff(game), ENTANGLED.correlate(rows, names))
         assert np.max(np.abs(scores - values)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_entangled_search_reaches_the_chained_bell_optimum(n):
+    # At d = 2 the optimum is cos^2(pi / 4n) (Braunstein and Caves 1990;
+    # Wehner 2006).  A certified lower bound above it would mean a wrong
+    # certifier, so the value is pinned from both sides.
+    optimum = np.cos(np.pi / (4 * n)) ** 2
+    for seed in range(3):
+        value, _ = entangled_lower_bound(chained_bell(n), dim=2, restarts=2, seed=seed)
+        assert optimum - 1e-9 <= value <= optimum + 1e-9
 
 
 # -- restart chunks ----------------------------------------------------------
@@ -681,18 +694,18 @@ def search_candidates(search, game, dim, restarts, iters, seeds=tuple):
     row."""
     candidates, chunks, values = [], [], []
 
-    def run_chunk(game, dim, rngs, iters):
+    def run_chunk(record, rngs, iters):
         chunks.append(len(rngs))
-        return SEARCHES[search].restart(game, dim, rngs, iters)
+        return SEARCHES[search].restart(record, rngs, iters)
 
     def record(chunk, names):
         candidates.extend(zip(*chunk))
         p = SEARCHES[search].correlate(chunk, names)
-        values.extend(correlation_values(game, p))
+        values.extend(correlation_values(payoff(game), p))
         return p
 
     seesaw_search(game, dim, restarts, 5, iters, replace(
-        SEARCHES[search], restart=run_chunk, correlate=record, seed=lambda game, dim: seeds()))
+        SEARCHES[search], restart=run_chunk, correlate=record, seed=lambda _: seeds()))
     return candidates, chunks, values
 
 
@@ -706,7 +719,8 @@ def test_chunked_restarts_are_bit_identical_to_one_chunk(monkeypatch, chunk, sea
     g = random_game(k, n, seed=k + n + dim)
     whole, chunks, _ = search_candidates(search, g, dim, 7, 60)
     assert chunks == [7]
-    monkeypatch.setattr(moments, "CHUNK_BYTES", chunk * SEARCHES[search].restart_bytes(g, dim))
+    restart_bytes = SEARCHES[search].prepare(g, dim).restart_bytes
+    monkeypatch.setattr(moments, "CHUNK_BYTES", chunk * restart_bytes)
     parts, chunks, _ = search_candidates(search, g, dim, 7, 60)
     assert chunks == [chunk] * (7 // chunk) + [7 % chunk] * (7 % chunk > 0)
     assert len(parts) == len(whole) == 7
@@ -720,7 +734,7 @@ def test_many_restart_peak_stays_within_chunk_budget(monkeypatch, search, dim):
     # All 48 restarts at once would hold several times the budget; chunks
     # keep the traced peak under it plus one restart's working set.
     g = chsh_game()
-    restart_bytes = SEARCHES[search].restart_bytes(g, dim)
+    restart_bytes = SEARCHES[search].prepare(g, dim).restart_bytes
     monkeypatch.setattr(moments, "CHUNK_BYTES", 2 << 20)
     assert 48 * restart_bytes > 4 * (moments.CHUNK_BYTES + restart_bytes)
     search_fn = entangled_lower_bound if search == "entangled" else sync_value_lower_bound
@@ -734,12 +748,58 @@ def test_many_restart_peak_stays_within_chunk_budget(monkeypatch, search, dim):
     assert peak < moments.CHUNK_BYTES + restart_bytes
 
 
+@pytest.mark.parametrize("search", sorted(SEARCHES))
+def test_a_search_is_prepared_once_for_all_its_chunks(monkeypatch, search):
+    # The seed and every chunk read the one record prepare made, and the
+    # run is bit for bit the unwrapped one.
+    g = random_game(2, 3, seed=4)
+    plain = SEARCHES[search]
+    monkeypatch.setattr(moments, "CHUNK_BYTES", 2 * plain.prepare(g, 2).restart_bytes)
+    made, read, chunks = [], [], []
+
+    def prepare(game, dim):
+        made.append(plain.prepare(game, dim))
+        return made[-1]
+
+    def restart(record, rngs, iters):
+        read.append(record)
+        chunks.append(len(rngs))
+        return plain.restart(record, rngs, iters)
+
+    def seed(record):
+        read.append(record)
+        return plain.seed(record)
+
+    want = seesaw_search(g, 2, 7, 3, 60, plain)
+    got = seesaw_search(g, 2, 7, 3, 60, replace(plain, prepare=prepare, restart=restart,
+                                                 seed=seed))
+    assert len(made) == 1 and chunks == [2, 2, 2, 1]
+    assert len(read) == 5 and all(record is made[0] for record in read)
+    assert got[0] == want[0]
+    for a, b in zip(got[1], want[1]):
+        assert np.array_equal(a, b)
+
+
+def test_a_refused_sync_search_allocates_no_restart_sized_block():
+    # Each same-question block of this game at d = 512 would be 839 MB; the
+    # record holds only arrays of the game's size, so the refusal is cheap.
+    g = random_game(100, 2, 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="exceeding cap"):
+            sync_value_lower_bound(g, 512, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def seed_rows(search, game, dim):
     """The one-row chunk of the search's seed candidate."""
     if search == "entangled":
         spec = embed_deterministic(classical_value(game)[1], game.k, game.n, dim)
         return spec.state[None], spec.alice[None], spec.bob[None]
-    return (scalar_family(_best_scalar_assignment(game)[1], game.n, dim).families[None],)
+    return (scalar_family(_best_scalar_assignment(payoff(game))[1], game.n, dim).families[None],)
 
 
 def certified_value(search, game, row):
@@ -759,7 +819,8 @@ def test_chunk_values_are_the_per_candidate_values(monkeypatch, chunk, search, k
     # shares a chunk with restarts 1 and 2 only.
     g = random_game(k, n, seed=k * n + dim)
     if chunk:
-        monkeypatch.setattr(moments, "CHUNK_BYTES", chunk * SEARCHES[search].restart_bytes(g, dim))
+        restart_bytes = SEARCHES[search].prepare(g, dim).restart_bytes
+        monkeypatch.setattr(moments, "CHUNK_BYTES", chunk * restart_bytes)
     rows, _, values = search_candidates(search, g, dim, 5, 60, lambda: seed_rows(search, g, dim))
     assert len(rows) == len(values) == 6
     for row, value in zip(rows, values):
@@ -786,17 +847,17 @@ def test_a_failing_row_fails_the_run_and_is_named(search, defect, line):
             rows[0][r].flat[0] = np.nan
         return rows
 
-    def broken_restarts(game, dim, rngs, iters):
-        return spoil(restart(game, dim, rngs, iters), 1)
+    def broken_restarts(record, rngs, iters):
+        return spoil(restart(record, rngs, iters), 1)
 
     def seeds():
         return seed_rows(search, g, 2)
 
     with pytest.raises(ValidationError, match=f"restart 2: {player}{line}"):
         seesaw_search(g, 2, 3, 0, 5, replace(SEARCHES[search], restart=broken_restarts,
-                                             seed=lambda game, dim: seeds()))
+                                             seed=lambda record: seeds()))
     with pytest.raises(ValidationError, match=f"seed: {player}{line}"):
-        seesaw_search(g, 2, 3, 0, 5, replace(SEARCHES[search], seed=lambda game, dim: spoil(
+        seesaw_search(g, 2, 3, 0, 5, replace(SEARCHES[search], seed=lambda record: spoil(
             tuple(arr.copy() for arr in seeds()), 0)))
 
 
@@ -804,14 +865,14 @@ def test_restart_over_byte_cap_is_refused_before_any_candidate():
     def never(*args):
         raise AssertionError("a candidate was made")
 
-    too_big = replace(ENTANGLED, restart=never,
-                      restart_bytes=lambda game, dim: MAX_RESTART_BYTES + 1)
+    too_big = replace(ENTANGLED, restart=never, prepare=lambda game, dim: ENTANGLED.prepare(
+        game, dim)._replace(restart_bytes=MAX_RESTART_BYTES + 1))
     with pytest.raises(CapExceededError, match="exceeding cap"):
         seesaw_search(chsh_game(), 2, 1, 0, 1, replace(too_big, correlate=never, seed=never))
     # With no restarts asked for, the cap does not apply to the seeds.
     spec = chsh_optimal_spec()
     value, _ = seesaw_search(chsh_game(), 2, 0, 0, 1, replace(
-        too_big, seed=lambda game, dim: (spec.state[None], spec.alice[None], spec.bob[None])))
+        too_big, seed=lambda record: (spec.state[None], spec.alice[None], spec.bob[None])))
     assert value == pytest.approx(np.cos(np.pi / 8) ** 2)
 
 

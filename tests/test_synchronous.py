@@ -16,9 +16,9 @@ from nlv.quantum import (PVM, TENSOR, MeasurementFamily, QuantumStrategySpec,
                          quantum_correlation, validate_measurement)
 from nlv.rng import generator
 from nlv.seesaw import random_block_families
-from nlv.synchronous import (TracialPVMFamily, _best_scalar_assignment, _sync_seesaw,
-                             load_family, repair_almost_pvm, save_family, scalar_family,
-                             sync_value_lower_bound, tracial_correlation,
+from nlv.synchronous import (SYNCHRONOUS, TracialPVMFamily, _best_scalar_assignment,
+                             _sync_seesaw, load_family, repair_almost_pvm, save_family,
+                             scalar_family, sync_value_lower_bound, tracial_correlation,
                              validate_family)
 from test_quantum import SEARCH_SHAPES, chained_bell, reference_best_response
 
@@ -57,7 +57,7 @@ def test_best_scalar_assignment_matches_itertools_reference(monkeypatch, game, c
     # when the assignments are scored in chunks of 1 or 5.
     if chunk is not None:
         monkeypatch.setattr(moments, "CHUNK_BYTES", chunk * 8 * (2 * game.k + 3))
-    value, assignment = _best_scalar_assignment(game)
+    value, assignment = _best_scalar_assignment(payoff(game))
     want_value, want_assignment = oracle_best_scalar(game)
     assert value == want_value
     assert assignment == want_assignment
@@ -170,8 +170,8 @@ def test_sync_lower_bound_changes_ranks_and_stays_exact():
     # leave the near-equal block profile.
     g = random_game(2, 2, seed=0)
     values = []
-    for fam in map(TracialPVMFamily, *_sync_seesaw(g, 3, [generator(0, stream=r)
-                                                           for r in range(2)], 60)):
+    rows = _sync_seesaw(SYNCHRONOUS.prepare(g, 3), [generator(0, stream=r) for r in range(2)], 60)
+    for fam in map(TracialPVMFamily, *rows):
         ranks = [[round(float(np.trace(m).real)) for m in f] for f in fam.families]
         assert any(rank != [2, 1] for rank in ranks)
         assert validate_family(fam, tol=1e-12).ok
@@ -205,7 +205,8 @@ def reference_sync_seesaw(game, d, rng, iters):
 def test_batched_sync_seesaw_matches_serial_reference(k, n, dim):
     for seed in range(4):
         g = random_game(k, n, seed)
-        (batched,) = _sync_seesaw(g, dim, [generator(seed, stream=r) for r in range(3)], 60)
+        (batched,) = _sync_seesaw(SYNCHRONOUS.prepare(g, dim),
+                                  [generator(seed, stream=r) for r in range(3)], 60)
         for r, fam in enumerate(map(TracialPVMFamily, batched)):
             serial = reference_sync_seesaw(g, dim, generator(seed, stream=r), 60)
             assert game_value(g, tracial_correlation(fam)) == pytest.approx(
