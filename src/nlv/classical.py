@@ -13,7 +13,7 @@ import numpy as np
 
 from . import moments
 from .errors import CapExceededError, ValidationError
-from .game import COMPUTED_TOL, DIST_TOL, Game, Strategy, payoff
+from .game import COMPUTED_TOL, DIST_TOL, Game, Strategy, payoff, payoff_matrix
 
 ENUMERATION_CAP = 10_000_000
 SEED_ENUMERATION_CAP = 1_000_000   # n^k at most this many to seed the see-saw searches
@@ -85,7 +85,7 @@ def classical_value(game: Game, cap: int = ENUMERATION_CAP) -> tuple[float, Dete
             f"{n}^{k} = {n ** k} Alice answer functions exceeds cap {cap}; "
             "sample random deterministic strategies instead and report a lower bound")
     # w[x, a, y, b] = V[x, y, a, b]: what Alice answering a to x adds to T.
-    w = payoff(game).transpose(0, 2, 1, 3)
+    w = payoff_matrix(payoff(game)).reshape(k, n, k, n)
 
     def score(answers):
         table = w[0, answers[:, 0]]
@@ -96,7 +96,7 @@ def classical_value(game: Game, cap: int = ENUMERATION_CAP) -> tuple[float, Dete
     # Per row: two int64 answer rows, T and one gathered term, Bob's maxima, the value.
     _, alice = first_best(k, n, 8 * (2 * k * n + 3 * k + 1), score)
     questions = np.arange(k)
-    bob_scores = np.einsum("xy,xyb->yb", game.pi, game.wins[questions, :, alice, :])
+    bob_scores = w[questions, alice].sum(axis=0)             # T[y, b] for Alice's best row
     bob = np.argmax(bob_scores, axis=1)                      # first max = smallest b
     value = float(bob_scores[questions, bob].sum())
     return value, DeterministicStrategy(alice=tuple(alice + 1), bob=tuple(bob + 1))

@@ -167,11 +167,11 @@ def payoff(game: Game) -> np.ndarray:
     return _frozen_array(game.pi[:, :, None, None] * game.wins)
 
 
-def payoff_matrix(game: Game) -> np.ndarray:
-    """The payoff as one (kn, kn) matrix V[(x, a), (y, b)], through which
-    every game-weighted trace of the searches is a two-operand product."""
-    kn = game.k * game.n
-    return payoff(game).transpose(0, 2, 1, 3).reshape(kn, kn)
+def payoff_matrix(v: np.ndarray) -> np.ndarray:
+    """A :func:`payoff` V as one (kn, kn) matrix V[(x, a), (y, b)], through
+    which every game-weighted trace is a two-operand product."""
+    kn = v.shape[0] * v.shape[2]
+    return v.transpose(0, 2, 1, 3).reshape(kn, kn)
 
 
 def random_game(k: int, n: int, seed: int) -> Game:

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError, read_array
+from .errors import ParseError, ValidationError, read_array
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -41,11 +41,13 @@ def interleave(arr, lead: int = 0) -> list:
 
 def deinterleave(values, shape, what: str = "interleaved array", lead=()) -> np.ndarray:
     """Inverse of :func:`interleave`: ``values`` must be a flat list of
-    exactly 2 * prod(shape) numbers, or nested lists of such lists of shape
-    ``lead``, read as one array of shape ``lead + shape``; ``what`` names
-    it in the error.  Each (re, im) pair is read as it is stored, signed
-    zeros included."""
+    exactly 2 * prod(shape) finite numbers, or nested lists of such lists of
+    shape ``lead``, read as one array of shape ``lead + shape``; ``what``
+    names it in the error.  Each (re, im) pair is read as it is stored,
+    signed zeros included."""
     flat = read_array(values, (*lead, 2 * math.prod(shape)), what)
+    if not np.isfinite(flat).all():
+        raise ParseError(f"{what} has a non-finite entry")
     return flat.view(np.complex128).reshape(*lead, *shape)
 
 

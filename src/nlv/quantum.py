@@ -408,8 +408,8 @@ def _seesaw(record: Prepared, rngs: list[np.random.Generator],
 # temporaries, and the certification of its row).
 ENTANGLED = Search(
     prepare=lambda game, dim: Prepared(
-        game, dim, payoff(game), 16 * (3 * dim ** 4 + 12 * game.k * game.n * dim * dim),
-        payoff_matrix(game).astype(np.complex128)),   # spares matmul a cast per call
+        game, dim, v := payoff(game), 16 * (3 * dim ** 4 + 12 * game.k * game.n * dim * dim),
+        payoff_matrix(v).astype(np.complex128)),   # spares matmul a cast per call
     restart=_seesaw, labels=("", "alice family {}: ", "bob family {}: "),
     correlate=_tensor_correlations,
     seed=lambda record: tuple(arr[None] for arr in _embedded(
@@ -494,7 +494,11 @@ def load_spec(text: str) -> QuantumStrategySpec:
         return read_outcomes(rows, n, dim, f"{where}: {key}")
 
     alice, bob = side("alice", d_a), side("bob", d_b)
+    if len(alice) != len(bob):
+        raise ParseError(f"{where}: alice has {len(alice)} families but bob has {len(bob)}")
+    if not len(alice):
+        raise ParseError(f"{where}: need at least one family")
     if len(flavors) > 1:
         raise ParseError(f"{where}: families mix flavors {excerpt(sorted(flavors))}")
     return QuantumStrategySpec(flavor=flavor, state=state, alice=alice, bob=bob,
-                               measurement=flavors.pop() if flavors else PVM)
+                               measurement=flavors.pop())

@@ -18,7 +18,7 @@ import numpy as np
 from .classical import first_best
 from .errors import (CapExceededError, DefectTooLargeError, ParseError, Report, dump_json,
                      read_count, read_field, read_object)
-from .game import COMPUTED_TOL, Game, Strategy, correlation_values, payoff
+from .game import COMPUTED_TOL, Game, Strategy, correlation_values, payoff, payoff_matrix
 from .linalg import dagger, frobenius, identity, interleave
 from .quantum import MeasurementFamily, answer_pvms, read_outcomes, stack_families
 from .seesaw import (ITERS, POVM, PVM, Prepared, Search, best_response, climb, correlations,
@@ -68,7 +68,10 @@ def load_family(text: str) -> TracialPVMFamily:
     for x, outcomes in enumerate(rows):
         if not isinstance(outcomes, list) or len(outcomes) != n:
             raise ParseError(f"{where}: families[{x}] must be a list of {n} outcomes")
-    return TracialPVMFamily(families=read_outcomes(rows, n, d, f"{where}: families"))
+    families = read_outcomes(rows, n, d, f"{where}: families")
+    if not len(families):
+        raise ParseError(f"{where}: need at least one family")
+    return TracialPVMFamily(families=families)
 
 
 def validate_family(family: TracialPVMFamily, tol: float = COMPUTED_TOL) -> Report:
@@ -131,7 +134,8 @@ def _prepare(game: Game, d: int) -> Prepared:
     weight of tr(f^x_a f^y_b) / d from both orderings (zero for y = x)."""
     k, n = game.k, game.n
     v = payoff(game)
-    coupling = ((v + v.transpose(1, 0, 3, 2)) / d).transpose(0, 2, 1, 3).reshape(k, n, k * n)
+    m = payoff_matrix(v)
+    coupling = ((m + m.T) / d).reshape(k, n, k * n)
     coupling.reshape(k, n, k, n)[np.arange(k), :, np.arange(k)] = 0.0
     return Prepared(game, d, v, 16 * 6 * k * n * d * d, coupling)
 

@@ -352,14 +352,3 @@ def load_machine(text: str) -> TuringMachine:
         start_state=read_field(obj, "start_state", str, where),
         halt_state=read_field(obj, "halt_state", str, where),
         table=table, _file=True)
-
-
-def dense_table(states: tuple[str, ...], rules: dict, default) -> TransitionTable:
-    """Fill a total table: ``rules`` maps specific (state, s1, s2, s3) keys
-    to actions; every uncovered key gets ``default(state, s1, s2, s3)``."""
-    table: TransitionTable = {}
-    for q in states:
-        for s1, s2, s3 in itertools.product(SYMBOLS, repeat=3):
-            key = (q, s1, s2, s3)
-            table[key] = rules.get(key, default(q, s1, s2, s3))
-    return table

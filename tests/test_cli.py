@@ -244,6 +244,16 @@ def test_tm_trace_flag(capsys):
     assert len(payload["trace"]) == payload["steps"] == 3
 
 
+def test_tm_trace_prints_its_lines_in_text_mode(capsys):
+    argv = ["tm", "run", "--machine", COPIER, "--input", "1", "--budget", "10", "--trace"]
+    trace = run_json(capsys, argv)["trace"]
+    assert dispatch(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("trace:") + 1
+    assert lines[start:start + len(trace)] == [f"  {line}" for line in trace]
+    assert lines[start + len(trace)].startswith("[tm v")
+
+
 def test_demo_chsh(capsys):
     payload = run_json(capsys, ["demo-chsh"])
     assert payload["classical_value"] == 0.75
@@ -317,6 +327,16 @@ def test_unknown_subcommand_usage_error(capsys):
 
 def test_missing_required_flag_usage_error(capsys):
     assert dispatch(["value", "--game", CHSH]) == 2
+
+
+@pytest.mark.parametrize("command, out_flag", [("quantum-lb", "--spec-out"),
+                                               ("sync-lb", "--family-out")])
+def test_a_dimension_below_one_is_a_usage_error(tmp_path, capsys, command, out_flag):
+    assert dispatch([command, "--game", CHSH, "--dim", "0", "--restarts", "1", "--seed", "0",
+                     out_flag, str(tmp_path / "out.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --dim: must be >= 1" in captured.err
 
 
 def test_dispatch_reuses_one_parser_without_leaking_values(tmp_path, capsys):
@@ -449,7 +469,8 @@ def test_moments_map_empty_matrices_domain_error(tmp_path, capsys):
     ('{"dim": true, "matrices": [[0.5, 0.0]]}', "dim must be an integer >= 1, got True"),
     ('{"dim": 2, "matrices": [[[0.5, 0.0, 0.0, 0.5], [0.0, -0.5, 0.5, 0.0]]]}',
      "matrix 1 must be a numeric array of shape (8,)"),
-], ids=["dim-1.5", "dim-true", "nested"])
+    ('{"dim": 1, "matrices": [[0.5, 0.0], [NaN, 0.0]]}', "matrix 2 has a non-finite entry"),
+], ids=["dim-1.5", "dim-true", "nested", "nan"])
 def test_moments_map_malformed_matrices_domain_error(tmp_path, capsys, text, message):
     mats = tmp_path / "mats.json"
     mats.write_text(text)

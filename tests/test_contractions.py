@@ -142,14 +142,14 @@ def game_and_families(k, n, d_a, d_b):
 @pytest.mark.parametrize("k, n, d_a, d_b", SHAPES)
 def test_game_operator_matches_loops(k, n, d_a, d_b):
     game, alice, bob, _ = game_and_families(k, n, d_a, d_b)
-    op = _game_operator(alice[None], weigh(payoff_matrix(game), bob[None]))[0]
+    op = _game_operator(alice[None], weigh(payoff_matrix(payoff(game)), bob[None]))[0]
     assert np.max(np.abs(op - ref_game_operator(game, alice, bob))) <= TOL
 
 
 @pytest.mark.parametrize("k, n, d_a, d_b", SHAPES)
 def test_seesaw_weights_match_loops(k, n, d_a, d_b):
     game, alice, bob, psi = game_and_families(k, n, d_a, d_b)
-    v = payoff_matrix(game)
+    v = payoff_matrix(payoff(game))
     got = _weights(psi[None], weigh(v, bob[None]))[0].reshape(k, n, d_a, d_a)
     assert np.max(np.abs(got - ref_partial_weights(game, psi, bob, "alice"))) <= TOL
     got = _weights(psi.T[None], weigh(v.T, alice[None]))[0].reshape(k, n, d_b, d_b)

@@ -230,3 +230,23 @@ def test_load_rejects_non_numeric_arrays():
 def test_load_rejects_oversized_game():
     with pytest.raises(CapExceededError, match="k\\^2 n\\^2 = 16000000"):
         load_game('{"k": 1, "n": 4000, "pi": [[1.0]], "wins": []}')
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Game(k=0, n=2, pi=np.zeros((0, 0)), wins=np.zeros((0, 0, 2, 2))), "k must be >= 1"),
+    (lambda: Game(k=2, n=0, pi=np.full((2, 2), 0.25), wins=np.zeros((2, 2, 0, 0))),
+     "n must be >= 1"),
+    (lambda: Game(k=2, n=2, pi=np.full((2, 3), 1 / 6), wins=np.zeros((2, 2, 2, 2))),
+     r"pi must have shape \(2, 2\), got \(2, 3\)"),
+    (lambda: Game(k=2, n=2, pi=np.full((2, 2), 0.25), wins=np.zeros((2, 2, 2, 3))),
+     r"predicate must have shape \(2, 2, 2, 2\), got \(2, 2, 2, 3\)"),
+    (lambda: Strategy(k=0, n=2, p=np.zeros((0, 0, 2, 2))), "strategy needs k >= 1 and n >= 1"),
+    (lambda: Strategy(k=2, n=0, p=np.zeros((2, 2, 0, 0))), "strategy needs k >= 1 and n >= 1"),
+    (lambda: Strategy(k=2, n=2, p=np.zeros((2, 2, 4))),
+     r"strategy tensor must have shape \(2, 2, 2, 2\), got \(2, 2, 4\)"),
+    (lambda: random_game(0, 2, 0), "random_game needs k >= 1 and n >= 1"),
+    (lambda: random_game(2, 0, 0), "random_game needs k >= 1 and n >= 1"),
+])
+def test_constructors_refuse_bad_sizes_and_shapes(make, message):
+    with pytest.raises(ValidationError, match=message):
+        make()

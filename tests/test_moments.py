@@ -327,3 +327,18 @@ def test_large_cloud_peak_stays_within_chunk_budget(n, d, p, count):
         tracemalloc.stop()
     assert len(cloud) == count
     assert peak < moments.CHUNK_BYTES
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Monomial(()), "monomial must have length >= 1"),
+    (lambda: Monomial(((0, False),)), r"bad letter \(0, False\)"),
+    (lambda: Monomial(((1, 1),)), r"bad letter \(1, 1\)"),
+    (lambda: moment_map([], 1), "need at least one matrix"),
+    (lambda: sample_moment_cloud(1, 1, 0, 3, 0), "need p >= 1 and count >= 0"),
+    (lambda: sample_moment_cloud(1, 1, 2, -1, 0), "need p >= 1 and count >= 0"),
+    (lambda: density_check(1, 1, 1, 2, 0.1, (0, 5), 0), "both clouds must be nonempty"),
+    (lambda: density_check(1, 1, 1, 2, 0.1, (5, 0), 0), "both clouds must be nonempty"),
+])
+def test_moment_functions_refuse_bad_arguments(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()

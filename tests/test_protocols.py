@@ -144,3 +144,9 @@ def test_collapse_zero_probability_outcome_rejected():
         flavor=PVM)
     with pytest.raises(ValidationError, match="probability 0"):
         collapse_state(fam, 1, np.array([1, 0], dtype=complex))
+
+
+def test_superdense_decode_refuses_a_state_that_is_not_two_qubits():
+    with pytest.raises(ValidationError,
+                       match="superdense decoding needs a two-qubit state, got dim 2"):
+        superdense_decode(E1)

@@ -8,24 +8,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nlv import moments, quantum
+from nlv import data_path, moments, quantum
 from nlv.classical import DeterministicStrategy, classical_value, det_to_strategy
 from nlv.errors import CapExceededError, DimensionMismatchError, ParseError, ValidationError
-from nlv.game import (Game, chsh_game, correlation_values, game_value, payoff, random_game,
-                      validate_strategy)
+from nlv.game import (Game, chsh_game, correlation_values, game_value, load_game, payoff,
+                      random_game, save_game, validate_strategy)
 from nlv.linalg import dagger, frobenius, random_unitary
 from nlv.quantum import (COMMUTING, ENTANGLED, POVM, PVM, TENSOR, MeasurementFamily,
                          QuantumStrategySpec, _seesaw,
-                         born_probabilities, chsh_optimal_spec, diagonal_pvm,
+                         born_probabilities, check_state, chsh_optimal_spec, diagonal_pvm,
                          embed_deterministic,
                          embed_local, entangled_lower_bound, epr_state,
                          load_spec, naimark_dilate,
                          quantum_correlation, rotated_basis_pvm,
-                         save_spec,
+                         save_spec, stack_families,
                          validate_measurement, validate_spec)
 from nlv.rng import generator
-from nlv.seesaw import (MAX_RESTART_BYTES, best_response, climb, random_block_families,
-                        seesaw_search)
+from nlv.seesaw import (MAX_RESTART_BYTES, best_response, climb, correlations,
+                        random_block_families, seesaw_search)
 from nlv.synchronous import (SYNCHRONOUS, TracialPVMFamily, _best_scalar_assignment,
                              scalar_family,
                              sync_value_lower_bound, tracial_correlation)
@@ -352,6 +352,32 @@ def test_spec_families_take_every_stacked_form():
     with pytest.raises(ValidationError, match="family 1 is not a stack of square matrices"):
         QuantumStrategySpec(flavor=TENSOR, state=[1, 0, 0, 0], alice=[[np.eye(2), np.eye(3)]],
                             bob=[[np.eye(2)]])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda spec: check_state(np.eye(2)), r"state must be a vector, got shape \(2, 2\)"),
+    (lambda spec: MeasurementFamily(outcomes=spec.alice[0], flavor="x"),
+     "flavor must be 'povm' or 'pvm', got 'x'"),
+    (lambda spec: stack_families(spec.alice, "x"), "measurement must be 'povm' or 'pvm', got 'x'"),
+    (lambda spec: stack_families([rotated_basis_pvm(0.0)], POVM),
+     "family 1 must be flavored 'povm'"),
+    (lambda spec: born_probabilities(
+        MeasurementFamily(outcomes=[[[0, 1j], [0, 0]], [[1, -1j], [0, 1]]], flavor=POVM),
+        np.ones(2) / np.sqrt(2)), "outcome probabilities not real: residual 0.5"),
+    (lambda spec: QuantumStrategySpec(flavor="x", state=spec.state, alice=spec.alice,
+                                      bob=spec.bob),
+     "flavor must be 'tensor' or 'commuting', got 'x'"),
+    (lambda spec: QuantumStrategySpec(flavor=TENSOR, state=spec.state.reshape(2, 2),
+                                      alice=spec.alice, bob=spec.bob), "state must be a vector"),
+    (lambda spec: QuantumStrategySpec(flavor=COMMUTING, state=spec.state, alice=spec.alice,
+                                      bob=np.kron(spec.bob, np.eye(2))),
+     "commuting flavor needs both players on one space"),
+    (lambda spec: QuantumStrategySpec(flavor=TENSOR, state=spec.state[:3] / np.linalg.norm(
+        spec.state[:3]), alice=spec.alice, bob=spec.bob), "state dim 3 != expected 4"),
+])
+def test_states_families_and_specs_refuse_bad_arguments(make, message):
+    with pytest.raises(ValidationError, match=message):
+        make(chsh_optimal_spec())
 
 
 def test_correlations_are_valid_strategies():
@@ -683,6 +709,30 @@ def test_entangled_search_reaches_the_chained_bell_optimum(n):
         assert optimum - 1e-9 <= value <= optimum + 1e-9
 
 
+def magic_square():
+    """Mermin-Peres magic square: Alice fills row x and Bob column y of a
+    3 x 3 grid of bits.  Answer a names the first two bits ((a - 1) >> 1,
+    (a - 1) & 1), and parity fixes the third: even for a row, odd for a
+    column.  They win iff they agree on the shared cell (x, y)."""
+    bits = (np.arange(4)[:, None] >> np.array([1, 0])) & 1          # [a - 1, position]
+    row = np.c_[bits, bits.sum(axis=1) % 2]
+    column = np.c_[bits, 1 - bits.sum(axis=1) % 2]
+    wins = row.T[None, :, :, None] == column.T[:, None, None, :]     # [x, y, a, b]
+    return Game(k=3, n=4, pi=np.full((3, 3), 1 / 9), wins=wins)
+
+
+def test_entangled_search_reaches_the_magic_square_optimum():
+    # Value 1 at d = 4, against a classical 8/9 (Mermin 1990; Peres 1990),
+    # pinned from both sides like the chained-Bell optimum.
+    text = data_path("magic_square.json").read_text()
+    game = load_game(text)
+    assert game == magic_square() and save_game(game) == text
+    assert abs(classical_value(game)[0] - 8 / 9) <= 1e-12
+    for seed in range(10):
+        value, _ = entangled_lower_bound(game, 4, 2, seed)
+        assert 1 - 1e-9 <= value <= 1 + 1e-9
+
+
 # -- restart chunks ----------------------------------------------------------
 
 SEARCHES = {"entangled": ENTANGLED, "sync": SYNCHRONOUS}
@@ -876,6 +926,21 @@ def test_restart_over_byte_cap_is_refused_before_any_candidate():
     assert value == pytest.approx(np.cos(np.pi / 8) ** 2)
 
 
+@pytest.mark.parametrize("search", sorted(SEARCHES))
+def test_a_search_with_no_restarts_and_no_seed_has_no_candidates(search):
+    # 2^21 answer functions exceed SEED_ENUMERATION_CAP, so no seed joins.
+    with pytest.raises(ValidationError, match="no candidates: need restarts >= 1 or a seed "
+                                              "candidate"):
+        seesaw_search(random_game(21, 2, 0), 1, 0, 0, 1, SEARCHES[search])
+
+
+def test_correlations_refuse_an_imaginary_residual_and_name_the_row():
+    left = np.ones((2, 1, 1, 1), dtype=np.complex128)
+    left[1] *= 1j
+    with pytest.raises(ValidationError, match="restart 2: correlation has imaginary residual 1"):
+        correlations(left, np.ones_like(left), ["restart 1: ", "restart 2: "])
+
+
 # -- entangled_lower_bound ---------------------------------------------------
 
 def test_lower_bound_always_win_game_dim1():
@@ -971,6 +1036,36 @@ def test_load_spec_refuses_mixed_flavors():
     obj = json.loads(save_spec(chsh_optimal_spec()))
     obj["bob"][1]["flavor"] = POVM
     with pytest.raises(ParseError, match=r"spec file: families mix flavors \['povm', 'pvm'\]"):
+        load_spec(json.dumps(obj))
+
+
+NON_FINITE = ("NaN", "Infinity", "-Infinity", "1e999")
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+@pytest.mark.parametrize("path, message", [
+    (("bob", 1, "outcomes", 0, 2), r"spec file: bob\[1\] outcome 1 has a non-finite entry"),
+    (("alice", 0, "outcomes", 1, 5), r"spec file: alice\[0\] outcome 2 has a non-finite entry"),
+    (("state", 3), "spec file: 'state' has a non-finite entry")])
+def test_load_spec_names_a_non_finite_entry(path, message, literal):
+    obj = json.loads(save_spec(chsh_optimal_spec()))
+    *outer, last = path
+    inner = obj
+    for key in outer:
+        inner = inner[key]
+    inner[last] = "BAD"
+    with pytest.raises(ParseError, match=message):
+        load_spec(json.dumps(obj).replace('"BAD"', literal))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda obj: obj["bob"].pop(), "spec file: alice has 2 families but bob has 1"),
+    (lambda obj: obj["alice"].clear(), "spec file: alice has 0 families but bob has 2"),
+    (lambda obj: obj.update(alice=[], bob=[]), "spec file: need at least one family")])
+def test_load_spec_refuses_unequal_or_empty_sides(edit, message):
+    obj = json.loads(save_spec(chsh_optimal_spec()))
+    edit(obj)
+    with pytest.raises(ParseError, match=message):
         load_spec(json.dumps(obj))
 
 

@@ -20,7 +20,7 @@ from nlv.synchronous import (SYNCHRONOUS, TracialPVMFamily, _best_scalar_assignm
                              _sync_seesaw, load_family, repair_almost_pvm, save_family,
                              scalar_family, sync_value_lower_bound, tracial_correlation,
                              validate_family)
-from test_quantum import SEARCH_SHAPES, chained_bell, reference_best_response
+from test_quantum import NON_FINITE, SEARCH_SHAPES, chained_bell, reference_best_response
 
 
 def oracle_best_scalar(game):
@@ -322,12 +322,21 @@ def test_family_file_round_trip():
                                            "outcomes"),
     (lambda obj: obj["families"][1][1].__setitem__(0, True),
      r"family file: families\[1\] outcome 2 must be a numeric array of shape \(8,\)"),
-    (lambda obj: obj.update(families=[]), "need at least one family"),
+    (lambda obj: obj.update(families=[]), "family file: need at least one family"),
     (lambda obj: obj.update(dim=10 ** 10, families=[]),
      "family file: families: number or dimension out of range"),
 ])
 def test_load_family_refuses_bad_files(edit, message):
     obj = json.loads(save_family(sync_value_lower_bound(chsh_game(), 2, 1, 0, iters=5)[1]))
     edit(obj)
-    with pytest.raises((ParseError, ValidationError), match=message):
+    with pytest.raises(ParseError, match=message):
         load_family(json.dumps(obj))
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+def test_load_family_names_a_non_finite_entry(literal):
+    obj = json.loads(save_family(sync_value_lower_bound(chsh_game(), 2, 1, 0, iters=5)[1]))
+    obj["families"][1][1][3] = "BAD"
+    with pytest.raises(ParseError, match=r"family file: families\[1\] outcome 2 has a non-finite "
+                                         "entry"):
+        load_family(json.dumps(obj).replace('"BAD"', literal))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from nlv import data_path
 from nlv.errors import MachineHaltedError, ParseError, ValidationError
 from nlv.tm import (MOVES, NDTM, BLANK, SYMBOLS, BudgetExceeded, Configuration, Halted,
-                    NdtmResult, TuringMachine, dense_table, extract_output, load_machine,
+                    NdtmResult, TuringMachine, extract_output, load_machine,
                     ndtm_accepts, run, save_machine, step)
 
 DATA = Path(__file__).parent / "data"
@@ -23,6 +23,13 @@ DATA = Path(__file__).parent / "data"
 def bundled(name):
     """One of the bundled machines: copier, looper or clamp."""
     return load_machine(data_path(f"{name}.json").read_text())
+
+
+def dense_table(states, default):
+    """The total table mapping each key (state, s1, s2, s3) to
+    ``default(state, s1, s2, s3)``."""
+    return {(q, *symbols): default(q, *symbols)
+            for q in states for symbols in itertools.product(SYMBOLS, repeat=3)}
 
 
 def halt_default(halt_state):
@@ -34,7 +41,7 @@ def halt_default(halt_state):
 def immediate_halt_machine():
     states = ("begin", "halt")
     return TuringMachine(states=states, start_state="begin", halt_state="halt",
-                         table=dense_table(states, {}, halt_default("halt")))
+                         table=dense_table(states, halt_default("halt")))
 
 
 # -- step --------------------------------------------------------------------
@@ -177,7 +184,7 @@ def faulty_table(*faults):
     """A total table over ``FAULT_STATES`` with each ``(key, action)`` of
     ``faults`` set in turn: a known key is replaced in place, a new one
     goes last in the dict's order."""
-    table = dense_table(FAULT_STATES, {}, halt_default("halt"))
+    table = dense_table(FAULT_STATES, halt_default("halt"))
     table.update(faults)
     return table
 
@@ -249,7 +256,7 @@ def test_bad_file_transition_is_named_by_its_row(pos, column, value, message):
 
 def test_repeated_state_is_refused():
     states = ("a", "a", "h")
-    table = dense_table(states, {}, halt_default("h"))
+    table = dense_table(states, halt_default("h"))
     with pytest.raises(ValidationError, match=exactly("machine: state 'a' listed twice")):
         TuringMachine(states=states, start_state="a", halt_state="h", table=table)
     with pytest.raises(ValidationError, match=exactly("table0: state 'a' listed twice")):
@@ -298,7 +305,7 @@ def walk_then_rest_machine():
         return (q, s_work, s_out, "S", "S", "S")
 
     return TuringMachine(states=states, start_state="walk", halt_state="halt",
-                         table=dense_table(states, {}, default))
+                         table=dense_table(states, default))
 
 
 @pytest.mark.parametrize("input_string", ["", "101"])
@@ -334,7 +341,7 @@ def test_start_in_halt_state_takes_no_steps():
         return ("other", s2, s3, "R", "R", "R")
 
     machine = TuringMachine(states=states, start_state="halt", halt_state="halt",
-                            table=dense_table(states, {}, default))
+                            table=dense_table(states, default))
     assert run(machine, "10", 5, trace=True) == Halted(output="", steps=0)
 
 
@@ -358,8 +365,8 @@ def guess_bit_ndtm():
 
     return NDTM(states=states, start_state="start",
                 accept_state="accept", reject_state="reject",
-                table0=dense_table(states, {}, chain("guessed0")),
-                table1=dense_table(states, {}, chain("guessed1")))
+                table0=dense_table(states, chain("guessed0")),
+                table1=dense_table(states, chain("guessed1")))
 
 
 def test_ndtm_guess_bit_accepts_matching_input():
@@ -376,8 +383,8 @@ def test_ndtm_all_branches_reject():
 
     machine = NDTM(states=states, start_state="start",
                    accept_state="accept", reject_state="reject",
-                   table0=dense_table(states, {}, to_reject),
-                   table1=dense_table(states, {}, to_reject))
+                   table0=dense_table(states, to_reject),
+                   table1=dense_table(states, to_reject))
     assert ndtm_accepts(machine, "1", 1) is NdtmResult.REJECT
 
 
@@ -390,8 +397,8 @@ def test_ndtm_deep_accept_beyond_budget():
 
     machine = NDTM(states=states, start_state="start",
                    accept_state="accept", reject_state="reject",
-                   table0=dense_table(states, {}, chain),
-                   table1=dense_table(states, {}, chain))
+                   table0=dense_table(states, chain),
+                   table1=dense_table(states, chain))
     assert ndtm_accepts(machine, "", 2) is NdtmResult.BUDGET_EXCEEDED
     assert ndtm_accepts(machine, "", 4) is NdtmResult.ACCEPT
 
@@ -401,8 +408,25 @@ def test_ndtm_distinct_halting_states_required():
     with pytest.raises(ValidationError, match="distinct"):
         NDTM(states=states, start_state="start", accept_state="stop",
              reject_state="stop",
-             table0=dense_table(states, {}, halt_default("stop")),
-             table1=dense_table(states, {}, halt_default("stop")))
+             table0=dense_table(states, halt_default("stop")),
+             table1=dense_table(states, halt_default("stop")))
+
+
+@pytest.mark.parametrize("start, halt", [("nowhere", "halt"), ("begin", "nowhere")])
+def test_machine_states_must_be_listed(start, halt):
+    states = ("begin", "halt")
+    with pytest.raises(ValidationError, match="start and halt states must be listed in states"):
+        TuringMachine(states=states, start_state=start, halt_state=halt,
+                      table=dense_table(states, halt_default("halt")))
+
+
+@pytest.mark.parametrize("missing", ["start", "accept", "reject"])
+def test_ndtm_states_must_be_listed(missing):
+    states = ("start", "accept", "reject")
+    table = dense_table(states, halt_default("accept"))
+    roles = {f"{q}_state": "nowhere" if q == missing else q for q in states}
+    with pytest.raises(ValidationError, match="state 'nowhere' must be listed in states"):
+        NDTM(states=states, table0=table, table1=table, **roles)
 
 
 def test_ndtm_rejects_zero_budget():
@@ -524,7 +548,7 @@ def test_long_tape_growing_run():
         return ("walk", s_in, flip[s_in], "R", "R", "R")
 
     machine = TuringMachine(states=states, start_state="walk", halt_state="halt",
-                            table=dense_table(states, {}, walk))
+                            table=dense_table(states, walk))
     result = run(machine, bits, 200_000)
     assert isinstance(result, Halted)
     assert result.steps == len(bits) + 2
