@@ -16,12 +16,15 @@
 # deep or holding a 400-digit pi entry.  A game with a 3,001-digit
 # wins index and a machine with a 5,000-character state name are
 # refused on a line of at most 200 bytes.  The looper's stationary
-# self-loop counts a budget of 10^12 steps without stepping them.
+# self-loop counts a budget of 10^12 steps without stepping them, and
+# its trace over that budget is refused under the trace cap.  The
+# script's scratch directory is removed on exit.
 #
 # Run from any directory: bash .github/entry_points.sh
 set -e
 cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 echo '{"dim": 1.5, "matrices": [[0.5, 0.0]]}' > "$tmp/mats.json"
 echo '{"k": "x", "n": 2, "pi": [[1.0]], "wins": []}' > "$tmp/game.json"
 refuses() {
@@ -78,6 +81,7 @@ grep -q '"steps": 300000' "$tmp/looper.out"
 PYTHONPATH=src python -m nlv.cli tm run --json --machine src/nlv/data/looper.json \
   --budget 1000000000000 > "$tmp/looper-huge.out"
 grep -q '"steps": 1000000000000' "$tmp/looper-huge.out"
+refuses tm run --machine src/nlv/data/looper.json --budget 1000000000000 --trace
 PYTHONPATH=src python -m nlv.cli tm run --json --machine src/nlv/data/copier.json \
   --input 1011 --budget 100 > "$tmp/copier.out"
 grep -q '"output": "1011"' "$tmp/copier.out"

@@ -20,10 +20,10 @@ from .errors import ValidationError
 from .linalg import identity
 from .quantum import (PAULI_X, PAULI_Z, PVM, MeasurementFamily, born_probabilities,
                       check_state, collapse_state, epr_state, rotated_basis_pvm)
-from .rng import derive_seed, uniforms
+from .rng import generator
 
 MESSAGES = ((1, 1), (1, 2), (2, 1), (2, 2))
-_UNIFORM_BYTES = 24   # peak bytes per trial of one uniforms draw and its comparison
+_UNIFORM_BYTES = 24   # peak bytes per trial of one uniform draw and its comparison
 
 
 @dataclass(frozen=True)
@@ -128,11 +128,10 @@ def epr_correlation_demo(trials: int, seed: int, basis: str = "coordinate") -> E
         deterministic_match.append(bob_probs[outcome] >= 1.0 - 1e-12)
     # Alice sees outcome 0 where a trial's uniform is below its probability;
     # the uniforms of one stream come in chunks.
-    key = derive_seed(seed, 0)
+    rng = generator(seed)
     counts = np.zeros(2, dtype=np.int64)
     for part in moments.chunks(trials, _UNIFORM_BYTES):
-        counts += np.bincount(uniforms(key, len(part), part.start) >= alice_probs[0],
-                              minlength=2)
+        counts += np.bincount(rng.random(len(part)) >= alice_probs[0], minlength=2)
     counts = counts.tolist()
     agreements = sum(c for c, match in zip(counts, deterministic_match) if match)
     return EprStats(

@@ -500,5 +500,8 @@ def load_spec(text: str) -> QuantumStrategySpec:
         raise ParseError(f"{where}: need at least one family")
     if len(flavors) > 1:
         raise ParseError(f"{where}: families mix flavors {excerpt(sorted(flavors))}")
-    return QuantumStrategySpec(flavor=flavor, state=state, alice=alice, bob=bob,
-                               measurement=flavors.pop())
+    try:   # the spec's own checks: its flavor, its measurement and the players' spaces
+        return QuantumStrategySpec(flavor=flavor, state=state, alice=alice, bob=bob,
+                                   measurement=flavors.pop())
+    except ValidationError as err:
+        raise ParseError(f"{where}: {err}") from err

@@ -21,13 +21,14 @@ from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import (MachineHaltedError, ParseError, ValidationError, dump_json, excerpt,
-                     read_field, read_object)
+from .errors import (CapExceededError, MachineHaltedError, ParseError, ValidationError,
+                     dump_json, excerpt, read_field, read_object)
 
 SYMBOLS = ("0", "1", "_", "^")
 BLANK = "_"
 START = "^"
 MOVES = ("L", "S", "R")
+TRACE_CAP = 64 << 20   # characters of all of a run's trace lines together
 
 # (state, in_sym, work_sym, out_sym) -> (state', work_write, out_write, m_in, m_work, m_out)
 TransitionTable = dict[tuple[str, str, str, str], tuple[str, str, str, str, str, str]]
@@ -113,7 +114,8 @@ class TuringMachine:
 
     def __post_init__(self, _file):
         if self.start_state not in self.states or self.halt_state not in self.states:
-            raise ValidationError("start and halt states must be listed in states")
+            message = "start and halt states must be listed in states"
+            raise ParseError(f"machine file: {message}") if _file else ValidationError(message)
         label = "machine file" if _file else "machine"
         object.__setattr__(self, "_program",
                            _compile(self.states, self.table, label, self.halt_state, _file))
@@ -182,14 +184,15 @@ def _advance(program: _Program, config: Configuration, limit: int,
     early in the program's halt state, and return the number applied.  A
     stationary self-loop repeats its configuration, so once one is taken
     every remaining step counts without being stepped.  With ``lines``
-    given, appends ``"<step> | <render>"`` after each one."""
+    given, appends ``"<step> | <render>"`` after each one, refusing a trace
+    whose lines would together pass ``TRACE_CAP`` characters."""
     code, states = program.code, program.states
     q = 64 * program.index[config.state]
     if q == program.halt:
         q = ~q
     t_in, t_work, t_out = config.tapes
     h_in, h_work, h_out = config.heads
-    steps = 0
+    steps = chars = 0
     while steps < limit and q >= 0:
         q, t_work[h_work], t_out[h_out], m_in, m_work, m_out = code[
             q + 16 * (t_in[h_in] & 3) + 4 * (t_work[h_work] & 3) + (t_out[h_out] & 3)]
@@ -215,13 +218,29 @@ def _advance(program: _Program, config: Configuration, limit: int,
         if lines is not None:
             config.state, config.heads[:] = states[max(q, ~q) >> 6], (h_in, h_work, h_out)
             lines.append(f"{steps} | {config.render()}")
+            chars = _within_trace_cap(chars + len(lines[-1]))
     config.state, config.heads[:] = states[max(q, ~q) >> 6], (h_in, h_work, h_out)
     if q < 0 and ~q != program.halt:
         if lines is not None:
             tail = f" | {config.render()}"
+            _within_trace_cap(chars + (limit - steps) * len(tail)
+                              + _digits(limit) - _digits(steps))
             lines.extend(f"{n}{tail}" for n in range(steps + 1, limit + 1))
         steps = limit
     return steps
+
+
+def _digits(m: int) -> int:
+    """Digits in the numbers 1 to ``m`` written out, for ``m >= 0``."""
+    width = len(str(m))
+    return (m + 1) * width - (10 ** width - 1) // 9
+
+
+def _within_trace_cap(chars: int) -> int:
+    """``chars``, the characters of a trace so far, unless they pass ``TRACE_CAP``."""
+    if chars > TRACE_CAP:
+        raise CapExceededError(f"trace exceeds cap of {TRACE_CAP} characters")
+    return chars
 
 
 def step(machine: TuringMachine, config: Configuration) -> Configuration:

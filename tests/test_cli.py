@@ -5,6 +5,7 @@ import io
 import json
 import os
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -15,10 +16,12 @@ from hypothesis import strategies as st
 
 from nlv import cli, data_path
 from nlv.cli import build_parser, dispatch
-from nlv.errors import NlvError
-from nlv.game import chsh_game, game_value, random_game, save_game
+from nlv.errors import NlvError, ParseError
+from nlv.game import chsh_game, game_value, load_game, load_strategy, random_game, save_game
+from nlv.moments import load_matrices
 from nlv.quantum import chsh_optimal_spec, load_spec, save_spec
 from nlv.synchronous import load_family, save_family, sync_value_lower_bound, tracial_correlation
+from nlv.tm import load_machine
 
 CHSH = str(data_path("chsh.json"))
 UNIFORM = str(data_path("uniform.json"))
@@ -252,6 +255,14 @@ def test_tm_trace_prints_its_lines_in_text_mode(capsys):
     start = lines.index("trace:") + 1
     assert lines[start:start + len(trace)] == [f"  {line}" for line in trace]
     assert lines[start + len(trace)].startswith("[tm v")
+
+
+def test_tm_trace_past_its_cap_is_one_error_line(capsys):
+    started = time.perf_counter()
+    line = domain_error_line(capsys, ["tm", "run", "--machine", LOOPER,
+                                      "--budget", "1000000000000", "--trace"])
+    assert line == "error: trace exceeds cap of 67108864 characters"
+    assert time.perf_counter() - started < 1.0
 
 
 def test_demo_chsh(capsys):
@@ -711,21 +722,77 @@ def test_mutated_bundled_file_gives_at_most_one_error_line(name, tmp_path_factor
                   lambda _path: exits_with_at_most_one_error_line(argv))
 
 
-def test_mutated_spec_file_loads_or_raises_nlv_error(tmp_path):
-    # Family files are read on the same readers and held to the same rule.
-    family = sync_value_lower_bound(chsh_game(), dim=2, restarts=1, seed=0, iters=5)[1]
-    for load, text, name in ((load_spec, save_spec(chsh_optimal_spec()), "spec.json"),
-                             (load_family, save_family(family), "family.json")):
-        def check(path, load=load):
-            try:
-                load(Path(path).read_text())
-            except NlvError:
-                pass
+MATRICES = {"dim": 2, "matrices": [[0.5, 0.0, 0.0, 0.5, 0.0, -0.5, 0.5, 0.0]]}
 
-        check_mutants(json.loads(text), tmp_path / name, check)
+# Each file kind's loader and a file it reads, as JSON text.
+LOADERS = {
+    "game": (load_game, lambda: data_path("chsh.json").read_text()),
+    "strategy": (load_strategy, lambda: data_path("uniform.json").read_text()),
+    "spec": (load_spec, lambda: save_spec(chsh_optimal_spec())),
+    "family": (load_family, lambda: save_family(
+        sync_value_lower_bound(chsh_game(), dim=2, restarts=1, seed=0, iters=5)[1])),
+    "matrices": (load_matrices, lambda: json.dumps(MATRICES)),
+    "machine": (load_machine, lambda: data_path("copier.json").read_text()),
+}
+
+
+def loads_or_is_refused_by_kind(load, kind):
+    """A check that ``load`` returns an object for the file at a path, or
+    raises an NlvError whose message is one line of at most 200
+    characters, led by the file kind."""
+    def check(path):
+        try:
+            load(Path(path).read_text())
+        except NlvError as err:
+            message = str(err)
+            assert len(message.splitlines()) == 1 and len(message) <= 200, message
+            assert message.startswith((f"{kind} file: ", f"invalid {kind}: ")), message
+    return check
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_mutated_file_loads_or_is_refused_by_kind(kind, tmp_path):
+    load, text = LOADERS[kind]
+    check_mutants(json.loads(text()), tmp_path / f"{kind}.json",
+                  loads_or_is_refused_by_kind(load, kind))
+
+
+def commuting_on_two_spaces(obj):
+    obj.update(flavor="commuting", dim_bob=1, state=obj["state"][:4])
+    for family in obj["bob"]:
+        family["outcomes"] = [[1.0, 0.0], [0.0, 0.0]]
+
+
+def flavor_families(obj, flavor):
+    for family in obj["alice"] + obj["bob"]:
+        family["flavor"] = flavor
+
+
+# Refusals that take more than one position to reach: a spec's flavor with
+# a state of its size, the measurement of every family, the dimensions
+# with the flavor; and a machine's start or halt state.
+@pytest.mark.parametrize("kind, spoil, message", [
+    ("spec", lambda obj: obj.update(flavor="x", state=obj["state"][:4]),
+     "spec file: flavor must be 'tensor' or 'commuting', got 'x'"),
+    ("spec", lambda obj: flavor_families(obj, "y"),
+     "spec file: measurement must be 'povm' or 'pvm', got 'y'"),
+    ("spec", commuting_on_two_spaces,
+     "spec file: commuting flavor needs both players on one space"),
+    ("machine", lambda obj: obj.update(start_state="nowhere"),
+     "machine file: start and halt states must be listed in states"),
+    ("machine", lambda obj: obj.update(halt_state="nowhere"),
+     "machine file: start and halt states must be listed in states"),
+], ids=["spec-flavor", "spec-measurement", "spec-commuting-dims", "machine-start",
+        "machine-halt"])
+def test_semantic_refusal_is_a_parse_error_led_by_the_kind(kind, spoil, message):
+    load, text = LOADERS[kind]
+    obj = json.loads(text())
+    spoil(obj)
+    with pytest.raises(ParseError) as err:
+        load(json.dumps(obj))
+    assert str(err.value) == message
 
 
 def test_mutated_matrices_file_gives_at_most_one_error_line(tmp_path):
-    original = {"dim": 2, "matrices": [[0.5, 0.0, 0.0, 0.5, 0.0, -0.5, 0.5, 0.0]]}
-    check_mutants(original, tmp_path / "mats.json", lambda path: exits_with_at_most_one_error_line(
+    check_mutants(MATRICES, tmp_path / "mats.json", lambda path: exits_with_at_most_one_error_line(
         ["moments", "map", "--n", "1", "--d", "2", "--matrices", path]))

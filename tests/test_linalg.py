@@ -6,10 +6,9 @@ import pytest
 from nlv.errors import ValidationError
 from nlv.linalg import as_complex, dagger, frobenius, ginibre, psd_sqrt, random_unitary
 from nlv.moments import random_contractions
-from nlv.rng import generator, uniforms
+from nlv.rng import generator
 from nlv.seesaw import random_block_families
 from test_moments import reference_contractions
-from test_rng import looped_uniforms
 
 
 def test_psd_sqrt_squares_back():
@@ -59,7 +58,7 @@ def restart_rngs(count):
 
 
 # Each stacked draw beside its per-item reference; both get the same
-# arguments and a fresh generator(17), which the uniforms ignore.
+# arguments and a fresh generator(17).
 STACKED_DRAWS = {
     "ginibre": (lambda m, d, rng: ginibre((m, d, d), rng),
                 lambda m, d, rng: np.array([ginibre((d, d), rng) for _ in range(m)])),
@@ -73,8 +72,6 @@ STACKED_DRAWS = {
     "contractions": (lambda c, n, p, rng: random_contractions((c, n, p, p), rng),
                      lambda c, n, p, rng: np.array([reference_contractions(n, p, rng)
                                                     for _ in range(c)])),
-    "uniforms": (lambda seed, count, rng: uniforms(seed, count),
-                 lambda seed, count, rng: looped_uniforms(seed, count)),
 }
 
 
@@ -87,9 +84,7 @@ STACKED_DRAWS = {
                        ("starts", (1, 1, 2, 1)), ("starts", (3, 2, 3, 2)),
                        ("starts", (4, 4, 2, 3)), ("starts", (2, 3, 3, 5)),
                        ("contractions", (1, 1, 1)), ("contractions", (3, 2, 4)),
-                       ("contractions", (5, 1, 3)),
-                       ("uniforms", (0, 1000)), ("uniforms", (-7, 1000)),
-                       ("uniforms", (2 ** 64 - 1, 1000))]])
+                       ("contractions", (5, 1, 3))]])
 def test_stacked_draw_is_the_per_item_draws(draw, args):
     stacked, per_item = STACKED_DRAWS[draw]
     assert np.array_equal(stacked(*args, generator(17)), per_item(*args, generator(17)))

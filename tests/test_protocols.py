@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nlv import moments
+from nlv import moments, protocols
 from nlv.errors import ValidationError
 from nlv.protocols import (MESSAGES, TwoBitMessage, bell_basis,
                            bell_measurement, epr_correlation_demo,
@@ -98,9 +98,20 @@ def test_epr_deterministic_in_seed():
     assert a == b
 
 
+@pytest.mark.parametrize("basis", ["coordinate", "horizontal"])
+def test_epr_chunked_draw_is_the_one_chunk_draw(basis, monkeypatch):
+    # One generator stream walks every chunk, so 143 chunks of 7 trials
+    # give the stats of one chunk of 1,000.
+    whole = epr_correlation_demo(1000, seed=21, basis=basis)
+    monkeypatch.setattr(moments, "CHUNK_BYTES", 7 * protocols._UNIFORM_BYTES)
+    assert len(list(moments.chunks(1000, protocols._UNIFORM_BYTES))) == 143
+    assert epr_correlation_demo(1000, seed=21, basis=basis) == whole
+
+
 def test_epr_memory_stays_within_the_chunk_budget():
     # One draw of 10^7 uniforms would hold ~240 MB; the chunked draw holds
-    # one chunk's, and its counts are the one draw's.
+    # one chunk's, and its counts are those of one unchunked draw,
+    # np.bincount(generator(12345).random(10 ** 7) >= 0.5).
     epr_correlation_demo(10, seed=0)   # one-time lazy set-up, untraced
     tracemalloc.start()
     try:
@@ -110,7 +121,7 @@ def test_epr_memory_stays_within_the_chunk_budget():
         tracemalloc.stop()
     assert peak < moments.CHUNK_BYTES + (1 << 20)
     assert stats.agreement_frequency == 1.0
-    assert stats.alice_marginal == (5000735 / 10 ** 7, 4999265 / 10 ** 7)
+    assert stats.alice_marginal == (4998942 / 10 ** 7, 5001058 / 10 ** 7)
 
 
 def test_epr_rejects_bad_arguments():

@@ -7,10 +7,12 @@ import json
 import numpy as np
 import pytest
 
-from nlv import moments
-from nlv.classical import DeterministicStrategy, det_to_strategy, is_synchronous
+from nlv import data_path, moments
+from nlv.classical import (DeterministicStrategy, classical_value, det_to_strategy,
+                           is_synchronous)
 from nlv.errors import DefectTooLargeError, ParseError, ValidationError
-from nlv.game import Game, chsh_game, game_value, payoff, random_game, validate_strategy
+from nlv.game import (Game, chsh_game, game_value, load_game, payoff, random_game, save_game,
+                      validate_strategy)
 from nlv.linalg import dagger, frobenius, identity
 from nlv.quantum import (PVM, TENSOR, MeasurementFamily, QuantumStrategySpec,
                          quantum_correlation, validate_measurement)
@@ -157,6 +159,37 @@ def test_sync_lower_bound_dominates_scalar_seed():
         assert value <= 1.0 + 1e-9
         # self-certification
         assert game_value(g, tracial_correlation(fam)) == pytest.approx(value, abs=1e-9)
+
+
+def magic_square_sync():
+    """Synchronous binary-constraint-system game of the magic square:
+    question x < 3 is row x of a 3 x 3 grid of bits (even parity), question
+    x >= 3 is column x - 3 (odd parity), and answer a is the a-th
+    satisfying assignment of the constraint's three bits in lexicographic
+    order.  The players win iff they agree on every shared cell."""
+    triples = np.array(list(itertools.product((0, 1), repeat=3)))
+    odd = triples.sum(axis=1) % 2 == 1
+    cells = np.arange(9).reshape(3, 3)
+    bits = np.full((6, 4, 9), -1)                    # [x, a - 1, cell], -1 off the scope
+    for x, scope in enumerate([*cells, *cells.T]):
+        bits[x][:, scope] = triples[odd == (x >= 3)]
+    alice, bob = bits[:, None, :, None], bits[None, :, None, :]
+    wins = np.all((alice < 0) | (bob < 0) | (alice == bob), axis=-1)   # [x, y, a, b]
+    return Game(k=6, n=4, pi=np.full((6, 6), 1 / 36), wins=wins)
+
+
+def test_sync_search_reaches_the_magic_square_optimum():
+    # A perfect synchronous strategy is a tracial state on M_4 (Kim,
+    # Paulsen and Schafhauser 2018), against a classical and scalar 17/18;
+    # pinned from both sides like the entangled gates.
+    text = data_path("magic_square_sync.json").read_text()
+    game = load_game(text)
+    assert game == magic_square_sync() and save_game(game) == text
+    assert abs(classical_value(game)[0] - 17 / 18) <= 1e-12
+    assert abs(_best_scalar_assignment(payoff(game))[0] - 17 / 18) <= 1e-12
+    for seed in range(5):
+        value, _ = sync_value_lower_bound(game, 4, 8, seed)
+        assert 1 - 1e-9 <= value <= 1 + 1e-9
 
 
 def test_sync_lower_bound_deterministic_in_seed():

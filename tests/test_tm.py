@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import re
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -11,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlv import data_path
-from nlv.errors import MachineHaltedError, ParseError, ValidationError
-from nlv.tm import (MOVES, NDTM, BLANK, SYMBOLS, BudgetExceeded, Configuration, Halted,
-                    NdtmResult, TuringMachine, extract_output, load_machine,
+from nlv import data_path, tm
+from nlv.errors import CapExceededError, MachineHaltedError, ParseError, ValidationError
+from nlv.tm import (MOVES, NDTM, BLANK, SYMBOLS, TRACE_CAP, BudgetExceeded, Configuration,
+                    Halted, NdtmResult, TuringMachine, extract_output, load_machine,
                     ndtm_accepts, run, save_machine, step)
 
 DATA = Path(__file__).parent / "data"
@@ -332,6 +333,39 @@ def test_stationary_loop_at_a_huge_budget_and_by_one_step():
     rendered = config.render()
     step(machine, config)
     assert config.render() == rendered
+
+
+def test_traced_stationary_tail_past_the_cap_is_refused_before_it_is_built():
+    # 10^12 lines of the looper's tail would be ~4 * 10^13 characters.
+    started = time.perf_counter()
+    with pytest.raises(CapExceededError, match=f"^trace exceeds cap of {TRACE_CAP} characters$"):
+        run(bundled("looper"), "1", 10**12, trace=True)
+    assert time.perf_counter() - started < 0.5
+
+
+@pytest.mark.parametrize("machine, input_string, budget", [
+    (lambda: bundled("copier"), "1011", 100),   # stepped lines only; halts
+    (lambda: bundled("looper"), "1", 1000),   # one stepped line, then the tail
+    (walk_then_rest_machine, "101", 1234),   # both, over 1- to 4-digit step numbers
+], ids=["copier", "looper", "walk-then-rest"])
+def test_trace_cap_counts_every_character_of_the_lines(machine, input_string, budget,
+                                                      monkeypatch):
+    machine = machine()
+    full = run(machine, input_string, budget, trace=True)
+    chars = sum(map(len, full.trace))
+    monkeypatch.setattr(tm, "TRACE_CAP", chars)
+    assert run(machine, input_string, budget, trace=True) == full
+    monkeypatch.setattr(tm, "TRACE_CAP", chars - 1)
+    with pytest.raises(CapExceededError):
+        run(machine, input_string, budget, trace=True)
+    # The cap bounds the trace only: an untraced run is not refused.
+    assert run(machine, input_string, budget).steps == full.steps
+
+
+def test_copier_trace_under_a_small_cap_is_refused_while_it_steps(monkeypatch):
+    monkeypatch.setattr(tm, "TRACE_CAP", 100)
+    with pytest.raises(CapExceededError, match="trace exceeds cap of 100 characters"):
+        run(bundled("copier"), "1" * 50, 200, trace=True)
 
 
 def test_start_in_halt_state_takes_no_steps():
