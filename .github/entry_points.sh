@@ -17,7 +17,10 @@
 # wins index and a machine with a 5,000-character state name are
 # refused on a line of at most 200 bytes.  The looper's stationary
 # self-loop counts a budget of 10^12 steps without stepping them, and
-# its trace over that budget is refused under the trace cap.  The
+# its trace over that budget is refused under the trace cap.  An epr
+# run past its trial cap and a density run past its term cap are
+# refused before anything is drawn, and a traced looper run of 10^5
+# steps streams --json that parses with one trace line per step.  The
 # script's scratch directory is removed on exit.
 #
 # Run from any directory: bash .github/entry_points.sh
@@ -82,6 +85,11 @@ PYTHONPATH=src python -m nlv.cli tm run --json --machine src/nlv/data/looper.jso
   --budget 1000000000000 > "$tmp/looper-huge.out"
 grep -q '"steps": 1000000000000' "$tmp/looper-huge.out"
 refuses tm run --machine src/nlv/data/looper.json --budget 1000000000000 --trace
+PYTHONPATH=src python -m nlv.cli tm run --json --trace --machine src/nlv/data/looper.json \
+  --budget 100000 | python -c "import json, sys; r = json.load(sys.stdin); sys.exit(len(r['trace']) != r['steps'])"
+refuses epr --trials 1000000001 --seed 0
+refuses moments density --n 1 --d 1 --p1 1 --p2 2 --eps 0.1 --count1 20000 --count2 20000 \
+  --seed 0
 PYTHONPATH=src python -m nlv.cli tm run --json --machine src/nlv/data/copier.json \
   --input 1011 --budget 100 > "$tmp/copier.out"
 grep -q '"output": "1011"' "$tmp/copier.out"

@@ -126,10 +126,10 @@ def sample_local(mixture: list[tuple[float, DeterministicStrategy]], k: int, n: 
     return Strategy(k=k, n=n, p=p)
 
 
-def is_synchronous(strategy: Strategy, tol: float = COMPUTED_TOL) -> bool:
+def is_synchronous(strategy: Strategy) -> bool:
     """True iff equal questions always get equal answers: each block p(., . |
-    x, x) is finite, with off-diagonal mass (a != b) at most ``tol``; NaN
-    and inf are violations.  Blocks with x != y are not inspected."""
+    x, x) is finite, with off-diagonal mass (a != b) at most COMPUTED_TOL;
+    NaN and inf are violations.  Blocks with x != y are not inspected."""
     same = np.diagonal(strategy.p)                       # [a, b, x] = p(a, b | x, x)
     off = same[~np.eye(strategy.n, dtype=bool)]          # (n(n-1), k)
-    return bool(np.all(np.isfinite(same)) and np.all(off <= tol))
+    return bool(np.all(np.isfinite(same)) and np.all(off <= COMPUTED_TOL))

@@ -257,7 +257,7 @@ def _run_tm(args):
     else:
         out = {"status": "budget_exceeded", "steps": result.steps}
     if args.trace:
-        out["trace"] = list(result.trace)
+        out["trace"] = result.trace
     return out
 
 
@@ -293,13 +293,14 @@ _HANDLERS = {
 
 
 def _emit(result: dict, manifest: dict, as_json: bool) -> None:
+    """Print the result: as JSON, streamed to stdout a piece at a time so
+    that a long trace is never held twice, or as ``key: value`` lines."""
     if as_json:
-        payload = dict(result)
-        payload["manifest"] = manifest
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        json.dump({**result, "manifest": manifest}, sys.stdout, sort_keys=True, indent=2)
+        print()
         return
     for key, value in result.items():
-        if isinstance(value, list) and key == "trace":
+        if key == "trace":
             print(f"{key}:")
             for line in value:
                 print(f"  {line}")

@@ -1,15 +1,15 @@
-"""Exception hierarchy, report type and the file I/O shared by all nlv
-modules.  Every file loader is built on the JSON readers at the end, so all
-formats refuse bad input the same way: with a ParseError whose message
-starts with the file kind, e.g. ``game file: ...``.  Every file writer
-formats with :func:`dump_json` and writes with :func:`write_file`."""
+"""Exception hierarchy, :func:`require` for validators' violation lines,
+and the file I/O shared by all nlv modules.  Every file loader is built on
+the JSON readers at the end, so all formats refuse bad input the same way:
+with a ParseError whose message starts with the file kind, e.g. ``game
+file: ...``.  Every file writer formats with :func:`dump_json` and writes
+with :func:`write_file`."""
 
 from __future__ import annotations
 
 import json
 import os
 import stat
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -43,26 +43,11 @@ class MachineHaltedError(NlvError):
     """A halted machine configuration was asked to take another step."""
 
 
-@dataclass(frozen=True)
-class Report:
-    """Result of a report-style validation check.
-
-    ``violations`` holds one human-readable line per failed check, naming
-    the offending index, and ``ok`` is True iff there are none.  ``worst``
-    is the largest violation magnitude seen (0.0 when clean).
-    """
-
-    violations: tuple[str, ...] = ()
-    worst: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def raise_if_failed(self, what: str) -> None:
-        if not self.ok:
-            detail = "; ".join(self.violations)
-            raise ValidationError(f"invalid {what}: {detail}")
+def require(violations: tuple[str, ...], what: str) -> None:
+    """Raise a validator's violation lines, if there are any, as one
+    ``invalid <what>: <line>; <line>`` :class:`ValidationError`."""
+    if violations:
+        raise ValidationError(f"invalid {what}: {'; '.join(violations)}")
 
 
 _JSON_TYPES = {list: "a list", str: "a string", dict: "an object"}

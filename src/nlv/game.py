@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data_path
-from .errors import (CapExceededError, DimensionMismatchError, ParseError, Report, ValidationError,
-                     dump_json, excerpt, read_array, read_count, read_field, read_object)
+from .errors import (CapExceededError, DimensionMismatchError, ParseError, ValidationError,
+                     dump_json, excerpt, read_array, read_count, read_field, read_object, require)
 from .rng import generator
 
 DIST_TOL = 1e-12       # distributions supplied in files
@@ -89,59 +89,52 @@ class Strategy:
                 and np.array_equal(self.p, other.p))
 
 
-def validate_game(game: Game) -> Report:
-    """Check the numeric invariants of a game, reporting every violation."""
+def validate_game(game: Game) -> tuple[str, ...]:
+    """The violation lines of a game's numeric invariants, one per failed check."""
     if not (np.all(np.isfinite(game.pi)) and np.all(np.isfinite(game.wins))):
-        return Report(violations=("game has non-finite entries",), worst=np.inf)
+        return ("game has non-finite entries",)
     violations = []
-    worst = 0.0
     if np.any(game.pi < 0):
         idx = np.unravel_index(int(np.argmin(game.pi)), game.pi.shape)
-        worst = max(worst, float(-game.pi[idx]))
         violations.append(
             f"negative question probability pi[{idx[0] + 1}][{idx[1] + 1}] = {game.pi[idx]:.6g}")
     with np.errstate(over="ignore", invalid="ignore"):   # an overflowing sum is a violation
         mass = float(np.sum(game.pi))
     if not abs(mass - 1.0) <= DIST_TOL:   # a nan mass fails too
-        worst = max(worst, abs(mass - 1.0))
         violations.append(f"distribution mass {mass:.6g} != 1")
     boolean = (game.wins == 0.0) | (game.wins == 1.0)
     if not np.all(boolean):
         idx = np.unravel_index(int(np.argmax(~boolean)), game.wins.shape)
-        worst = max(worst, abs(float(game.wins[idx]) - round(float(game.wins[idx]))))
         violations.append(
             "non-boolean predicate entry "
             f"D[{idx[0] + 1}][{idx[1] + 1}][{idx[2] + 1}][{idx[3] + 1}] = {game.wins[idx]:.6g}")
-    return Report(violations=tuple(violations), worst=worst)
+    return tuple(violations)
 
 
-def validate_strategy(strategy: Strategy) -> Report:
-    """Check that a strategy tensor is a conditional probability within COMPUTED_TOL."""
+def validate_strategy(strategy: Strategy) -> tuple[str, ...]:
+    """The violation lines of a strategy tensor that is not a conditional
+    probability within COMPUTED_TOL, one per failed check."""
     if not np.all(np.isfinite(strategy.p)):
-        return Report(violations=("strategy has non-finite entries",), worst=np.inf)
+        return ("strategy has non-finite entries",)
     violations = []
-    worst = 0.0
     p = strategy.p
     low = float(np.min(p))
     high = float(np.max(p))
     if low < -COMPUTED_TOL:
         idx = np.unravel_index(int(np.argmin(p)), p.shape)
-        worst = max(worst, -low)
         violations.append(f"entry p{[int(i) + 1 for i in idx]} = {low:.6g} below 0")
     if high > 1.0 + COMPUTED_TOL:
         idx = np.unravel_index(int(np.argmax(p)), p.shape)
-        worst = max(worst, high - 1.0)
         violations.append(f"entry p{[int(i) + 1 for i in idx]} = {high:.6g} above 1")
     with np.errstate(over="ignore", invalid="ignore"):   # an overflowing sum is a violation
         sums = p.sum(axis=(2, 3))
     residual = np.abs(sums - 1.0)
     if not np.max(residual) <= COMPUTED_TOL:   # a nan sum fails too
         idx = np.unravel_index(int(np.argmax(residual)), residual.shape)
-        worst = max(worst, float(np.max(residual)))
         violations.append(
             f"answers for questions ({idx[0] + 1}, {idx[1] + 1}) sum to "
             f"{sums[idx]:.9g} != 1")
-    return Report(violations=tuple(violations), worst=worst)
+    return tuple(violations)
 
 
 def game_value(game: Game, strategy: Strategy) -> float:
@@ -212,7 +205,7 @@ def load_game(text: str) -> Game:
                              f"[1..{(k, k, n, n)[i]}]")
         wins[x - 1, y - 1, a - 1, b - 1] = 1.0
     game = Game(k=k, n=n, pi=pi, wins=wins)
-    validate_game(game).raise_if_failed("game")
+    require(validate_game(game), "game")
     return game
 
 
@@ -241,7 +234,7 @@ def load_strategy(text: str) -> Strategy:
     k, n = read_count(obj, "k", where), read_count(obj, "n", where)
     p = read_array(read_field(obj, "p", list, where), (k, k, n, n), f"{where}: 'p'")
     strategy = Strategy(k=k, n=n, p=p)
-    validate_strategy(strategy).raise_if_failed("strategy")
+    require(validate_strategy(strategy), "strategy")
     return strategy
 
 

@@ -26,6 +26,7 @@ CONTRACTION_TOL = 1e-9
 CHUNK_BYTES = 8 << 20
 MAX_MATRIX_DIM = 1024   # p for clouds: one sampled p x p matrix is 16 p^2 bytes
 MAX_TUPLE_BYTES = 256 << 20   # bytes of matrices one tuple holds at once, see _tuple_bytes
+DENSITY_CAP = 200_000_000   # count1 count2 L distance terms of density_check, 7-39 ns each
 
 
 @dataclass(frozen=True)
@@ -41,10 +42,6 @@ class Monomial:
         for var, star in self.letters:
             if var < 1 or not isinstance(star, bool):
                 raise ValidationError(f"bad letter ({var}, {star})")
-
-    @property
-    def degree(self) -> int:
-        return len(self.letters)
 
     def star(self) -> "Monomial":
         """Adjoint word: reverse the letters and flip every star."""
@@ -228,15 +225,22 @@ def density_check(n: int, d: int, p_small: int, p_large: int, eps: float,
                   counts: tuple[int, int], seed: int) -> DensityReport:
     """Sample a cloud at each dimension and report, over the large-cloud
     points, the fraction whose nearest small-cloud point is within ``eps``
-    and the largest nearest-point gap."""
+    and the largest nearest-point gap.  Every large-cloud point is compared
+    with every small-cloud point on all L moments, so more than
+    ``DENSITY_CAP`` such terms are refused before anything is drawn."""
     if p_small > p_large:
         raise ValidationError("p_small must be <= p_large")
     if not (math.isfinite(eps) and eps >= 0):
         raise ValidationError(f"eps must be finite and >= 0, got {eps!r}")
+    if min(counts) < 1:
+        raise ValidationError("both clouds must be nonempty")
+    _check_degree(n, d)
+    length = monomial_count(n, d)
+    if counts[0] * counts[1] * length > DENSITY_CAP:
+        raise CapExceededError(f"density check of {counts[0]} x {counts[1]} points x {length} "
+                               f"moments exceeds cap {DENSITY_CAP}")
     small = sample_moment_cloud(n, d, p_small, counts[0], seed)
     large = sample_moment_cloud(n, d, p_large, counts[1], seed)
-    if not len(small) or not len(large):
-        raise ValidationError("both clouds must be nonempty")
     nearest = np.array([np.max(np.abs(small - row), axis=1).min() for row in large])
     return DensityReport(
         n=n, d=d, p_small=p_small, p_large=p_large, eps=eps,

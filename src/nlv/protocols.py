@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import moments
-from .errors import ValidationError
+from .errors import CapExceededError, ValidationError
 from .linalg import identity
 from .quantum import (PAULI_X, PAULI_Z, PVM, MeasurementFamily, born_probabilities,
                       check_state, collapse_state, epr_state, rotated_basis_pvm)
@@ -24,6 +24,7 @@ from .rng import generator
 
 MESSAGES = ((1, 1), (1, 2), (2, 1), (2, 2))
 _UNIFORM_BYTES = 24   # peak bytes per trial of one uniform draw and its comparison
+MAX_TRIALS = 1_000_000_000   # epr trials, 6-8 ns each
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,8 @@ def epr_correlation_demo(trials: int, seed: int, basis: str = "coordinate") -> E
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    if trials > MAX_TRIALS:
+        raise CapExceededError(f"{trials} trials exceeds cap {MAX_TRIALS}")
     local = _local_pvm(basis)
     eye = identity(2)
     alice_family = MeasurementFamily(

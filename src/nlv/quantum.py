@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import DeterministicStrategy, check_answer_range, check_mixture, classical_value
-from .errors import (CapExceededError, DimensionMismatchError, ParseError, Report,
-                     ValidationError, dump_json, excerpt, read_count, read_field, read_object)
+from .errors import (CapExceededError, DimensionMismatchError, ParseError, ValidationError,
+                     dump_json, excerpt, read_count, read_field, read_object, require)
 from .game import COMPUTED_TOL, Game, Strategy, payoff, payoff_matrix
 from .linalg import as_complex, dagger, deinterleave, identity, interleave, psd_sqrt
 from .seesaw import (ITERS, POVM, PVM, Prepared, Search, best_response, climb, correlations,
@@ -42,7 +42,7 @@ def check_state(state) -> np.ndarray:
     vec = as_complex(state)
     if vec.ndim != 1:
         raise ValidationError(f"state must be a vector, got shape {vec.shape}")
-    validate_stack([""], (("", vec[None]),), PVM).raise_if_failed("state")
+    require(validate_stack([""], (("", vec[None]),), PVM), "state")
     return vec
 
 
@@ -110,10 +110,10 @@ def stack_families(families, measurement: str) -> np.ndarray:
                           for fam in families], "family", 3)
 
 
-def validate_measurement(family: MeasurementFamily, tol: float = COMPUTED_TOL) -> Report:
-    """Check the flavor-specific invariants of one family (see
-    :func:`~nlv.seesaw.validate_stack`), reporting the worst violation."""
-    return validate_stack([""], (("", family.outcomes[None, None]),), family.flavor, tol)
+def validate_measurement(family: MeasurementFamily) -> tuple[str, ...]:
+    """The violation lines of one family's flavor-specific invariants (see
+    :func:`~nlv.seesaw.validate_stack`)."""
+    return validate_stack([""], (("", family.outcomes[None, None]),), family.flavor)
 
 
 def born_probabilities(family: MeasurementFamily, state) -> np.ndarray:
@@ -196,26 +196,23 @@ class QuantumStrategySpec:
         return self.alice.shape[-1], self.bob.shape[-1]
 
 
-def validate_spec(spec: QuantumStrategySpec, tol: float = COMPUTED_TOL) -> Report:
-    """Validate state, each player's families in one batched pass (a
-    one-row :func:`~nlv.seesaw.validate_stack` with :data:`ENTANGLED`'s
-    labels), and (for commuting flavor) that every Alice element commutes
-    with every Bob element in Frobenius norm."""
+def validate_spec(spec: QuantumStrategySpec) -> tuple[str, ...]:
+    """The violation lines of the state, each player's families in one
+    batched pass (a one-row :func:`~nlv.seesaw.validate_stack` with
+    :data:`ENTANGLED`'s labels), and (for commuting flavor) every Alice
+    element that does not commute with a Bob element in Frobenius norm."""
     rows = (spec.state[None], spec.alice[None], spec.bob[None])
-    report = validate_stack([""], zip(ENTANGLED.labels, rows), spec.measurement, tol)
-    violations = list(report.violations)
-    worst = report.worst
+    violations = validate_stack([""], zip(ENTANGLED.labels, rows), spec.measurement)
     if spec.flavor == COMMUTING:
         # residual[x, a, y, b]: Frobenius norm of [A^x_a, B^y_b].
         alice = spec.alice[:, :, None, None]
         bob = spec.bob[None, None]
         residual = np.linalg.norm(alice @ bob - bob @ alice, axis=(-2, -1))
-        for x, a, y, b in np.argwhere(residual > tol):
-            worst = max(worst, float(residual[x, a, y, b]))
-            violations.append(
-                f"commutation violation at (x={x + 1}, a={a + 1}, "
-                f"y={y + 1}, b={b + 1}): residual {residual[x, a, y, b]:.3g}")
-    return Report(violations=tuple(violations), worst=worst)
+        violations += tuple(
+            f"commutation violation at (x={x + 1}, a={a + 1}, "
+            f"y={y + 1}, b={b + 1}): residual {residual[x, a, y, b]:.3g}"
+            for x, a, y, b in np.argwhere(residual > COMPUTED_TOL))
+    return violations
 
 
 def _tensor_correlations(chunk, names) -> np.ndarray:
@@ -237,7 +234,7 @@ def quantum_correlation(spec: QuantumStrategySpec) -> Strategy:
     operator product Alice_a Bob_b.  For tensor flavor, the one-row case
     of how :data:`ENTANGLED` certifies the see-saw's chunks.
     """
-    validate_spec(spec).raise_if_failed("strategy spec")
+    require(validate_spec(spec), "strategy spec")
     if spec.flavor == TENSOR:
         p = _tensor_correlations((spec.state[None], spec.alice[None], spec.bob[None]), [""])
     else:
@@ -310,7 +307,7 @@ def naimark_dilate(family: MeasurementFamily) -> tuple[MeasurementFamily, np.nda
     the outcome slots.  Then <Q_a V s, V s> equals the original outcome
     probability <P_a s, s> for every state s.
     """
-    validate_measurement(family).raise_if_failed("POVM")
+    require(validate_measurement(family), "POVM")
     dim, n = family.dim, family.n_outcomes
     # V = sum_a kron(sqrt(P_a), e_a): row i*n + a of V is row i of sqrt(P_a).
     isometry = np.stack([psd_sqrt(mat) for mat in family.outcomes], axis=1).reshape(dim * n, dim)

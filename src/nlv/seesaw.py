@@ -13,7 +13,7 @@ import numpy as np
 
 from . import moments
 from .classical import SEED_ENUMERATION_CAP
-from .errors import CapExceededError, Report, ValidationError
+from .errors import CapExceededError, ValidationError, require
 from .game import COMPUTED_TOL, Game, correlation_values
 from .linalg import dagger, frobenius, identity, random_unitary
 from .rng import generator
@@ -111,27 +111,28 @@ _DEFECTS = (("not self-adjoint: residual", 1.0), ("not positive: eigenvalue", -1
             ("not idempotent: residual", 1.0))
 
 
-def validate_stack(names, rows, measurement: str, tol: float = COMPUTED_TOL) -> Report:
-    """Check R candidates at once: each ``(label, array)`` of ``rows`` holds
-    one part of every candidate, either (R, D) state vectors, each of unit
-    norm, or one player's (R, k, n, d, d) families, checked in one batched
-    pass.  Entries must be finite, as every constructor ensures.
+def validate_stack(names, rows, measurement: str) -> tuple[str, ...]:
+    """The violation lines of R candidates, checked at once: each ``(label,
+    array)`` of ``rows`` holds one part of every candidate, either (R, D)
+    state vectors, each of unit norm, or one player's (R, k, n, d, d)
+    families, checked in one batched pass.  Entries must be finite, as
+    every constructor ensures.
 
     POVM: every element self-adjoint with smallest eigenvalue >= -tol, and
-    each family's elements sum to the identity within tol.  PVM:
-    additionally each element squares to itself within tol (which forces
-    pairwise orthogonality).  Lines follow ``rows``; row r's start with
-    ``names[r]``, then the label, formatted with x for family x's lines.
+    each family's elements sum to the identity within tol, where tol is
+    COMPUTED_TOL.  PVM: additionally each element squares to itself within
+    tol (which forces pairwise orthogonality).  Lines follow ``rows``; row
+    r's start with ``names[r]``, then the label, formatted with x for
+    family x's lines.
     """
     def residual(mats):   # largest entry size of each matrix
         return np.abs(mats).reshape(mats.shape[:-2] + (-1,)).max(axis=-1)
 
-    violations, worst = [], 0.0
+    violations = []
     for label, stack in rows:
         if stack.ndim == 2:
             norms = np.linalg.norm(stack, axis=-1)
-            for r in np.flatnonzero(np.abs(norms - 1.0) > tol):
-                worst = max(worst, abs(float(norms[r]) - 1.0))
+            for r in np.flatnonzero(np.abs(norms - 1.0) > COMPUTED_TOL):
                 violations.append(f"{names[r]}{label}state norm {norms[r]:.9g} != 1")
             continue
         k = stack.shape[1]
@@ -141,18 +142,15 @@ def validate_stack(names, rows, measurement: str, tol: float = COMPUTED_TOL) -> 
             sizes.append(residual(flat @ flat - flat))
         sizes = np.stack(sizes, axis=-1)                   # [family, outcome, check]
         completeness = residual(flat.sum(axis=1) - identity(flat.shape[-1]))
-        failed = sizes > tol
-        for f in np.flatnonzero(failed.any(axis=(1, 2)) | (completeness > tol)):
+        failed = sizes > COMPUTED_TOL
+        for f in np.flatnonzero(failed.any(axis=(1, 2)) | (completeness > COMPUTED_TOL)):
             prefix = names[f // k] + label.format(f % k + 1)
             for i, c in np.argwhere(failed[f]):
                 what, sign = _DEFECTS[c]
-                size = float(sizes[f, i, c])
-                worst = max(worst, size)
-                violations.append(f"{prefix}outcome {i + 1} {what} {sign * size:.3g}")
-            if completeness[f] > tol:
-                worst = max(worst, float(completeness[f]))
+                violations.append(f"{prefix}outcome {i + 1} {what} {sign * sizes[f, i, c]:.3g}")
+            if completeness[f] > COMPUTED_TOL:
                 violations.append(f"{prefix}completeness residual {completeness[f]:.3g}")
-    return Report(violations=tuple(violations), worst=worst)
+    return tuple(violations)
 
 
 def climb(step: Callable, rows: tuple, iters: int) -> tuple:
@@ -246,7 +244,7 @@ def seesaw_search(game: Game, dim: int, restarts: int, seed: int, iters: int,
                                         for arr in chunk])
         if not finite.all():
             raise ValidationError(f"{names[np.argmin(finite)]}non-finite entries")
-        validate_stack(names, zip(search.labels, chunk), PVM).raise_if_failed("see-saw candidate")
+        require(validate_stack(names, zip(search.labels, chunk), PVM), "see-saw candidate")
         values = correlation_values(record.payoff, search.correlate(chunk, names))
         i = int(np.argmax(values))
         if best is None or values[i] > best_value:

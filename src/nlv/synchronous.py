@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import first_best
-from .errors import (CapExceededError, DefectTooLargeError, ParseError, Report, dump_json,
-                     read_count, read_field, read_object)
-from .game import COMPUTED_TOL, Game, Strategy, correlation_values, payoff, payoff_matrix
+from .errors import (CapExceededError, DefectTooLargeError, ParseError, dump_json, read_count,
+                     read_field, read_object, require)
+from .game import Game, Strategy, correlation_values, payoff, payoff_matrix
 from .linalg import dagger, frobenius, identity, interleave
 from .quantum import MeasurementFamily, answer_pvms, read_outcomes, stack_families
 from .seesaw import (ITERS, POVM, PVM, Prepared, Search, best_response, climb, correlations,
@@ -74,10 +74,10 @@ def load_family(text: str) -> TracialPVMFamily:
     return TracialPVMFamily(families=families)
 
 
-def validate_family(family: TracialPVMFamily, tol: float = COMPUTED_TOL) -> Report:
-    """Check every family as a PVM in one batched pass: a one-row
+def validate_family(family: TracialPVMFamily) -> tuple[str, ...]:
+    """Every family's PVM violation lines, from one batched pass: a one-row
     :func:`~nlv.seesaw.validate_stack` with :data:`SYNCHRONOUS`'s label."""
-    return validate_stack([""], zip(SYNCHRONOUS.labels, (family.families[None],)), PVM, tol)
+    return validate_stack([""], zip(SYNCHRONOUS.labels, (family.families[None],)), PVM)
 
 
 def _tracial_correlations(chunk, names) -> np.ndarray:
@@ -99,7 +99,7 @@ def tracial_correlation(family: TracialPVMFamily) -> Strategy:
     The one-row case of how :data:`SYNCHRONOUS` certifies the see-saw's
     chunks.
     """
-    validate_family(family).raise_if_failed("tracial PVM family")
+    require(validate_family(family), "tracial PVM family")
     return Strategy(k=family.k, n=family.n,
                     p=_tracial_correlations((family.families[None],), [""])[0])
 

@@ -46,7 +46,7 @@ def test_det_to_strategy_rows_are_point_masses():
     s = det_to_strategy(d, 3, 3)
     sums = s.p.sum(axis=(2, 3))
     assert np.all(sums == 1.0)
-    assert validate_strategy(s).ok
+    assert validate_strategy(s) == ()
 
 
 def test_det_to_strategy_range_errors():
@@ -153,7 +153,7 @@ def test_sample_local_value_below_classical():
                                       bob=tuple(rng.integers(1, 3, 2)))
                 for _ in range(4)]
         s = sample_local(list(zip(weights, dets)), 2, 2)
-        assert validate_strategy(s).ok
+        assert validate_strategy(s) == ()
         assert game_value(g, s) <= best + 1e-9
 
 

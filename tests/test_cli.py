@@ -6,6 +6,7 @@ import json
 import os
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from nlv.game import chsh_game, game_value, load_game, load_strategy, random_gam
 from nlv.moments import load_matrices
 from nlv.quantum import chsh_optimal_spec, load_spec, save_spec
 from nlv.synchronous import load_family, save_family, sync_value_lower_bound, tracial_correlation
-from nlv.tm import load_machine
+from nlv.tm import load_machine, run
 
 CHSH = str(data_path("chsh.json"))
 UNIFORM = str(data_path("uniform.json"))
@@ -263,6 +264,33 @@ def test_tm_trace_past_its_cap_is_one_error_line(capsys):
                                       "--budget", "1000000000000", "--trace"])
     assert line == "error: trace exceeds cap of 67108864 characters"
     assert time.perf_counter() - started < 1.0
+
+
+class Discard:
+    """A stdout that keeps nothing, so that only the run's own memory counts."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_json_trace_is_streamed_not_copied(monkeypatch):
+    # The looper's 50,000-line trace is ~5 MB; printing it as JSON must
+    # not copy it.
+    machine = load_machine(Path(LOOPER).read_text())
+    tracemalloc.start()
+    run(machine, "", 50_000, trace=True)
+    alone = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    monkeypatch.setattr(sys, "stdout", Discard())
+    tracemalloc.start()
+    code = dispatch(["tm", "run", "--json", "--machine", LOOPER, "--budget", "50000", "--trace"])
+    whole = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 0
+    assert whole <= 1.2 * alone
 
 
 def test_demo_chsh(capsys):

@@ -1,11 +1,13 @@
-"""The shared file writer: JSON bytes and in-place rewrites."""
+"""The shared file writer (JSON bytes and in-place rewrites) and the raise
+of validator lines."""
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlv.errors import dump_json, write_file
+from nlv.errors import ValidationError, dump_json, require, write_file
 
 SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
 # Same-type lists take the writer's one-join path; nan and inf among the
@@ -39,3 +41,10 @@ def test_write_file_rewrites_in_place(tmp_path):
 
 def test_write_file_writes_to_a_device_without_cutting_it():
     write_file("/dev/null", "not kept\n")
+
+
+def test_require_raises_every_line_in_one_message():
+    require((), "game")
+    with pytest.raises(ValidationError) as err:
+        require(("first line", "second line"), "game")
+    assert str(err.value) == "invalid game: first line; second line"

@@ -16,9 +16,7 @@ def uniform_strategy(k=2, n=2):
 
 
 def test_chsh_game_is_valid():
-    report = validate_game(chsh_game())
-    assert report.ok
-    assert report.violations == ()
+    assert validate_game(chsh_game()) == ()
 
 
 def test_chsh_game_is_one_frozen_instance():
@@ -30,18 +28,18 @@ def test_chsh_game_is_one_frozen_instance():
 def test_validate_flags_bad_mass():
     g = chsh_game()
     bad = Game(k=2, n=2, pi=g.pi * 0.5, wins=g.wins)
-    report = validate_game(bad)
-    assert not report.ok
-    assert any("distribution mass 0.5" in v for v in report.violations)
+    lines = validate_game(bad)
+    assert lines != ()
+    assert any("distribution mass 0.5" in v for v in lines)
 
 
 def test_validate_flags_non_boolean_predicate():
     g = chsh_game()
     wins = np.array(g.wins)
     wins[0, 0, 0, 0] = 0.7
-    report = validate_game(Game(k=2, n=2, pi=g.pi, wins=wins))
-    assert not report.ok
-    assert any("non-boolean predicate entry" in v for v in report.violations)
+    lines = validate_game(Game(k=2, n=2, pi=g.pi, wins=wins))
+    assert lines != ()
+    assert any("non-boolean predicate entry" in v for v in lines)
 
 
 def test_validate_flags_negative_probability():
@@ -49,9 +47,9 @@ def test_validate_flags_negative_probability():
     pi = np.array(g.pi)
     pi[0, 0] = -0.25
     pi[1, 1] = 0.75
-    report = validate_game(Game(k=2, n=2, pi=pi, wins=g.wins))
-    assert not report.ok
-    assert any("negative" in v for v in report.violations)
+    lines = validate_game(Game(k=2, n=2, pi=pi, wins=g.wins))
+    assert lines != ()
+    assert any("negative" in v for v in lines)
 
 
 def test_validate_flags_non_finite_entries():
@@ -63,11 +61,11 @@ def test_validate_flags_non_finite_entries():
         wins[1, 1, 0, 0] = bad
         p = np.array(uniform_strategy().p)
         p[0, 0, 0, 0] = bad
-        for report in (validate_game(Game(k=2, n=2, pi=pi, wins=g.wins)),
-                       validate_game(Game(k=2, n=2, pi=g.pi, wins=wins)),
-                       validate_strategy(Strategy(k=2, n=2, p=p))):
-            assert not report.ok
-            assert "non-finite" in report.violations[0]
+        for lines in (validate_game(Game(k=2, n=2, pi=pi, wins=g.wins)),
+                      validate_game(Game(k=2, n=2, pi=g.pi, wins=wins)),
+                      validate_strategy(Strategy(k=2, n=2, p=p))):
+            assert lines != ()
+            assert "non-finite" in lines[0]
 
 
 def test_game_value_chsh_constant_answers():
@@ -127,19 +125,17 @@ def test_game_value_bounds_and_monotonicity():
 
 
 def test_strategy_validation():
-    assert validate_strategy(uniform_strategy()).ok
+    assert validate_strategy(uniform_strategy()) == ()
     bad = Strategy(k=1, n=2, p=np.array([[[[0.9, 0.3], [0.1, 0.2]]]]))
-    report = validate_strategy(bad)
-    assert not report.ok
-    assert any("sum to" in v for v in report.violations)
+    lines = validate_strategy(bad)
+    assert lines != ()
+    assert any("sum to" in v for v in lines)
 
 
 def test_strategy_entry_range_checked():
     p = np.array([[[[1.5, -0.5], [0.0, 0.0]]]])
-    report = validate_strategy(Strategy(k=1, n=2, p=p))
-    assert not report.ok
-    assert report.worst == pytest.approx(0.5)
-    assert "entry p[1, 1, 1, 2] = -0.5 below 0" in report.violations
+    assert validate_strategy(Strategy(k=1, n=2, p=p)) == (
+        "entry p[1, 1, 1, 2] = -0.5 below 0", "entry p[1, 1, 1, 1] = 1.5 above 1")
 
 
 def test_load_bundled_chsh():
@@ -206,7 +202,7 @@ def test_random_game_deterministic_and_valid():
     g1 = random_game(2, 2, seed=7)
     g2 = random_game(2, 2, seed=7)
     assert g1 == g2
-    assert validate_game(g1).ok
+    assert validate_game(g1) == ()
     assert random_game(2, 2, seed=8) != g1
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -193,6 +194,20 @@ def test_density_scalars_cover_2x2_traces():
     assert report.seed == 11
 
 
+def test_density_past_its_cap_is_refused_before_any_draw(monkeypatch):
+    started = time.perf_counter()
+    with pytest.raises(CapExceededError,
+                       match="20000 x 20000 points x 2 moments exceeds cap 200000000"):
+        density_check(1, 1, 1, 2, eps=0.1, counts=(20_000, 20_000), seed=0)
+    assert time.perf_counter() - started < 0.1
+    # 4 x 5 points x 2 moments (n = d = 1) make 40 terms.
+    monkeypatch.setattr(moments, "DENSITY_CAP", 40)
+    assert density_check(1, 1, 1, 2, eps=0.1, counts=(4, 5), seed=0).counts == (4, 5)
+    monkeypatch.setattr(moments, "DENSITY_CAP", 39)
+    with pytest.raises(CapExceededError, match="4 x 5 points x 2 moments exceeds cap 39"):
+        density_check(1, 1, 1, 2, eps=0.1, counts=(4, 5), seed=0)
+
+
 def test_density_rejects_bad_order():
     with pytest.raises(ValidationError):
         density_check(1, 1, 3, 2, eps=0.1, counts=(10, 10), seed=0)
@@ -338,6 +353,8 @@ def test_large_cloud_peak_stays_within_chunk_budget(n, d, p, count):
     (lambda: sample_moment_cloud(1, 1, 2, -1, 0), "need p >= 1 and count >= 0"),
     (lambda: density_check(1, 1, 1, 2, 0.1, (0, 5), 0), "both clouds must be nonempty"),
     (lambda: density_check(1, 1, 1, 2, 0.1, (5, 0), 0), "both clouds must be nonempty"),
+    (lambda: density_check(1, 1, 1, 2, 0.1, (-20000, -20000), 0), "both clouds must be nonempty"),
+    (lambda: enumerate_monomials(0, 1), "need n >= 1 and d >= 1"),
 ])
 def test_moment_functions_refuse_bad_arguments(call, message):
     with pytest.raises(ValidationError, match=message):

@@ -1,12 +1,13 @@
 """Superdense coding and perfect-correlation demonstrations."""
 
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from nlv import moments, protocols
-from nlv.errors import ValidationError
+from nlv.errors import CapExceededError, ValidationError
 from nlv.protocols import (MESSAGES, TwoBitMessage, bell_basis,
                            bell_measurement, epr_correlation_demo,
                            superdense_decode, superdense_encode)
@@ -73,7 +74,7 @@ def test_decode_superposition_probabilities():
 
 def test_bell_measurement_is_pvm():
     from nlv.quantum import validate_measurement
-    assert validate_measurement(bell_measurement()).ok
+    assert validate_measurement(bell_measurement()) == ()
 
 
 def test_epr_agreement_exact_coordinate():
@@ -122,6 +123,17 @@ def test_epr_memory_stays_within_the_chunk_budget():
     assert peak < moments.CHUNK_BYTES + (1 << 20)
     assert stats.agreement_frequency == 1.0
     assert stats.alice_marginal == (4998942 / 10 ** 7, 5001058 / 10 ** 7)
+
+
+def test_epr_trials_past_the_cap_are_refused_before_any_draw(monkeypatch):
+    started = time.perf_counter()
+    with pytest.raises(CapExceededError, match="^1000000001 trials exceeds cap 1000000000$"):
+        epr_correlation_demo(protocols.MAX_TRIALS + 1, seed=0)
+    assert time.perf_counter() - started < 0.1
+    monkeypatch.setattr(protocols, "MAX_TRIALS", 50)
+    assert epr_correlation_demo(50, seed=0).trials == 50
+    with pytest.raises(CapExceededError, match="^51 trials exceeds cap 50$"):
+        epr_correlation_demo(51, seed=0)
 
 
 def test_epr_rejects_bad_arguments():

@@ -22,7 +22,8 @@ from nlv.synchronous import (SYNCHRONOUS, TracialPVMFamily, _best_scalar_assignm
                              _sync_seesaw, load_family, repair_almost_pvm, save_family,
                              scalar_family, sync_value_lower_bound, tracial_correlation,
                              validate_family)
-from test_quantum import NON_FINITE, SEARCH_SHAPES, chained_bell, reference_best_response
+from test_quantum import (NON_FINITE, SEARCH_SHAPES, chained_bell, pvm_residual,
+                          reference_best_response)
 
 
 def oracle_best_scalar(game):
@@ -105,9 +106,9 @@ def test_tracial_correlations_synchronous_symmetric_consistent():
         n = int(rng.integers(2, 4))
         d = int(rng.integers(1, 5))
         fam = TracialPVMFamily(families=random_block_families(k, n, d, [generator(seed)])[0])
-        assert validate_family(fam).ok
+        assert validate_family(fam) == ()
         s = tracial_correlation(fam)
-        assert validate_strategy(s).ok
+        assert validate_strategy(s) == ()
         assert is_synchronous(s)
         # player swap symmetry from trace cyclicity
         assert np.allclose(s.p, np.transpose(s.p, (1, 0, 3, 2)), atol=1e-9)
@@ -161,21 +162,37 @@ def test_sync_lower_bound_dominates_scalar_seed():
         assert game_value(g, tracial_correlation(fam)) == pytest.approx(value, abs=1e-9)
 
 
-def magic_square_sync():
-    """Synchronous binary-constraint-system game of the magic square:
-    question x < 3 is row x of a 3 x 3 grid of bits (even parity), question
-    x >= 3 is column x - 3 (odd parity), and answer a is the a-th
-    satisfying assignment of the constraint's three bits in lexicographic
-    order.  The players win iff they agree on every shared cell."""
-    triples = np.array(list(itertools.product((0, 1), repeat=3)))
-    odd = triples.sum(axis=1) % 2 == 1
-    cells = np.arange(9).reshape(3, 3)
-    bits = np.full((6, 4, 9), -1)                    # [x, a - 1, cell], -1 off the scope
-    for x, scope in enumerate([*cells, *cells.T]):
-        bits[x][:, scope] = triples[odd == (x >= 3)]
+def bcs_sync_game(scopes, odd, width):
+    """Synchronous binary-constraint-system game on ``width`` bits: question
+    x is the constraint on the bits scopes[x], of odd parity where odd[x]
+    and even elsewhere, and answer a is the a-th satisfying assignment of
+    its bits in lexicographic order.  π is uniform, and the players win iff
+    they agree on every shared bit."""
+    k = len(scopes)
+    rows = np.array(list(itertools.product((0, 1), repeat=len(scopes[0]))))
+    parity = rows.sum(axis=1) % 2 == 1
+    bits = np.full((k, len(rows) // 2, width), -1)   # [x, a - 1, bit], -1 off the scope
+    for x, scope in enumerate(scopes):
+        bits[x][:, scope] = rows[parity == odd[x]]
     alice, bob = bits[:, None, :, None], bits[None, :, None, :]
     wins = np.all((alice < 0) | (bob < 0) | (alice == bob), axis=-1)   # [x, y, a, b]
-    return Game(k=6, n=4, pi=np.full((6, 6), 1 / 36), wins=wins)
+    return Game(k=k, n=len(rows) // 2, pi=np.full((k, k), 1 / k ** 2), wins=wins)
+
+
+def magic_square_sync():
+    """The magic square: question x < 3 is row x of a 3 x 3 grid of bits
+    (even parity), question x >= 3 is column x - 3 (odd parity)."""
+    cells = np.arange(9).reshape(3, 3)
+    return bcs_sync_game([*cells, *cells.T], [x >= 3 for x in range(6)], 9)
+
+
+def magic_pentagram_sync():
+    """The magic pentagram: the bits are the 10 edges of K5 in
+    lexicographic order, question v is vertex v's 4 edges, and the parity
+    is even except at the last vertex."""
+    edges = list(itertools.combinations(range(5), 2))
+    scopes = [[e for e, edge in enumerate(edges) if v in edge] for v in range(5)]
+    return bcs_sync_game(scopes, [v == 4 for v in range(5)], len(edges))
 
 
 def test_sync_search_reaches_the_magic_square_optimum():
@@ -190,6 +207,16 @@ def test_sync_search_reaches_the_magic_square_optimum():
     for seed in range(5):
         value, _ = sync_value_lower_bound(game, 4, 8, seed)
         assert 1 - 1e-9 <= value <= 1 + 1e-9
+
+
+def test_magic_pentagram_is_bundled_with_its_classical_value():
+    # Value 1 at d = 8 (Mermin 1993), but no search runs here: too few
+    # restarts reach it yet for a gate.
+    text = data_path("magic_pentagram_sync.json").read_text()
+    game = load_game(text)
+    assert game == magic_pentagram_sync() and save_game(game) == text
+    assert abs(classical_value(game)[0] - 23 / 25) <= 1e-12
+    assert abs(_best_scalar_assignment(payoff(game))[0] - 23 / 25) <= 1e-12
 
 
 def test_sync_lower_bound_deterministic_in_seed():
@@ -207,7 +234,7 @@ def test_sync_lower_bound_changes_ranks_and_stays_exact():
     for fam in map(TracialPVMFamily, *rows):
         ranks = [[round(float(np.trace(m).real)) for m in f] for f in fam.families]
         assert any(rank != [2, 1] for rank in ranks)
-        assert validate_family(fam, tol=1e-12).ok
+        assert pvm_residual(fam.families) <= 1e-12
         values.append(game_value(g, tracial_correlation(fam)))
     value, _ = sync_value_lower_bound(g, dim=3, restarts=2, seed=0, iters=60)
     assert value == pytest.approx(max(values), abs=1e-12)
@@ -275,7 +302,7 @@ def test_repair_recovers_from_small_noise():
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             noisy.append(m + 1e-3 * (g + dagger(g)) / 2)
         repaired = repair_almost_pvm(noisy)
-        assert validate_measurement(repaired).ok
+        assert validate_measurement(repaired) == ()
         distance = max(frobenius(a - b) for a, b in zip(repaired.outcomes, fam.outcomes))
         assert distance <= 1e-2
 
@@ -290,7 +317,7 @@ def test_repair_output_always_valid():
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             noisy.append(m + 5e-3 * g)   # not even self-adjoint noise
         repaired = repair_almost_pvm(noisy)
-        assert validate_measurement(repaired).ok
+        assert validate_measurement(repaired) == ()
 
 
 def test_repair_rejects_large_defect():
@@ -321,22 +348,21 @@ def test_family_objects_and_array_give_the_same_family():
 
 
 def test_validate_family_lines_are_frozen():
-    # Lines and worst of the per-family validator that the batched pass
+    # Lines of the per-family validator that the batched pass
     # replaced, taken from it verbatim.
     skew = MeasurementFamily(outcomes=(np.array([[1.0, 0.5], [0.0, 0.0]]), np.diag([0.0, 0.5])),
                              flavor=PVM)
     negative = MeasurementFamily(outcomes=(np.diag([1.25, 0.0]), np.diag([-0.25, 1.0])),
                                  flavor=PVM)
     coordinate = MeasurementFamily(outcomes=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), flavor=PVM)
-    report = validate_family(TracialPVMFamily(families=(coordinate, skew, negative)))
-    assert report.violations == (
+    lines = validate_family(TracialPVMFamily(families=(coordinate, skew, negative)))
+    assert lines == (
         "family 2: outcome 1 not self-adjoint: residual 0.5",
         "family 2: outcome 2 not idempotent: residual 0.25",
         "family 2: completeness residual 0.5",
         "family 3: outcome 1 not idempotent: residual 0.312",
         "family 3: outcome 2 not positive: eigenvalue -0.25",
         "family 3: outcome 2 not idempotent: residual 0.312")
-    assert report.worst == 0.5
 
 
 def test_family_file_round_trip():
