@@ -21,6 +21,9 @@
 # run past its trial cap and a density run past its term cap are
 # refused before anything is drawn, and a traced looper run of 10^5
 # steps streams --json that parses with one trace line per step.  The
+# 400-row cloud's CSV must equal, byte for byte, what the plain repr
+# loop writes for the same cloud, whichever orjson is installed, and a
+# result sent to /dev/full must exit 1 with one stderr line.  The
 # script's scratch directory is removed on exit.
 #
 # Run from any directory: bash .github/entry_points.sh
@@ -120,6 +123,13 @@ twice "$tmp/family16.json" sync-lb --json --game "$tmp/r432.json" --dim 16 \
   --restarts 8 --seed 0 --family-out "$tmp/family16.json"
 twice "$tmp/cloud.csv" moments cloud --json --n 2 --d 3 --p 3 --count 400 --seed 0 \
   --out "$tmp/cloud.csv"
+PYTHONPATH=src python -c "from nlv.linalg import interleave; from nlv.moments import sample_moment_cloud; print(''.join(','.join(map(repr, interleave(row))) + '\n' for row in sample_moment_cloud(2, 3, 3, 400, 0)), end='')" > "$tmp/cloud-repr.csv"
+cmp "$tmp/cloud.csv" "$tmp/cloud-repr.csv"
+code=0
+PYTHONPATH=src python -m nlv.cli demo-chsh --json > /dev/full 2> "$tmp/err" || code=$?
+cat "$tmp/err"
+[ "$code" -eq 1 ]
+[ "$(wc -l < "$tmp/err")" -eq 1 ]
 # In-place rewrites: a shrinking one leaves no stale tail, and a
 # device target is written but never truncated.
 PYTHONPATH=src python -m nlv.cli quantum-lb --game src/nlv/data/chsh.json --dim 3 \

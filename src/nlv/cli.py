@@ -5,7 +5,8 @@ Every subcommand emits its numeric results together with a run manifest
 runtime).  With --json the output is a single JSON object with sorted
 keys, byte-identical across runs with the same argv apart from the
 manifest's runtime field.  Exit codes: 0 success (budget-exceeded results
-included), 1 domain error, 2 usage error.
+included), 1 domain error or a result that cannot reach stdout, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import os
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .classical import ENUMERATION_CAP, classical_value
@@ -223,6 +226,30 @@ def _run_epr(args):
     }
 
 
+_CSV_BLOCK_ROWS = 64
+
+
+def _csv_text(values) -> str:
+    """The rows of a 2-D float64 array as CSV text: each row is
+    ``",".join(map(repr, row))`` and a newline.  orjson writes ``repr``'s
+    shortest round-trip digits ``_CSV_BLOCK_ROWS`` rows at a time, but lays
+    out ``0 < |x| < 1e-4`` (``0.00001``), ``|x| >= 1e16`` (``1e16``) and
+    non-finite x otherwise; those entries go to it as NaN, and each ``null``
+    it writes is replaced by the entry's ``repr``."""
+    import orjson  # here, so that start-up and the searches never load it
+    blocks = []
+    for start in range(0, len(values), _CSV_BLOCK_ROWS):
+        block = values[start:start + _CSV_BLOCK_ROWS]
+        size = np.abs(block)
+        odd = ((size > 0) & (size < 1e-4)) | ~(size < 1e16)
+        dumped = orjson.dumps(np.where(odd, np.nan, block), option=orjson.OPT_SERIALIZE_NUMPY)
+        pieces = dumped[2:-2].decode().split("null")
+        reprs = [repr(x) for x in block[odd].tolist()] + [""]
+        text = "".join(piece + token for piece, token in zip(pieces, reprs))
+        blocks.append("\n".join(text.split("],[")) + "\n")
+    return "".join(blocks)
+
+
 def _run_moments(args):
     if args.moments_command == "map":
         mats = load_matrices(Path(args.matrices).read_text())
@@ -233,8 +260,7 @@ def _run_moments(args):
     if args.moments_command == "cloud":
         _output_target("--out", args.out)
         cloud = sample_moment_cloud(args.n, args.d, args.p, args.count, args.seed)
-        lines = [",".join(map(repr, interleave(row))) for row in cloud]
-        write_file(args.out, "\n".join(lines) + ("\n" if lines else ""))
+        write_file(args.out, _csv_text(cloud.view(np.float64)))
         return {"rows": len(cloud),
                 "moments_per_row": cloud.shape[1] if len(cloud) else 0,
                 "csv_file": args.out}
@@ -330,7 +356,18 @@ def dispatch(argv) -> int:
         "version": __version__,
         "runtime_seconds": time.perf_counter() - started,
     }
-    _emit(result, manifest, args.json)
+    try:
+        _emit(result, manifest, args.json)
+        sys.stdout.flush()
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # The flush at interpreter exit would raise again: send what is
+            # left in stdout's buffer to devnull instead.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -14,12 +15,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nlv import cli, data_path
 from nlv.cli import build_parser, dispatch
 from nlv.errors import NlvError, ParseError
 from nlv.game import chsh_game, game_value, load_game, load_strategy, random_game, save_game
-from nlv.moments import load_matrices
+from nlv.linalg import interleave
+from nlv.moments import load_matrices, sample_moment_cloud
 from nlv.quantum import chsh_optimal_spec, load_spec, save_spec
 from nlv.synchronous import load_family, save_family, sync_value_lower_bound, tracial_correlation
 from nlv.tm import load_machine, run
@@ -210,6 +213,94 @@ def test_moments_cloud_csv_bytes_are_pinned(tmp_path, capsys):
     assert digest == "c32892e22d99596fe7c731ea4e1541e10116944df47ff6ccc7cc3d728fc199a6"
 
 
+def repr_csv(values):
+    """The rows of a float array as CSV through the plain ``repr`` loop."""
+    return "".join(",".join(map(repr, row.tolist())) + "\n" for row in values)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(0, 70), st.integers(0, 6)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_cloud_csv_rows_are_repr(values):
+    assert cli._csv_text(values) == repr_csv(values)
+
+
+# Where orjson's layout and repr's part, and their neighbours.
+CSV_BOUNDARIES = [0.0, 5e-324, float(np.nextafter(1e-4, 0)), 1e-4, 1e-5, 1e15,
+                  float(np.nextafter(1e16, 0)), 1e16, 9999999999999998.0,
+                  1.7976931348623157e308]
+
+
+def test_cloud_csv_boundary_values_are_repr():
+    row = CSV_BOUNDARIES + [-x for x in CSV_BOUNDARIES]
+    non_finite = [float("nan"), float("inf"), -float("inf")] * 4 + [1.5] * 8
+    values = np.array([row, row[::-1], non_finite])
+    text = cli._csv_text(values)
+    assert text == repr_csv(values)
+    assert text.splitlines()[0].split(",")[:10] == [
+        "0.0", "5e-324", "9.999999999999999e-05", "0.0001", "1e-05", "1000000000000000.0",
+        "9999999999999998.0", "1e+16", "9999999999999998.0", "1.7976931348623157e+308"]
+
+
+def test_moments_cloud_of_no_rows_is_an_empty_file(tmp_path, capsys):
+    out = tmp_path / "cloud.csv"
+    out.write_text("stale\n")
+    payload = run_json(capsys, ["moments", "cloud", "--n", "2", "--d", "3", "--p", "3",
+                                "--count", "0", "--seed", "31", "--out", str(out)])
+    assert payload["rows"] == 0
+    assert out.read_bytes() == b""
+
+
+def benchmark_cloud():
+    return sample_moment_cloud(2, 3, 3, 400, 31)
+
+
+def repr_loop(cloud):
+    """The cloud's CSV as written before orjson: ``repr`` of every float."""
+    lines = [",".join(map(repr, interleave(row))) for row in cloud]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def test_benchmark_cloud_csv_is_the_repr_loop(tmp_path, capsys):
+    cloud = benchmark_cloud()
+    size = np.abs(cloud.view(np.float64))
+    assert np.count_nonzero((size > 0) & (size < 1e-4)) == 1650
+    out = tmp_path / "cloud.csv"
+    run_json(capsys, ["moments", "cloud", "--n", "2", "--d", "3", "--p", "3",
+                      "--count", "400", "--seed", "31", "--out", str(out)])
+    assert out.read_text() == repr_loop(cloud)
+
+
+def test_cloud_csv_peaks_no_higher_than_the_repr_loop():
+    cloud = benchmark_cloud()
+    cli._csv_text(cloud[:1].view(np.float64))  # load orjson outside the measurement
+    peaks = []
+    for write in (repr_loop, lambda cloud: cli._csv_text(cloud.view(np.float64))):
+        tracemalloc.start()
+        write(cloud)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+def python_with_nlv(args, stdout=subprocess.PIPE):
+    """Run a fresh interpreter that imports this checkout's nlv."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+def test_searches_never_load_orjson(tmp_path):
+    code = (f"import sys\nfrom nlv.cli import dispatch\n"
+            f"assert dispatch(['quantum-lb', '--game', {CHSH!r}, '--dim', '2', '--restarts', '1',"
+            f" '--seed', '0', '--spec-out', {str(tmp_path / 'spec.json')!r}]) == 0\n"
+            f"assert dispatch(['sync-lb', '--game', {CHSH!r}, '--dim', '2', '--restarts', '1',"
+            f" '--seed', '0']) == 0\n"
+            f"assert 'orjson' not in sys.modules\n")
+    done = python_with_nlv(["-c", code])
+    assert done.returncode == 0, done.stderr
+
+
 def test_moments_map_admits_contraction_within_tolerance(tmp_path, capsys):
     # 1.0000000005 passes the operator-norm check, so its cube must be admitted.
     path = tmp_path / "mats.json"
@@ -330,6 +421,28 @@ SCHEMAS = {
     "tm": {"status": str, "steps": int},
     "demo-chsh": {"classical_value": float, "quantum_value": float, "gap": float},
 }
+
+
+def refuses_unwritable_stdout(stdout):
+    done = python_with_nlv(["-m", "nlv.cli", "demo-chsh", "--json"], stdout=stdout)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_result_on_a_full_device_is_one_error_line():
+    with open("/dev/full", "w") as full:
+        refuses_unwritable_stdout(full)
+
+
+def test_result_into_a_closed_pipe_is_one_error_line():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        refuses_unwritable_stdout(write_end)
+    finally:
+        os.close(write_end)
 
 
 def test_every_subcommand_output_matches_schema(tmp_path, capsys):
