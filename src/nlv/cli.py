@@ -360,12 +360,11 @@ def dispatch(argv) -> int:
         _emit(result, manifest, args.json)
         sys.stdout.flush()
     except OSError as exc:
-        if isinstance(exc, BrokenPipeError):
-            # The flush at interpreter exit would raise again: send what is
-            # left in stdout's buffer to devnull instead.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+        # Whatever is left in stdout's buffer cannot be delivered; send it to
+        # devnull so the flush at interpreter exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
