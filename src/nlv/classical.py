@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import moments
-from .errors import CapExceededError, ValidationError
+from .errors import CapExceededError, ValidationError, excerpt
 from .game import COMPUTED_TOL, DIST_TOL, Game, Strategy, payoff, payoff_matrix
 
 ENUMERATION_CAP = 10_000_000
@@ -28,8 +28,21 @@ class DeterministicStrategy:
     bob: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "alice", tuple(int(v) for v in self.alice))
-        object.__setattr__(self, "bob", tuple(int(v) for v in self.bob))
+        object.__setattr__(self, "alice", _answers(self.alice, "alice"))
+        object.__setattr__(self, "bob", _answers(self.bob, "bob"))
+
+
+def _answers(values, name: str) -> tuple[int, ...]:
+    """``values`` as ints: integers (numpy's too) and integral floats are
+    read exactly, anything else, a bool included, is refused."""
+    answers = []
+    for v in values:
+        if isinstance(v, float) and v.is_integer():
+            v = int(v)
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValidationError(f"{name} answers must be integers, got {excerpt(v)}")
+        answers.append(int(v))
+    return tuple(answers)
 
 
 def check_answer_range(d: DeterministicStrategy, k: int, n: int) -> None:

@@ -26,8 +26,11 @@ COMPUTED_TOL = 1e-9    # the one rounding tolerance for computed tensors, states
 MAX_GAME_ENTRIES = 10_000_000   # k^2 n^2 predicate entries a game file may declare (~80 MB)
 
 
-def _frozen_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
+def _frozen_array(values, what: str) -> np.ndarray:
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except (OverflowError, TypeError, ValueError):   # ragged, non-numeric or too large
+        raise ValidationError(f"{what} must be a rectangular array of float64 numbers") from None
     arr.setflags(write=False)
     return arr
 
@@ -48,8 +51,8 @@ class Game:
             raise ValidationError("k must be >= 1")
         if self.n < 1:
             raise ValidationError("n must be >= 1")
-        pi = _frozen_array(self.pi)
-        wins = _frozen_array(self.wins)
+        pi = _frozen_array(self.pi, "pi")
+        wins = _frozen_array(self.wins, "predicate")
         if pi.shape != (self.k, self.k):
             raise ValidationError(f"pi must have shape ({self.k}, {self.k}), got {pi.shape}")
         if wins.shape != (self.k, self.k, self.n, self.n):
@@ -77,7 +80,7 @@ class Strategy:
     def __post_init__(self):
         if self.k < 1 or self.n < 1:
             raise ValidationError("strategy needs k >= 1 and n >= 1")
-        p = _frozen_array(self.p)
+        p = _frozen_array(self.p, "strategy tensor")
         if p.shape != (self.k, self.k, self.n, self.n):
             raise ValidationError(
                 f"strategy tensor must have shape ({self.k}, {self.k}, {self.n}, {self.n}), "
@@ -157,7 +160,9 @@ def correlation_values(v: np.ndarray, p: np.ndarray) -> np.ndarray:
 def payoff(game: Game) -> np.ndarray:
     """V[x, y, a, b] = pi(x, y) D(x, y, a, b): the weight of each answer
     pair, read-only like the game's arrays."""
-    return _frozen_array(game.pi[:, :, None, None] * game.wins)
+    v = game.pi[:, :, None, None] * game.wins
+    v.setflags(write=False)
+    return v
 
 
 def payoff_matrix(v: np.ndarray) -> np.ndarray:

@@ -134,6 +134,10 @@ def collapse_state(family: MeasurementFamily, outcome: int, state) -> np.ndarray
     """Post-measurement state after seeing ``outcome`` (0-based): apply the
     outcome operator and renormalize."""
     vec = check_state(state)
+    n = family.n_outcomes
+    if isinstance(outcome, bool) or not isinstance(outcome, (int, np.integer)) \
+            or not 0 <= outcome < n:
+        raise ValidationError(f"outcome must be an integer in [0, {n}), got {excerpt(outcome)}")
     projected = family.outcomes[outcome] @ vec
     norm = float(np.linalg.norm(projected))
     if norm < 1e-12:

@@ -295,30 +295,11 @@ class NdtmResult(Enum):
     BUDGET_EXCEEDED = "budget_exceeded"
 
 
-_CUTOFF = "cutoff"
-
-
-def _explore(machine: NDTM, config: Configuration, depth: int):
-    if config.state == machine.accept_state:
-        return NdtmResult.ACCEPT
-    if config.state == machine.reject_state:
-        return NdtmResult.REJECT
-    if depth == 0:
-        return _CUTOFF
-    saw_cutoff = False
-    for program in machine._programs:
-        branch = config.clone()
-        _advance(program, branch, 1)
-        outcome = _explore(machine, branch, depth - 1)
-        if outcome is NdtmResult.ACCEPT:
-            return NdtmResult.ACCEPT
-        if outcome is _CUTOFF:
-            saw_cutoff = True
-    return _CUTOFF if saw_cutoff else NdtmResult.REJECT
-
-
 def ndtm_accepts(machine: NDTM, input_string: str, depth_budget: int) -> NdtmResult:
-    """Iterative-deepening search of the choice tree.
+    """Iterative-deepening search of the choice tree, table 0 first.  Each
+    pass walks the tree to one more level on an explicit stack of
+    ``(configuration, levels left)``, so the budget is not bounded by the
+    recursion limit.
 
     ACCEPT iff some branch reaches the accept state within the depth
     budget; REJECT iff every branch reaches the reject state within it;
@@ -326,11 +307,22 @@ def ndtm_accepts(machine: NDTM, input_string: str, depth_budget: int) -> NdtmRes
     if depth_budget < 1:
         raise ValidationError("depth budget must be >= 1")
     for depth in range(1, depth_budget + 1):
-        outcome = _explore(machine, Configuration.initial(machine.start_state, input_string),
-                           depth)
-        if outcome is NdtmResult.ACCEPT:
-            return NdtmResult.ACCEPT
-        if outcome is NdtmResult.REJECT:
+        stack = [(Configuration.initial(machine.start_state, input_string), depth)]
+        cutoff = False
+        while stack:
+            config, left = stack.pop()
+            if config.state == machine.accept_state:
+                return NdtmResult.ACCEPT
+            if config.state == machine.reject_state:
+                continue
+            if left == 0:
+                cutoff = True
+                continue
+            for program in reversed(machine._programs):
+                branch = config.clone()
+                _advance(program, branch, 1)
+                stack.append((branch, left - 1))
+        if not cutoff:
             return NdtmResult.REJECT
     return NdtmResult.BUDGET_EXCEEDED
 

@@ -6,6 +6,7 @@ before the fast enumerator and stays independent of it.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,24 @@ def test_det_to_strategy_range_errors():
         det_to_strategy(DeterministicStrategy(alice=(3,), bob=(1,)), 1, 2)
     with pytest.raises(ValidationError, match="must answer all"):
         det_to_strategy(DeterministicStrategy(alice=(1,), bob=(1, 1)), 1, 2)
+
+
+def test_deterministic_answers_are_read_exactly():
+    d = DeterministicStrategy(alice=(np.int64(2), 1.0), bob=(np.float64(2.0), 1))
+    assert d.alice == (2, 1) and d.bob == (2, 1)
+    assert all(type(v) is int for v in d.alice + d.bob)
+
+
+@pytest.mark.parametrize("alice, bob, message", [
+    ((1.5, 2), (1, 2), "alice answers must be integers, got 1.5"),
+    ((1, 2), (True, 2.9), "bob answers must be integers, got True"),
+    ((1, 2), (1, 2.9), "bob answers must be integers, got 2.9"),
+    ((np.bool_(True), 2), (1, 2), f"alice answers must be integers, got {np.bool_(True)!r}"),
+    (("1", 2), (1, 2), "alice answers must be integers, got '1'"),
+])
+def test_deterministic_answers_refuse_non_integers(alice, bob, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        DeterministicStrategy(alice=alice, bob=bob)
 
 
 def test_chsh_det_value():

@@ -14,7 +14,7 @@ SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
 # floats take its per-item path.
 LISTS = st.lists(st.floats()) | st.lists(st.integers()) | st.lists(st.text())
 TREES = st.recursive(SCALARS | LISTS, lambda children: st.lists(children)
-                     | st.dictionaries(st.text(), children), max_leaves=25)
+                     | st.dictionaries(st.text(min_size=1), children), max_leaves=25)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -24,7 +24,8 @@ def test_dump_json_matches_json_dumps_indent_2(obj):
 
 
 def test_dump_json_empty_containers_and_tuples():
-    for obj in ([], {}, (), [[]], {"a": {}}, {"a": [[], {}, ()]}, (1.0, 2.0), [0.0, -0.0]):
+    for obj in ([], {}, (), [[]], {"a": {}}, {"a": [[], {}, ()]}, {"": 1.0}, (1.0, 2.0),
+                [0.0, -0.0]):
         assert dump_json(obj) == json.dumps(obj, indent=2)
 
 

@@ -66,6 +66,8 @@ def test_validate_flags_non_finite_entries():
                       validate_strategy(Strategy(k=2, n=2, p=p))):
             assert lines != ()
             assert "non-finite" in lines[0]
+    none_pi = [[None, 0.25], [0.25, 0.25]]   # numpy reads None as nan
+    assert validate_game(Game(k=2, n=2, pi=none_pi, wins=g.wins)) == ("game has non-finite entries",)
 
 
 def test_game_value_chsh_constant_answers():
@@ -240,6 +242,18 @@ def test_load_rejects_oversized_game():
     (lambda: Strategy(k=2, n=0, p=np.zeros((2, 2, 0, 0))), "strategy needs k >= 1 and n >= 1"),
     (lambda: Strategy(k=2, n=2, p=np.zeros((2, 2, 4))),
      r"strategy tensor must have shape \(2, 2, 2, 2\), got \(2, 2, 4\)"),
+    (lambda: Game(k=2, n=1, pi=[[0.5], [0.25, 0.25]], wins=np.zeros((2, 2, 1, 1))),
+     "pi must be a rectangular array of float64 numbers"),
+    (lambda: Game(k=1, n=1, pi=[["x"]], wins=np.zeros((1, 1, 1, 1))),
+     "pi must be a rectangular array of float64 numbers"),
+    (lambda: Game(k=1, n=2, pi=[[1.0]], wins=[[[[0, 1], [1]]]]),
+     "predicate must be a rectangular array of float64 numbers"),
+    (lambda: Game(k=1, n=1, pi=[[1.0]], wins=[[[[{}]]]]),
+     "predicate must be a rectangular array of float64 numbers"),
+    (lambda: Strategy(k=1, n=2, p=[[[[0.5, 0.5], [0.0]]]]),
+     "strategy tensor must be a rectangular array of float64 numbers"),
+    (lambda: Strategy(k=1, n=1, p=[[[[10 ** 400]]]]),
+     "strategy tensor must be a rectangular array of float64 numbers"),
     (lambda: random_game(0, 2, 0), "random_game needs k >= 1 and n >= 1"),
     (lambda: random_game(2, 0, 0), "random_game needs k >= 1 and n >= 1"),
 ])

@@ -16,8 +16,8 @@ from nlv.game import (Game, chsh_game, correlation_values, game_value, load_game
 from nlv.linalg import dagger, frobenius, random_unitary
 from nlv.quantum import (COMMUTING, ENTANGLED, POVM, PVM, TENSOR, MeasurementFamily,
                          QuantumStrategySpec, _seesaw,
-                         born_probabilities, check_state, chsh_optimal_spec, diagonal_pvm,
-                         embed_deterministic,
+                         born_probabilities, check_state, chsh_optimal_spec, collapse_state,
+                         diagonal_pvm, embed_deterministic,
                          embed_local, entangled_lower_bound, epr_state,
                          load_spec, naimark_dilate,
                          quantum_correlation, rotated_basis_pvm,
@@ -350,6 +350,14 @@ def test_spec_families_take_every_stacked_form():
     (lambda spec: stack_families(spec.alice, "x"), "measurement must be 'povm' or 'pvm', got 'x'"),
     (lambda spec: stack_families([rotated_basis_pvm(0.0)], POVM),
      "family 1 must be flavored 'povm'"),
+    (lambda spec: collapse_state(rotated_basis_pvm(0.0), -1, [0, 1]),
+     r"outcome must be an integer in \[0, 2\), got -1"),
+    (lambda spec: collapse_state(rotated_basis_pvm(0.0), -1, [1, 0]),
+     r"outcome must be an integer in \[0, 2\), got -1"),
+    (lambda spec: collapse_state(rotated_basis_pvm(0.0), 5, [0, 1]),
+     r"outcome must be an integer in \[0, 2\), got 5"),
+    (lambda spec: collapse_state(rotated_basis_pvm(0.0), True, [0, 1]),
+     r"outcome must be an integer in \[0, 2\), got True"),
     (lambda spec: born_probabilities(
         MeasurementFamily(outcomes=[[[0, 1j], [0, 0]], [[1, -1j], [0, 1]]], flavor=POVM),
         np.ones(2) / np.sqrt(2)), "outcome probabilities not real: residual 0.5"),

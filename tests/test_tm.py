@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import re
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -466,6 +467,41 @@ def test_ndtm_states_must_be_listed(missing):
 def test_ndtm_rejects_zero_budget():
     with pytest.raises(ValidationError):
         ndtm_accepts(guess_bit_ndtm(), "1", 0)
+
+
+def one_branch_ndtm():
+    """One live branch per level: table 0 moves the input head right and
+    accepts on reading 1, and table 1 rejects."""
+    states = ("scan", "accept", "reject")
+
+    def scan(q, s1, s2, s3):
+        if q == "scan":
+            return ("accept" if s1 == "1" else "scan", s2, s3, "R", "S", "S")
+        return (q, s2, s3, "S", "S", "S")
+
+    def to_reject(q, _s1, s2, s3):
+        return ("reject" if q == "scan" else q, s2, s3, "S", "S", "S")
+
+    return NDTM(states=states, start_state="scan", accept_state="accept",
+                reject_state="reject", table0=dense_table(states, scan),
+                table1=dense_table(states, to_reject))
+
+
+@pytest.mark.parametrize("input_string, expected", [
+    ("0" * 150 + "1", NdtmResult.ACCEPT),
+    ("0" * 300, NdtmResult.BUDGET_EXCEEDED),
+], ids=["accept", "budget-exceeded"])
+def test_ndtm_depth_budget_past_the_recursion_limit(input_string, expected):
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        outcome = ndtm_accepts(one_branch_ndtm(), input_string, 200)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert outcome is expected
 
 
 # -- differential check against a reference interpreter -----------------------
