@@ -23,8 +23,10 @@
 # steps streams --json that parses with one trace line per step.  The
 # 400-row cloud's CSV must equal, byte for byte, what the plain repr
 # loop writes for the same cloud, whichever orjson is installed, and a
-# result sent to /dev/full must exit 1 with one stderr line.  The
-# script's scratch directory is removed on exit.
+# result sent to /dev/full must exit 1 with one stderr line.  A cloud
+# at (n, d, p) = (2, 4, 5), whose longest words the moment engine
+# traces in more than one block of prefixes after two middle lengths,
+# runs twice too.  The script's scratch directory is removed on exit.
 #
 # Run from any directory: bash .github/entry_points.sh
 set -e
@@ -125,6 +127,9 @@ twice "$tmp/cloud.csv" moments cloud --json --n 2 --d 3 --p 3 --count 400 --seed
   --out "$tmp/cloud.csv"
 PYTHONPATH=src python -c "from nlv.linalg import interleave; from nlv.moments import sample_moment_cloud; print(''.join(','.join(map(repr, interleave(row))) + '\n' for row in sample_moment_cloud(2, 3, 3, 400, 0)), end='')" > "$tmp/cloud-repr.csv"
 cmp "$tmp/cloud.csv" "$tmp/cloud-repr.csv"
+# Two middle word lengths, and 4^3 prefixes traced in three blocks of 5^2.
+twice "$tmp/cloud4.csv" moments cloud --json --n 2 --d 4 --p 5 --count 30 --seed 0 \
+  --out "$tmp/cloud4.csv"
 code=0
 PYTHONPATH=src python -m nlv.cli demo-chsh --json > /dev/full 2> "$tmp/err" || code=$?
 cat "$tmp/err"

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import moments
-from .errors import CapExceededError, ValidationError, excerpt
+from .errors import CapExceededError, ValidationError, as_integer, excerpt
 from .game import COMPUTED_TOL, DIST_TOL, Game, Strategy, payoff, payoff_matrix
 
 ENUMERATION_CAP = 10_000_000
@@ -33,15 +33,18 @@ class DeterministicStrategy:
 
 
 def _answers(values, name: str) -> tuple[int, ...]:
-    """``values`` as ints: integers (numpy's too) and integral floats are
-    read exactly, anything else, a bool included, is refused."""
+    """A list, tuple or 1-D array of answers as ints, each read by
+    :func:`~nlv.errors.as_integer`; anything else, a bool included, is
+    refused."""
+    if not (isinstance(values, (list, tuple))
+            or isinstance(values, np.ndarray) and values.ndim == 1):
+        raise ValidationError(f"{name} must be a sequence of answers, got {excerpt(values)}")
     answers = []
     for v in values:
-        if isinstance(v, float) and v.is_integer():
-            v = int(v)
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        answer = as_integer(v)
+        if answer is None:
             raise ValidationError(f"{name} answers must be integers, got {excerpt(v)}")
-        answers.append(int(v))
+        answers.append(answer)
     return tuple(answers)
 
 

@@ -94,18 +94,29 @@ def read_field(obj, key: str, kind: type, what: str):
     return value
 
 
+def as_integer(value) -> int | None:
+    """``value`` as an int when it is an integer exactly: an int, a numpy
+    integer or an integral float, so that 2.0 reads as 2; None for anything
+    else, a bool included."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    if isinstance(value, (float, np.floating)):
+        return int(value) if value.is_integer() else None
+    return int(value) if isinstance(value, (int, np.integer)) else None
+
+
 def read_count(obj, key: str, what: str) -> int:
-    """Field ``key`` of ``obj`` as a count: an integral number >= 1, so
-    that 2.0 reads as 2 and true is refused, and no larger than a numpy
-    index, so that no size computed from it is too long to print."""
+    """Field ``key`` of ``obj`` as a count: an integral number >= 1 read by
+    :func:`as_integer`, so that 2.0 reads as 2 and true is refused, and no
+    larger than a numpy index, so that no size computed from it is too long
+    to print."""
     value = _get(obj, key, what)
-    if type(value) is float and value.is_integer():
-        value = int(value)
-    if type(value) is not int or value < 1:
+    count = as_integer(value)
+    if count is None or count < 1:
         raise ParseError(f"{what}: {key} must be an integer >= 1, got {excerpt(value)}")
-    if value > np.iinfo(np.intp).max:
+    if count > np.iinfo(np.intp).max:
         raise ParseError(f"{what}: {key} out of range")
-    return value
+    return count
 
 
 def _has_shape(values, shape: tuple[int, ...]) -> bool:

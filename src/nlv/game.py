@@ -18,7 +18,8 @@ import numpy as np
 
 from . import data_path
 from .errors import (CapExceededError, DimensionMismatchError, ParseError, ValidationError,
-                     dump_json, excerpt, read_array, read_count, read_field, read_object, require)
+                     as_integer, dump_json, excerpt, read_array, read_count, read_field,
+                     read_object, require)
 from .rng import generator
 
 DIST_TOL = 1e-12       # distributions supplied in files
@@ -35,6 +36,18 @@ def _frozen_array(values, what: str) -> np.ndarray:
     return arr
 
 
+def _read_sizes(obj, what: str) -> None:
+    """Replace a frozen dataclass's ``k`` and ``n`` by the ints that
+    :func:`~nlv.errors.as_integer` reads from them, or refuse either field
+    with one ValidationError naming it, ``what`` prefixed."""
+    for name in ("k", "n"):
+        value = getattr(obj, name)
+        size = as_integer(value)
+        if size is None:
+            raise ValidationError(f"{what}{name} must be an integer, got {excerpt(value)}")
+        object.__setattr__(obj, name, size)
+
+
 @dataclass(frozen=True, eq=False)
 class Game:
     """Nonlocal game: ``k`` questions, ``n`` answers per player,
@@ -47,6 +60,7 @@ class Game:
     wins: np.ndarray
 
     def __post_init__(self):
+        _read_sizes(self, "")
         if self.k < 1:
             raise ValidationError("k must be >= 1")
         if self.n < 1:
@@ -78,6 +92,7 @@ class Strategy:
     p: np.ndarray
 
     def __post_init__(self):
+        _read_sizes(self, "strategy ")
         if self.k < 1 or self.n < 1:
             raise ValidationError("strategy needs k >= 1 and n >= 1")
         p = _frozen_array(self.p, "strategy tensor")

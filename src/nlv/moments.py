@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceededError, ValidationError, read_count, read_field, read_object
-from .linalg import as_complex, dagger, deinterleave, ginibre
+from .linalg import as_complex, deinterleave, ginibre
 from .rng import generator
 
 WORD_CAP = 1_000_000
@@ -77,21 +77,26 @@ def enumerate_monomials(n: int, d: int) -> list[Monomial]:
     return words
 
 
-def _moments(tuples: np.ndarray, d: int) -> np.ndarray:
-    """Normalized traces of every word of length 1..d on each tuple of a
-    ``(count, n, p, p)`` stack, as a read-only ``(count, L)`` complex128
-    array in enumeration order, checked once: every entry finite and of
-    modulus at most ``(1 + CONTRACTION_TOL) ** d``, the bound that the
-    contraction check implies for a word of length at most d.
+def _moments(tuples: np.ndarray, d: int, out: np.ndarray) -> None:
+    """Write the normalized traces of every word of length 1..d on each
+    tuple of a ``(count, n, p, p)`` stack into the rows of ``out``, a
+    ``(count, L)`` complex128 array, in enumeration order, and check them
+    once: every entry finite and of modulus at most
+    ``(1 + CONTRACTION_TOL) ** d``, the bound that the contraction check
+    implies for a word of length at most d.
 
-    Word j of length l is word j // 2n of length l - 1 followed by letter
-    j % 2n, so each product is its prefix's product times one letter: one
-    stacked matmul over the whole stack per word.  Only the previous
-    length's products are kept, and the longest words are traced and
-    dropped as they are made.
+    The 2n letters sit side by side in one ``(count, p, 2n, p)`` array
+    ``side``, entry (i, j) of letter c at ``side[t, i, c, j]``, and the
+    products of the (2n)^l words of length l keep that layout.  Word j of
+    length l is word j // 2n of length l - 1 followed by letter j % 2n, so
+    one stacked matmul per length makes every next product, already in
+    enumeration order.  Lengths below d, and the letters when d = 1, are
+    traced on their diagonals.  The longest words are never formed:
+    tr(A L_c) = sum_i sum_j A_ij (L_c)_ji, accumulated over i straight into
+    ``out`` for blocks of p^2 prefixes, whose ``(count, p^2, 2n)``
+    temporaries are no larger than ``side``.
     """
-    n, p = tuples.shape[1:3]
-    _check_degree(n, d)
+    count, n, p = tuples.shape[:3]
     held = _tuple_bytes(n, d, p)
     if held > MAX_TUPLE_BYTES:
         raise CapExceededError(f"one tuple at n = {n}, d = {d}, p = {p} needs {held} bytes "
@@ -102,27 +107,37 @@ def _moments(tuples: np.ndarray, d: int) -> np.ndarray:
         t, i = over[0]
         raise ValidationError(
             f"matrix {i + 1} has operator norm {norms[t, i]:.9g} > 1: not a contraction")
-    letters = [m for i in range(n) for m in (tuples[:, i], dagger(tuples[:, i]))]
-    traces = [np.trace(m, axis1=1, axis2=2) for m in letters]
-    products = letters
-    for length in range(2, d + 1):
-        longer = []
-        for prefix in products:
-            for letter in letters:
-                product = prefix @ letter
-                traces.append(np.trace(product, axis1=1, axis2=2))
-                if length < d:
-                    longer.append(product)
-        products = longer
-    values = np.stack(traces, axis=1) / p
-    top = float(np.max(np.abs(values), initial=0.0))   # NaN and inf reach the max
+    side = np.empty((count, p, 2 * n, p), dtype=np.complex128)
+    side[:, :, 0::2] = tuples.transpose(0, 2, 1, 3)
+    np.conjugate(tuples.transpose(0, 3, 1, 2), out=side[:, :, 1::2])
+    products, start = side, 0
+    for length in range(1, d + 1):
+        words = (2 * n) ** length
+        traces = out[:, start:start + words]
+        start += words
+        if 1 < length == d:
+            last = traces.reshape(count, -1, 2 * n)
+            for block in range(0, last.shape[1], p * p):
+                prefixes = slice(block, block + p * p)
+                target = last[:, prefixes]
+                np.matmul(products[:, 0, prefixes], side[:, :, :, 0], out=target)
+                for i in range(1, p):
+                    target += products[:, i, prefixes] @ side[:, :, :, i]
+            break
+        if length > 1:
+            products = (products.reshape(count, -1, p) @ side.reshape(count, p, -1)
+                        ).reshape(count, p, words, p)
+        traces[...] = 0   # summed from +0.0, as np.trace sums: no -0.0 survives
+        for i in range(p):
+            traces += products[:, i, :, i]
+    parts = out.view(np.float64)
+    parts /= p   # each part rounded once: a complex division by p would round twice
+    top = float(np.max(np.abs(out), initial=0.0))   # NaN and inf reach the max
     bound = (1.0 + CONTRACTION_TOL) ** d
     if not math.isfinite(top):
         raise ValidationError("moments have non-finite entries")
     if top > bound:
         raise ValidationError(f"moment modulus {top:.9g} exceeds {bound:.9g}")
-    values.setflags(write=False)
-    return values
 
 
 def moment_map(matrices, d: int) -> np.ndarray:
@@ -142,7 +157,11 @@ def moment_map(matrices, d: int) -> np.ndarray:
     for i, mat in enumerate(mats):
         if mat.shape != (p, p):
             raise ValidationError(f"matrix {i + 1} is not {p} x {p}")
-    return _moments(np.stack(mats)[None], d)[0]
+    _check_degree(len(mats), d)
+    values = np.empty((1, monomial_count(len(mats), d)), dtype=np.complex128)
+    _moments(np.stack(mats)[None], d, values)
+    values.setflags(write=False)
+    return values[0]
 
 
 def load_matrices(text: str) -> list[np.ndarray]:
@@ -166,8 +185,11 @@ def random_contractions(shape, rng: np.random.Generator) -> np.ndarray:
 
 
 def _tuple_bytes(n: int, d: int, p: int) -> int:
-    """Bytes one tuple holds at most, in the draw and in ``_moments``: its
-    draw (4n matrices' worth), letters and products shorter than d."""
+    """Bytes one tuple holds at most: 4n matrices' worth in its draw, and
+    in ``_moments`` its n matrices, the 2n letters side by side and the
+    products of at most two adjacent lengths shorter than d, or, while the
+    longest words are traced, of one such length and a block temporary no
+    larger than the letters."""
     return (4 * n + monomial_count(n, d - 1)) * 16 * p * p
 
 
@@ -199,7 +221,7 @@ def sample_moment_cloud(n: int, d: int, p: int, count: int, seed: int) -> np.nda
     rng = generator(seed, stream=p)
     cloud = np.empty((count, length), dtype=np.complex128)
     for part in chunks(count, _tuple_bytes(n, d, p)):
-        cloud[part.start:part.stop] = _moments(random_contractions((len(part), n, p, p), rng), d)
+        _moments(random_contractions((len(part), n, p, p), rng), d, cloud[part.start:part.stop])
     cloud.setflags(write=False)
     return cloud
 

@@ -61,6 +61,8 @@ def test_deterministic_answers_are_read_exactly():
     d = DeterministicStrategy(alice=(np.int64(2), 1.0), bob=(np.float64(2.0), 1))
     assert d.alice == (2, 1) and d.bob == (2, 1)
     assert all(type(v) is int for v in d.alice + d.bob)
+    d = DeterministicStrategy(alice=[1, np.uint8(2)], bob=np.array([2.0, 1.0]))
+    assert d.alice == (1, 2) and d.bob == (2, 1)
 
 
 @pytest.mark.parametrize("alice, bob, message", [
@@ -69,6 +71,13 @@ def test_deterministic_answers_are_read_exactly():
     ((1, 2), (1, 2.9), "bob answers must be integers, got 2.9"),
     ((np.bool_(True), 2), (1, 2), f"alice answers must be integers, got {np.bool_(True)!r}"),
     (("1", 2), (1, 2), "alice answers must be integers, got '1'"),
+    (5, (1,), "alice must be a sequence of answers, got 5"),
+    ((1,), None, "bob must be a sequence of answers, got None"),
+    ((1,), "12", "bob must be a sequence of answers, got '12'"),
+    (np.array(1), (1,), f"alice must be a sequence of answers, got {np.array(1)!r}"),
+    ((1,), np.ones((1, 1), dtype=int),
+     f"bob must be a sequence of answers, got {np.ones((1, 1), dtype=int)!r}"),
+    (((1,), 2), (1, 2), "alice answers must be integers, got (1,)"),
 ])
 def test_deterministic_answers_refuse_non_integers(alice, bob, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):

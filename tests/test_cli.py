@@ -264,7 +264,7 @@ def repr_loop(cloud):
 def test_benchmark_cloud_csv_is_the_repr_loop(tmp_path, capsys):
     cloud = benchmark_cloud()
     size = np.abs(cloud.view(np.float64))
-    assert np.count_nonzero((size > 0) & (size < 1e-4)) == 1650
+    assert np.count_nonzero((size > 0) & (size < 1e-4)) == 50
     out = tmp_path / "cloud.csv"
     run_json(capsys, ["moments", "cloud", "--n", "2", "--d", "3", "--p", "3",
                       "--count", "400", "--seed", "31", "--out", str(out)])

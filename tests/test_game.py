@@ -256,7 +256,30 @@ def test_load_rejects_oversized_game():
      "strategy tensor must be a rectangular array of float64 numbers"),
     (lambda: random_game(0, 2, 0), "random_game needs k >= 1 and n >= 1"),
     (lambda: random_game(2, 0, 0), "random_game needs k >= 1 and n >= 1"),
+    (lambda: Game(k="2", n=2, pi=np.full((2, 2), 0.25), wins=np.zeros((2, 2, 2, 2))),
+     "^k must be an integer, got '2'$"),
+    (lambda: Game(k=1.5, n=2, pi=np.full((2, 2), 0.25), wins=np.zeros((2, 2, 2, 2))),
+     "^k must be an integer, got 1.5$"),
+    (lambda: Game(k=True, n=1, pi=np.ones((1, 1)), wins=np.ones((1, 1, 1, 1))),
+     "^k must be an integer, got True$"),
+    (lambda: Game(k=1, n=np.bool_(True), pi=np.ones((1, 1)), wins=np.ones((1, 1, 1, 1))),
+     "^n must be an integer, got np.True_$"),
+    (lambda: Game(k=1, n=None, pi=np.ones((1, 1)), wins=np.ones((1, 1, 1, 1))),
+     "^n must be an integer, got None$"),
+    (lambda: Strategy(k=[2], n=2, p=np.zeros((2, 2, 2, 2))),
+     r"^strategy k must be an integer, got \[2\]$"),
+    (lambda: Strategy(k=2, n=float("nan"), p=np.zeros((2, 2, 2, 2))),
+     "^strategy n must be an integer, got nan$"),
+    (lambda: Strategy(k=1, n=False, p=np.zeros((1, 1, 0, 0))),
+     "^strategy n must be an integer, got False$"),
 ])
 def test_constructors_refuse_bad_sizes_and_shapes(make, message):
     with pytest.raises(ValidationError, match=message):
         make()
+
+
+def test_constructors_read_integral_sizes_as_ints():
+    game = Game(k=np.int64(2), n=2.0, pi=np.full((2, 2), 0.25), wins=np.zeros((2, 2, 2, 2)))
+    strategy = Strategy(k=np.uint8(1), n=np.float64(1.0), p=np.ones((1, 1, 1, 1)))
+    assert (game.k, game.n, strategy.k, strategy.n) == (2, 2, 1, 1)
+    assert all(type(v) is int for v in (game.k, game.n, strategy.k, strategy.n))

@@ -4,6 +4,7 @@ import dataclasses
 import re
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -271,14 +272,101 @@ def test_batched_cloud_is_bit_identical_to_per_tuple_form(n, d, p, count):
         assert np.array_equal(vec, ref)
 
 
+def rounding_gap(mats, d):
+    """Twice the forward-error bound gamma_m |tau|_w of the test below, for
+    every word w of length 1..d on the p x p matrices ``mats``."""
+    p = mats[0].shape[0]
+    m = (d - 1) * (p + 2) + p * p + 1
+    gamma = m * 2.0 ** -53 / (1 - m * 2.0 ** -53)
+    return 2 * gamma / (1 - gamma) * reference_moments([np.abs(a) for a in mats], d).real
+
+
 @pytest.mark.parametrize("n, d, p, count", CLOUD_SHAPES)
 def test_one_tuple_case_matches_per_matrix_loops(n, d, p, count):
+    """The draw is the per-matrix draw bit for bit, and the moments are the
+    per-word loop's within the rounding either can make.
+
+    Both compute tau_w = tr(A_1 ... A_l) / p for a word w of l <= d
+    contractions of size p from complex inner products.  One of m terms is
+    computed with error at most gamma_{m+2} sum_k |x_k| |y_k|, where
+    gamma_m = m u / (1 - m u) and u = 2^-53, and the errors of successive
+    stages compound as (1 + gamma_a)(1 + gamma_b) <= 1 + gamma_{a+b}
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sections 3.1, 3.5 and 3.6).  The loop makes l - 1 products of p-term
+    inner products, sums p diagonal entries and divides by p in at most
+    two roundings.  The engine makes at most l - 2 such products, one
+    p^2-term sum for the longest words, and a division in one rounding.
+    So each computes tau_w within gamma_m |tau|_w,
+    with m = (d - 1)(p + 2) + p^2 + 1 and |tau|_w = tr(|A_1| ... |A_l|) / p
+    over entrywise moduli, and the two differ by at most 2 gamma_m |tau|_w.
+    The loop evaluates |tau|_w from nonnegative terms only, so its value is
+    at least (1 - gamma_m) |tau|_w.
+    """
     rng, ref_rng = generator(5, stream=p), generator(5, stream=p)
     for _ in range(max(count, 1)):
         mats = random_contractions((n, p, p), rng)
         ref = reference_contractions(n, p, ref_rng)
         assert all(np.array_equal(a, b) for a, b in zip(mats, ref))
-        assert np.array_equal(moment_map(mats, d), reference_moments(ref, d))
+        gap = np.abs(moment_map(mats, d) - reference_moments(ref, d))
+        assert np.all(gap <= rounding_gap(ref, d))
+
+
+def dyadic_halves(n, p, rng):
+    """n Gaussian-integer p x p matrices M, each the sum of two permutation
+    matrices whose entries are scaled by units drawn from {0, +-1, +-i}.
+    Every row and column of M / 2 then has absolute sum at most 1, so M / 2
+    is a contraction by the Schur test, ||A||^2 <= ||A||_1 ||A||_inf."""
+    units = np.array([0, 1, -1, 1j, -1j])
+    halves = np.zeros((n, p, p), dtype=np.complex128)
+    for m in halves:
+        for _ in range(2):
+            m[np.arange(p), rng.permutation(p)] += rng.choice(units, p)
+    return halves
+
+
+def exact_moments(halves, d):
+    """The normalized traces of every word of length 1..d on the tuple
+    ``halves / 2``, in enumeration order, each rounded once from its exact
+    value: a word of length l is its letters' Gaussian-integer product over
+    2^l, multiplied in int64 on real and imaginary parts, and its trace
+    over p 2^l is a pair of Fractions."""
+    p = halves.shape[-1]
+    letters = []
+    for m in halves:
+        re, im = m.real.astype(np.int64), m.imag.astype(np.int64)
+        letters += [(re, im), (re.T, -im.T)]
+    products = [(np.eye(p, dtype=np.int64), np.zeros((p, p), dtype=np.int64))]
+    values = []
+    for length in range(1, d + 1):
+        products = [(pre @ re - pim @ im, pre @ im + pim @ re)
+                    for pre, pim in products for re, im in letters]
+        scale = p * 2 ** length
+        values += [complex(Fraction(int(np.trace(re)), scale), Fraction(int(np.trace(im)), scale))
+                   for re, im in products]
+    return np.array(values)
+
+
+@pytest.mark.parametrize("n, p", [(1, 1), (1, 3), (2, 2), (2, 5), (3, 4)])
+def test_dyadic_contractions_give_exact_traces(n, p):
+    """Entries on the dyadic Gaussian grid, of modulus at most 1/2 here,
+    keep every product and partial sum exact in float64, so no order of
+    rounding can move these moments: each is its exact value rounded once."""
+    halves = dyadic_halves(n, p, np.random.default_rng(p))
+    for d in range(1, 5):
+        assert np.array_equal(moment_map(halves / 2, d), exact_moments(halves, d))
+
+
+@pytest.mark.parametrize("n, d, p, count", [(1, 3, 2, 6), (2, 4, 5, 4), (1, 6, 5, 3)])
+def test_stacked_dyadic_tuples_give_exact_traces(n, d, p, count):
+    # The path of a cloud chunk.  At (2, 4, 5) two middle lengths are
+    # formed and the final dot takes its 4^3 prefixes in three blocks of
+    # p^2 = 25; at (1, 6, 5), four middle lengths and two blocks.
+    rng = np.random.default_rng(d)
+    stack = [dyadic_halves(n, p, rng) for _ in range(count)]
+    out = np.empty((count, monomial_count(n, d)), dtype=np.complex128)
+    moments._moments(np.stack(stack) / 2, d, out)
+    for row, halves in zip(out, stack):
+        assert np.array_equal(row, exact_moments(halves, d))
 
 
 @pytest.mark.parametrize("n, d, p_small, p_large, eps, counts, seed",
